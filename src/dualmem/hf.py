@@ -201,29 +201,13 @@ def collapse_result(rel: MembershipRelation, x: int, tag: int | None = None) -> 
     """
     if not (0 <= x < rel.domain_size):
         raise DualMemError(f"element {x} outside domain of size {rel.domain_size}")
+    order, cycle = rel.members_first((x,))
+    if cycle is not None:
+        raise CycleError(cycle, tag)
     ms = rel.member_sets()
     mapping: dict[int, HfCode] = {}
-    state: dict[int, int] = {}  # 1 in progress, 2 done
-    path: list[int] = []
-    stack: list[tuple[int, list[int]]] = [(x, sorted(ms[x]))]
-    state[x] = 1
-    path.append(x)
-    while stack:
-        node, rest = stack[-1]
-        if rest:
-            child = rest.pop(0)
-            if state.get(child) == 1:
-                i = path.index(child)
-                raise CycleError(tuple(path[i:] + [child]), tag)
-            if child not in state:
-                state[child] = 1
-                path.append(child)
-                stack.append((child, sorted(ms[child])))
-        else:
-            mapping[node] = intern_hf([mapping[m] for m in ms[node]])
-            state[node] = 2
-            path.pop()
-            stack.pop()
+    for node in order:
+        mapping[node] = intern_hf([mapping[m] for m in ms[node]])
     by_code: dict[int, list[int]] = {}
     for elem in sorted(mapping):
         by_code.setdefault(mapping[elem].uid, []).append(elem)

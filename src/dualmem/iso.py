@@ -3,9 +3,11 @@
 ``build_witness`` realizes the witness predicate constructively: the unique
 candidate map on the membership closure below x matches each element to the
 e2 element whose members are exactly the images of its members, bottom-up.
-``global_isomorphism`` runs the same matching across the whole domain,
-ordinals and levels first, and returns either a re-checkable bijection or a
-structured account of which elements have no partner.
+``global_isomorphism`` runs the same matching as one members-first sweep over
+the whole domain (``partners``) and returns either a re-checkable bijection or
+a structured account of which elements have no partner. The ordinal and
+internal-level functions are the construction that the level-extension lemma
+checks; the global map does not run them.
 
 The collapse oracle (hf module) is consulted only for diagnostics and
 cross-checks, never by the construction itself.
@@ -16,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import hf
-from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError
-from .structure import DualStructure, MembershipRelation
+from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError, StructureFormatError
+from .structure import DualStructure, MembershipRelation, is_id_token
 
 
 def transitive_closure(rel: MembershipRelation, x: int, include_self: bool = False) -> frozenset[int]:
@@ -42,33 +44,10 @@ def reachable_postorder(rel: MembershipRelation, x: int, tag: int | None = None)
     Raises CycleError when that part has a membership cycle; cycles elsewhere
     in the relation are not consulted.
     """
-    ms = rel.member_sets()
-    state: dict[int, int] = {x: 1}
-    path = [x]
-    order: list[int] = []
-    stack: list[tuple[int, list[int]]] = [(x, sorted(ms[x]))]
-    while stack:
-        node, rest = stack[-1]
-        if rest:
-            child = rest.pop(0)
-            if state.get(child) == 1:
-                i = path.index(child)
-                raise CycleError(tuple(path[i:] + [child]), tag)
-            if child not in state:
-                state[child] = 1
-                path.append(child)
-                stack.append((child, sorted(ms[child])))
-        else:
-            order.append(node)
-            state[node] = 2
-            path.pop()
-            stack.pop()
+    order, cycle = rel.members_first((x,))
+    if cycle is not None:
+        raise CycleError(cycle, tag)
     return order
-
-
-def check_acyclic_below(rel: MembershipRelation, x: int, tag: int | None = None):
-    """Raise CycleError when the part reachable from x has a membership cycle."""
-    reachable_postorder(rel, x, tag)
 
 
 @dataclass(frozen=True)
@@ -124,7 +103,7 @@ def build_witness(s: DualStructure, x: int, y: int) -> MatchWitness | None:
     Cycles below x (in e1) or below y (in e2) are errors, distinct from
     absence: the witness predicate presupposes well-founded closures.
     """
-    check_acyclic_below(s.e2, y, tag=2)
+    reachable_postorder(s.e2, y, tag=2)  # for its CycleError only
     f = _candidate_map(s, x)
     if f is None or f[x] != y:
         return None
@@ -174,13 +153,6 @@ def is_ordinal(rel: MembershipRelation, x: int) -> bool:
     """A transitive element all of whose members are transitive."""
     ms = rel.member_sets()
     return _is_transitive_set(rel, x) and all(_is_transitive_set(rel, t) for t in ms[x])
-
-
-def ordinals(rel: MembershipRelation) -> tuple[int, ...]:
-    """All ordinal elements, by position (member count), ids breaking ties."""
-    ms = rel.member_sets()
-    found = [x for x in range(rel.domain_size) if is_ordinal(rel, x)]
-    return tuple(sorted(found, key=lambda x: (len(ms[x]), x)))
 
 
 @dataclass(frozen=True)
@@ -262,10 +234,9 @@ def restriction_agrees(w: MatchWitness, wider: MatchWitness) -> bool:
 
 @dataclass(frozen=True)
 class IsoCertificate:
-    """A total bijection h with a e1 b iff h(a) e2 h(b), plus match provenance."""
+    """A total bijection h with a e1 b iff h(a) e2 h(b)."""
 
     mapping: tuple[int, ...]
-    provenance: tuple[int, ...]  # rank at which each pair was added
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
@@ -283,10 +254,31 @@ class FailureDiagnostic:
     unmatched_e2: tuple[tuple[int, str], ...]
 
 
-def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
-    """Match ordinals, extend along levels, then read the map off the whole domain.
+def partners(s: DualStructure) -> list[int | None]:
+    """partners(s)[x] is the e2 element matched to x, or None when x has none.
 
-    Requires both relations acyclic and extensional (typed errors otherwise).
+    One members-first sweep over e1: x is matched to the unique e2 element
+    whose members are exactly the partners of x's members. On an extensional
+    e1 these are exactly the pairs build_witness certifies. Requires e1
+    acyclic.
+    """
+    ms1 = s.e1.member_sets()
+    index2 = s.e2.extension_index()
+    partner: list[int | None] = [None] * s.domain_size
+    for x in s.e1.toposort():
+        if all(partner[m] is not None for m in ms1[x]):
+            hits = index2.get(frozenset(partner[m] for m in ms1[x]))
+            if hits is not None and len(hits) == 1:
+                partner[x] = hits[0]
+    return partner
+
+
+def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
+    """Match the whole domain in one members-first sweep and read the map off it.
+
+    The ordinal and level stages of the proof are not run here; the
+    level-extension lemma checks them. Requires both relations acyclic and
+    extensional (typed errors otherwise).
     Returns a certificate exactly when the matching is total and onto;
     otherwise a diagnostic whose witnesses are re-checkable and carry their
     collapse renderings.
@@ -300,34 +292,12 @@ def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
         if dupes:
             raise NonExtensionalError((dupes[0][0], dupes[0][1]), tag)
 
-    # Ordinal pairs first, then their levels: the faithful construction order.
-    on1, on2 = ordinals(s.e1), ordinals(s.e2)
-    for alpha, y in zip(on1, on2):
-        w = build_witness(s, alpha, y)
-        if w is None:
-            break
-        lev1 = internal_level(s, 1, alpha)
-        lev2 = internal_level(s, 2, y)
-        if lev1.element is not None and lev2.element is not None:
-            try:
-                extend_to_level(s, w)
-            except LevelExtensionError:
-                break
-
-    ms1 = s.e1.member_sets()
-    index2 = s.e2.extension_index()
-    partner: list[int | None] = [None] * s.domain_size
-    for x in s.e1.toposort():
-        if all(partner[m] is not None for m in ms1[x]):
-            hits = index2.get(frozenset(partner[m] for m in ms1[x]))
-            if hits is not None and len(hits) == 1:
-                partner[x] = hits[0]
-
+    partner = partners(s)
     matched2 = {y for y in partner if y is not None}
     unmatched1 = [x for x in range(s.domain_size) if partner[x] is None]
     unmatched2 = [y for y in range(s.domain_size) if y not in matched2]
     if not unmatched1 and not unmatched2:
-        return IsoCertificate(tuple(partner), s.e1.ranks())
+        return IsoCertificate(tuple(partner))
 
     if unmatched1 and unmatched2:
         case = "both-directions-fail"
@@ -372,19 +342,35 @@ def render_certificate(cert: IsoCertificate) -> str:
 
 
 def parse_certificate(text: str) -> IsoCertificate:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or not lines[0].startswith("iso "):
-        raise DualMemError("certificate must start with an 'iso <N>' header")
-    n = int(lines[0].split()[1])
-    mapping: list[int | None] = [None] * n
-    for line in lines[1:]:
-        tok = line.split()
-        if len(tok) != 3 or tok[0] != "map":
-            raise DualMemError(f"bad certificate line: {line!r}")
-        mapping[int(tok[1])] = int(tok[2])
-    if any(v is None for v in mapping):
-        raise DualMemError("certificate does not cover the domain")
-    return IsoCertificate(tuple(mapping), tuple(0 for _ in mapping))
+    """Parse render_certificate's format: an 'iso <N>' header, then one
+    'map <x> <y>' line for each x in {0, .., N-1}, with y < N.
+
+    Blank lines are skipped; any other fault is an error with its line number.
+    """
+    size: int | None = None
+    mapping: dict[int, int] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if size is None:
+            if len(tokens) != 2 or tokens[0] != "iso" or not is_id_token(tokens[1]):
+                raise StructureFormatError("certificate must start with an 'iso <N>' header", line_no)
+            size = int(tokens[1])
+            continue
+        if len(tokens) != 3 or tokens[0] != "map" or not (is_id_token(tokens[1]) and is_id_token(tokens[2])):
+            raise StructureFormatError(f"bad certificate line: {raw.strip()!r}", line_no)
+        x, y = int(tokens[1]), int(tokens[2])
+        if x >= size or y >= size:
+            raise StructureFormatError(f"id {max(x, y)} outside domain of size {size}", line_no)
+        if x in mapping:
+            raise StructureFormatError(f"duplicate map line for {x}", line_no)
+        mapping[x] = y
+    if size is None:
+        raise StructureFormatError("certificate must start with an 'iso <N>' header")
+    if len(mapping) != size:
+        raise StructureFormatError("certificate does not cover the domain")
+    return IsoCertificate(tuple(mapping[x] for x in range(size)))
 
 
 def render_diagnostic(diag: FailureDiagnostic) -> str:

@@ -14,7 +14,6 @@ halting with the reproducing seed on any unexpected verdict.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 from . import axioms as axioms_mod
@@ -66,7 +65,6 @@ class SuiteConfig:
 class SuiteReport:
     lemmas: dict[str, LemmaVerdict]
     corpus: str | None = None
-    elapsed: float = 0.0  # in-memory only; never rendered
 
     @property
     def failures(self) -> tuple[str, ...]:
@@ -102,19 +100,18 @@ def _all_na(reason: str, *extra: tuple[str, str]) -> dict[str, LemmaVerdict]:
 def run_suite(s: DualStructure, config: SuiteConfig | None = None) -> SuiteReport:
     """Run every lemma check that applies to the given structure."""
     config = config or SuiteConfig()
-    start = time.perf_counter()
 
     for tag in (1, 2):
         cycle = s.relation(tag).find_cycle()
         if cycle is not None:
             witness = (("tag", str(tag)), ("cycle", ">".join(map(str, cycle))))
-            return SuiteReport(_all_na("ill-founded", *witness), elapsed=time.perf_counter() - start)
+            return SuiteReport(_all_na("ill-founded", *witness))
     for tag in (1, 2):
         dc = hf.collapse_domain(s.relation(tag), tag)
         if dc.duplicate_groups:
             group = ",".join(map(str, dc.duplicate_groups[0]))
             witness = (("tag", str(tag)), ("collapse-duplicates", group))
-            return SuiteReport(_all_na("non-extensional", *witness), elapsed=time.perf_counter() - start)
+            return SuiteReport(_all_na("non-extensional", *witness))
 
     lemmas: dict[str, LemmaVerdict] = {}
     matched = _matched_pairs(s)
@@ -126,13 +123,14 @@ def run_suite(s: DualStructure, config: SuiteConfig | None = None) -> SuiteRepor
     lemmas["level-extension"] = _check_level_extension(s, matched)
 
     gate = axioms_mod.full_report(s, config.budget, schema_mode="semantic")
+    result = iso_mod.global_isomorphism(s)
     if not gate.semantic_pass:
         failing = _first_semantic_failure(gate)
         lemmas["totality"] = _na("axioms", *failing)
     else:
-        lemmas["totality"] = _check_totality(s)
-    lemmas["isomorphism"] = _check_isomorphism(s)
-    return SuiteReport(lemmas, elapsed=time.perf_counter() - start)
+        lemmas["totality"] = _check_totality(result)
+    lemmas["isomorphism"] = _check_isomorphism(s, result)
+    return SuiteReport(lemmas)
 
 
 def _first_semantic_failure(report: axioms_mod.FullReport) -> Witness:
@@ -145,12 +143,7 @@ def _first_semantic_failure(report: axioms_mod.FullReport) -> Witness:
 
 
 def _matched_pairs(s: DualStructure) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for x in range(s.domain_size):
-        f = iso_mod._candidate_map(s, x)
-        if f is not None:
-            pairs.append((x, f[x]))
-    return tuple(pairs)
+    return tuple((x, y) for x, y in enumerate(iso_mod.partners(s)) if y is not None)
 
 
 def _check_uniqueness(s: DualStructure, config: SuiteConfig) -> LemmaVerdict:
@@ -267,8 +260,7 @@ def _check_level_extension(s: DualStructure, matched) -> LemmaVerdict:
     return LemmaVerdict("pass")
 
 
-def _check_totality(s: DualStructure) -> LemmaVerdict:
-    result = iso_mod.global_isomorphism(s)
+def _check_totality(result: iso_mod.IsoCertificate | iso_mod.FailureDiagnostic) -> LemmaVerdict:
     if isinstance(result, iso_mod.IsoCertificate):
         return LemmaVerdict("pass")
     e1 = str(result.unmatched_e1[0][0]) if result.unmatched_e1 else "-"
@@ -276,12 +268,11 @@ def _check_totality(s: DualStructure) -> LemmaVerdict:
     return LemmaVerdict("fail", (("case", result.case), ("e1", e1), ("e2", e2)))
 
 
-def _check_isomorphism(s: DualStructure) -> LemmaVerdict:
-    result = iso_mod.global_isomorphism(s)
+def _check_isomorphism(
+    s: DualStructure, result: iso_mod.IsoCertificate | iso_mod.FailureDiagnostic
+) -> LemmaVerdict:
     if isinstance(result, iso_mod.FailureDiagnostic):
-        e1 = str(result.unmatched_e1[0][0]) if result.unmatched_e1 else "-"
-        e2 = str(result.unmatched_e2[0][0]) if result.unmatched_e2 else "-"
-        return LemmaVerdict("fail", (("case", result.case), ("e1", e1), ("e2", e2)))
+        return _check_totality(result)
     if not iso_mod.verify_certificate(s, result):
         return LemmaVerdict("fail", (("case", "certificate-rejected"),))
     return LemmaVerdict("pass")
@@ -308,7 +299,6 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
     pairs must pass the conditional lemmas, and their isomorphism verdict must
     coincide with collapse-image equality (both outcomes are counted).
     """
-    start = time.perf_counter()
     combined: dict[str, LemmaVerdict] = {}
     items = 0
     iso_pass = 0
@@ -339,7 +329,7 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
                     if not expected_ok:
                         combined[name] = LemmaVerdict("fail", v.witness + repro)
                         corpus_line = _corpus_line(config, items, iso_pass, iso_fail)
-                        return SuiteReport(_fill(combined), corpus_line, time.perf_counter() - start)
+                        return SuiteReport(_fill(combined), corpus_line)
                 if kind == "random-pair" and iso_verdict.status != "n/a":
                     same_images = (
                         hf.collapse_domain(s.e1, 1).image() == hf.collapse_domain(s.e2, 2).image()
@@ -349,7 +339,7 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
                             "fail", (("reason", "oracle-disagrees"),) + repro
                         )
                         corpus_line = _corpus_line(config, items, iso_pass, iso_fail)
-                        return SuiteReport(_fill(combined), corpus_line, time.perf_counter() - start)
+                        return SuiteReport(_fill(combined), corpus_line)
                 for name, v in report.lemmas.items():
                     if kind == "random-pair" and name in ("totality", "isomorphism"):
                         continue  # counted in the corpus line, not aggregated
@@ -359,7 +349,7 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
                         else:
                             combined.setdefault(name, _na("never-applicable"))
     corpus_line = _corpus_line(config, items, iso_pass, iso_fail)
-    return SuiteReport(_fill(combined), corpus_line, time.perf_counter() - start)
+    return SuiteReport(_fill(combined), corpus_line)
 
 
 def _fill(combined: dict[str, LemmaVerdict]) -> dict[str, LemmaVerdict]:

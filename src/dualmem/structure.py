@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import DualMemError, StructureFormatError
@@ -78,30 +79,38 @@ class MembershipRelation:
         """Some directed membership cycle (first element repeated last), or None."""
         if self.toposort() is not None:
             return None
+        return self.members_first(range(self.domain_size))[1]
+
+    def members_first(self, roots: Iterable[int]) -> tuple[list[int], tuple[int, ...] | None]:
+        """Depth-first walk from each root in turn, members in ascending id.
+
+        Returns the members-first order of everything reached and None, or,
+        at the first cycle met, the order so far and the cycle (first element
+        repeated last).
+        """
         ms = self.member_sets()
-        state = [0] * self.domain_size  # 0 unvisited, 1 on stack, 2 done
-        for root in range(self.domain_size):
-            if state[root]:
+        done: dict[int, bool] = {}  # False while on the current path
+        order: list[int] = []
+        for root in roots:
+            if root in done:
                 continue
-            stack: list[tuple[int, list[int]]] = [(root, sorted(ms[root]))]
-            state[root] = 1
+            done[root] = False
             path = [root]
-            while stack:
-                node, rest = stack[-1]
-                if rest:
-                    child = rest.pop(0)
-                    if state[child] == 1:
-                        i = path.index(child)
-                        return tuple(path[i:] + [child])
-                    if state[child] == 0:
-                        state[child] = 1
-                        path.append(child)
-                        stack.append((child, sorted(ms[child])))
-                else:
-                    state[node] = 2
-                    path.pop()
-                    stack.pop()
-        return None
+            walks = [iter(sorted(ms[root]))]
+            while walks:
+                child = next(walks[-1], None)
+                if child is None:
+                    node = path.pop()
+                    done[node] = True
+                    order.append(node)
+                    walks.pop()
+                elif child not in done:
+                    done[child] = False
+                    path.append(child)
+                    walks.append(iter(sorted(ms[child])))
+                elif not done[child]:
+                    return order, tuple(path[path.index(child):] + [child])
+        return order, None
 
     def is_acyclic(self) -> bool:
         return self.toposort() is not None
@@ -227,6 +236,15 @@ def apply_permutation(rel: MembershipRelation, p: Permutation) -> MembershipRela
 
 # -- text format --------------------------------------------------------------
 
+def is_id_token(token: str) -> bool:
+    """An element id or size in the text formats: ASCII digits only.
+
+    str.isdigit() alone admits '²', which int() rejects, and '١', which int()
+    reads as 1.
+    """
+    return token.isascii() and token.isdigit()
+
+
 def parse_structure(text: str) -> DualStructure:
     """Parse the line-oriented structure format.
 
@@ -244,13 +262,13 @@ def parse_structure(text: str) -> DualStructure:
         if tokens[0] == "n":
             if size is not None:
                 raise StructureFormatError("duplicate 'n' header", line_no)
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not is_id_token(tokens[1]):
                 raise StructureFormatError("header must be 'n <N>'", line_no)
             size = int(tokens[1])
         elif tokens[0] in ("e1", "e2"):
             if size is None:
                 raise StructureFormatError("edge before 'n' header", line_no)
-            if len(tokens) != 3 or not (tokens[1].isdigit() and tokens[2].isdigit()):
+            if len(tokens) != 3 or not (is_id_token(tokens[1]) and is_id_token(tokens[2])):
                 raise StructureFormatError(f"edge line must be '{tokens[0]} <child> <parent>'", line_no)
             a, b = int(tokens[1]), int(tokens[2])
             if a >= size or b >= size:

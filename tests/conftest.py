@@ -26,3 +26,14 @@ def scrambled_v4():
 @pytest.fixture(scope="session")
 def chain3():
     return dual_structure(3, [(0, 1), (1, 2)], [(0, 1), (1, 2)])
+
+
+@pytest.fixture(scope="session")
+def two_cycles():
+    # e1: from 0, the members 1, 3, 6 lead to the cycle 3>4>5>3 (met first when
+    # members are walked in ascending id) and to the cycle 6>7>6; e2 is acyclic.
+    return dual_structure(
+        8,
+        [(1, 0), (3, 0), (6, 0), (2, 1), (2, 3), (4, 3), (5, 4), (1, 5), (3, 5), (7, 6), (6, 7)],
+        [(0, 1), (1, 2)],
+    )

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dualmem
 from dualmem import build_v_universe, parse_structure, serialize_structure
 from dualmem.cli import main
 from dualmem.lemmas import EXPECTED_SUMMARIES
@@ -119,6 +125,24 @@ class TestFindIso:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_ascii_digit_exit_two_without_traceback(self, tmp_path):
+        bad = tmp_path / "bad.st"
+        bad.write_text("n 2\ne1 ² 1\n", encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualmem.cli", "find-iso", str(bad)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: line 2: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_cycle_witness_pinned(self, capsys, tmp_path, two_cycles):
+        path = tmp_path / "c.st"
+        path.write_text(serialize_structure(two_cycles))
+        assert run(capsys, "find-iso", str(path)) == (1, "fail ill-founded e1 cycle=3>4>5>3\n", "")
+
     def test_empty_domain(self, capsys, tmp_path):
         empty = tmp_path / "v0.st"
         empty.write_text("n 0\n")
@@ -191,6 +215,13 @@ class TestCollapse:
         code, out, _ = run(capsys, "collapse", str(directory / "membership-cycle.st"), "--element", "0")
         assert code == 1
         assert out.startswith("fail ill-founded e1 cycle=")
+
+    def test_cycle_witness_pinned(self, capsys, tmp_path, two_cycles):
+        path = tmp_path / "c.st"
+        path.write_text(serialize_structure(two_cycles))
+        for element, cycle in (("0", "3>4>5>3"), ("5", "5>3>4>5"), ("7", "7>6>7")):
+            out = f"fail ill-founded e1 cycle={cycle}\n"
+            assert run(capsys, "collapse", str(path), "--element", element) == (1, out, "")
 
     def test_out_of_range_exit_two(self, capsys, v3_file):
         code, _, _ = run(capsys, "collapse", v3_file, "--element", "9")

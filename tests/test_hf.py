@@ -46,6 +46,12 @@ class TestCollapse:
             collapse(r, 0)
         assert set(exc.value.cycle) == {0, 1}
 
+    def test_cycle_witness_pinned(self, two_cycles):
+        for x, cycle in ((0, (3, 4, 5, 3)), (5, (5, 3, 4, 5)), (7, (7, 6, 7))):
+            with pytest.raises(CycleError) as exc:
+                collapse(two_cycles.e1, x, 1)
+            assert (exc.value.cycle, exc.value.tag) == (cycle, 1)
+
     def test_cycle_elsewhere_is_fine(self):
         r = rel(4, [(0, 1), (2, 3), (3, 2)])
         assert ackermann_code(collapse(r, 1)) == 1

@@ -9,6 +9,7 @@ from dualmem import (
     LevelExtensionError,
     NonExtensionalError,
     Permutation,
+    StructureFormatError,
     build_witness,
     build_v_universe,
     collapse,
@@ -26,14 +27,15 @@ from dualmem.iso import (
     FailureDiagnostic,
     IsoCertificate,
     is_witness,
-    ordinals,
     parse_certificate,
+    partners,
+    reachable_postorder,
     render_certificate,
     render_diagnostic,
     restriction_agrees,
 )
 from dualmem.lemmas import _chain_vs_v3
-from dualmem.structure import random_dual_structure
+from dualmem.structure import random_dual_structure, random_extensional_relation
 
 
 class TestTransitiveClosure:
@@ -73,6 +75,25 @@ class TestBuildPsi:
         with pytest.raises(CycleError):
             build_witness(s2, 0, 0)
 
+    def test_cycle_witnesses_pinned(self, two_cycles):
+        # The same walk from each start, so e1 (tag 1) and the same relation
+        # placed in e2 (tag 2) report the same cycle, sliced at the start when
+        # the start lies on it.
+        swapped = dual_structure(8, two_cycles.e2.edges, two_cycles.e1.edges)
+        for x, cycle in ((0, (3, 4, 5, 3)), (5, (5, 3, 4, 5)), (7, (7, 6, 7))):
+            for s, tag, pair in ((two_cycles, 1, (x, 0)), (swapped, 2, (0, x))):
+                with pytest.raises(CycleError) as exc:
+                    build_witness(s, *pair)
+                assert (exc.value.cycle, exc.value.tag) == (cycle, tag)
+                with pytest.raises(CycleError) as exc:
+                    reachable_postorder(s.relation(tag), x, tag)
+                assert (exc.value.cycle, exc.value.tag) == (cycle, tag)
+
+    def test_postorder_pinned(self):
+        r = random_extensional_relation(8, 5)
+        assert reachable_postorder(r, 4) == [6, 3, 0, 1, 7, 2, 4]
+        assert reachable_postorder(r, 6) == [6]
+
     def test_witness_satisfies_all_conditions(self, scrambled_v4):
         for x in range(16):
             for y in range(16):
@@ -92,6 +113,15 @@ class TestPhi:
             expected = collapse(scrambled_v4.e1, x) is collapse(scrambled_v4.e2, y)
             assert matches(scrambled_v4, x, y) == expected
 
+    @given(seed=st.integers(0, 120), size=st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_partner_sweep_gives_the_matched_pairs(self, seed, size):
+        s = random_dual_structure(size, seed)
+        partner = partners(s)
+        for x in range(size):
+            expected = [] if partner[x] is None else [partner[x]]
+            assert [y for y in range(size) if matches(s, x, y)] == expected
+
     def test_partial_on_mismatched_pair(self):
         s = _chain_vs_v3()
         matched = {x for x in range(4) if any(matches(s, x, y) for y in range(4))}
@@ -100,7 +130,7 @@ class TestPhi:
 
 class TestOrdinals:
     def test_universe_ordinals(self, v4):
-        assert ordinals(v4.e1) == (0, 1, 3, 11)
+        assert [x for x in range(16) if is_ordinal(v4.e1, x)] == [0, 1, 3, 11]
 
     def test_two_is_not_transitive(self, v4):
         assert not is_ordinal(v4.e1, 2)
@@ -180,7 +210,7 @@ class TestGlobalIsomorphism:
         found = [
             images
             for images in itertools.permutations(range(4))
-            if verify_certificate(s, IsoCertificate(images, (0,) * 4))
+            if verify_certificate(s, IsoCertificate(images))
         ]
         assert found == [cert.mapping]
 
@@ -200,10 +230,6 @@ class TestGlobalIsomorphism:
         s = dual_structure(3, [(0, 2), (1, 2)], [(0, 1)])
         with pytest.raises(NonExtensionalError):
             global_isomorphism(s)
-
-    def test_provenance_is_rank(self, scrambled_v4):
-        cert = global_isomorphism(scrambled_v4)
-        assert cert.provenance == scrambled_v4.e1.ranks()
 
     def test_bit_identical_across_fresh_structures(self):
         texts = []
@@ -227,14 +253,14 @@ class TestVerifyCertificate:
         cert = global_isomorphism(scrambled_v3)
         images = list(cert.mapping)
         images[1], images[2] = images[2], images[1]
-        assert not verify_certificate(scrambled_v3, IsoCertificate(tuple(images), cert.provenance))
+        assert not verify_certificate(scrambled_v3, IsoCertificate(tuple(images)))
 
     def test_identity_on_mismatched_pair(self):
         s = _chain_vs_v3()
-        assert not verify_certificate(s, IsoCertificate((0, 1, 2, 3), (0,) * 4))
+        assert not verify_certificate(s, IsoCertificate((0, 1, 2, 3)))
 
     def test_rejects_non_bijection(self, v3):
-        assert not verify_certificate(v3, IsoCertificate((0, 0, 1, 2), (0,) * 4))
+        assert not verify_certificate(v3, IsoCertificate((0, 0, 1, 2)))
 
     def test_matches_brute_force_on_small(self):
         # certificate acceptance coincides with brute-force isomorphism search
@@ -244,7 +270,7 @@ class TestVerifyCertificate:
                 accepted = {
                     images
                     for images in itertools.permutations(range(size))
-                    if verify_certificate(s, IsoCertificate(images, (0,) * size))
+                    if verify_certificate(s, IsoCertificate(images))
                 }
                 result = global_isomorphism(s)
                 if isinstance(result, IsoCertificate):
@@ -259,6 +285,28 @@ class TestCertificateText:
         text = render_certificate(cert)
         assert text.splitlines()[0] == "iso 4"
         assert parse_certificate(text).mapping == cert.mapping
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("iso 2\nmap -1 1\nmap 0 0\n", 2),
+            ("iso 2\nmap 0 1\nmap 2 0\n", 3),
+            ("iso 2\nmap 0 1\nmap 1 2\n", 3),
+            ("iso 2\nmap 0 1\nmap 0 0\nmap 1 0\n", 3),
+            ("iso 2\n\nmap 0 x\nmap 1 0\n", 3),
+            ("iso 2\nmap 0 1\nmap ١ 0\n", 3),
+            ("iso two\nmap 0 1\nmap 1 0\n", 1),
+            ("iso 2 2\nmap 0 1\nmap 1 0\n", 1),
+            ("\nmap 0 0\n", 2),
+            ("iso 2\nmap 0 1\niso 2\n", 3),
+            ("iso 2\nmap 0 1\n", None),
+            ("", None),
+        ],
+    )
+    def test_parse_rejects_malformed(self, text, line_no):
+        with pytest.raises(StructureFormatError) as exc:
+            parse_certificate(text)
+        assert exc.value.line_no == line_no
 
     def test_diagnostic_format(self):
         diag = global_isomorphism(_chain_vs_v3())

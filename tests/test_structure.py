@@ -56,7 +56,16 @@ class TestParse:
         b = parse_structure("n 3\ne1 1 2\ne1 0 1")
         assert a == b
 
-    @given(text=st.text(alphabet="ne12 03#\n", max_size=60))
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [("n ²", 1), ("n 2\ne1 ² 1", 2), ("n 2\ne2 0 ١", 2), ("n 3\ne1 0 1\ne1 ０ 2", 3)],
+    )
+    def test_non_ascii_digits_rejected(self, text, line_no):
+        with pytest.raises(StructureFormatError) as exc:
+            parse_structure(text)
+        assert exc.value.line_no == line_no
+
+    @given(text=st.text(alphabet=st.one_of(st.sampled_from("ne12 03#\n"), st.characters()), max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_text_never_crashes(self, text):
         try:
@@ -181,6 +190,14 @@ class TestTamper:
     def test_break_extensionality_never_creates_cycle(self, seed):
         s = tamper(build_v_universe(3), "break-extensionality", seed)
         assert s.e1.is_acyclic() and not s.e1.is_extensional()
+
+
+class TestFindCycle:
+    def test_witness_pinned(self, two_cycles):
+        # Roots in ascending id, members in ascending id: from 0 the walk meets
+        # 3>4>5>3 before 6>7>6, and the non-cycle prefix 0 is sliced off.
+        assert two_cycles.e1.find_cycle() == (3, 4, 5, 3)
+        assert two_cycles.e2.find_cycle() is None
 
 
 class TestPermutation:
