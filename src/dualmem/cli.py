@@ -179,16 +179,23 @@ def _parse_corpus(text: str, seed: int) -> lemmas_mod.CorpusConfig:
     for chunk in text.replace(";", " ").split():
         key, _, value = chunk.partition("=")
         if key == "sizes":
-            sizes = tuple(int(v) for v in value.split(",") if v)
+            sizes = tuple(_corpus_int(key, v) for v in value.split(",") if v)
         elif key == "count":
-            count = int(value)
+            count = _corpus_int(key, value)
         elif key == "kinds":
             kinds = tuple(v for v in value.split(",") if v)
         elif key == "seed":
-            seed = int(value)
+            seed = _corpus_int(key, value)
         else:
             raise DualMemError(f"unknown corpus setting {key!r}")
     return lemmas_mod.CorpusConfig(sizes=sizes, count=count, seed=seed, kinds=kinds)
+
+
+def _corpus_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise DualMemError(f"corpus setting {key} needs an integer, got {value!r}") from None
 
 
 def cmd_collapse(args) -> int:

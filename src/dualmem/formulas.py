@@ -424,17 +424,6 @@ def _eval(s: DualStructure, f: Formula, env: Assignment) -> bool:
 
 # -- relational (table) evaluation ------------------------------------------------
 
-def _adjacency(s: DualStructure, tag: int) -> np.ndarray:
-    key = ("adjacency", tag)
-    if key not in s._derived:
-        n = s.domain_size
-        arr = np.zeros((n, n), dtype=bool)
-        for a, b in s.relation(tag).edges:
-            arr[a, b] = True
-        s._derived[key] = arr
-    return s._derived[key]
-
-
 def _align(vars_a, arr_a, vars_b, arr_b, n):
     merged = list(vars_a) + [v for v in vars_b if v not in vars_a]
     shape = tuple(n for _ in merged)
@@ -458,7 +447,7 @@ def _table(s: DualStructure, f: Formula) -> tuple[list[str], np.ndarray]:
     if isinstance(f, FalseF):
         return [], np.zeros((), dtype=bool)
     if isinstance(f, Membership):
-        adj = _adjacency(s, f.tag)
+        adj = s.relation(f.tag).adjacency()
         if f.left == f.right:
             return [f.left], adj.diagonal().copy()
         return [f.left, f.right], adj

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 from . import hf
 from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError, StructureFormatError
-from .structure import DualStructure, MembershipRelation, is_id_token
+from .structure import (
+    DualStructure,
+    MembershipRelation,
+    Permutation,
+    apply_permutation,
+    is_id_token,
+    numbered_lines,
+)
 
 
 def transitive_closure(rel: MembershipRelation, x: int, include_self: bool = False) -> frozenset[int]:
@@ -123,6 +130,14 @@ def witness_conditions(s: DualStructure, x: int, y: int, f: dict[int, int]) -> d
     """
     tc1 = transitive_closure(s.e1, x, include_self=True)
     tc2 = transitive_closure(s.e2, y, include_self=True)
+    return _witness_conditions(s, x, y, f, tc1, tc2)
+
+
+def _witness_conditions(
+    s: DualStructure, x: int, y: int, f: dict[int, int], tc1: frozenset[int], tc2: frozenset[int]
+) -> dict[str, bool]:
+    """witness_conditions given tc1 and tc2, the closures below-and-including
+    x in e1 and y in e2, so that many candidate maps can share them."""
     domain_ok = set(f) == set(tc1)
     into = domain_ok and all(f[t] in tc2 for t in tc1)
     onto = domain_ok and {f[t] for t in tc1} == set(tc2)
@@ -320,17 +335,15 @@ def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
 def verify_certificate(s: DualStructure, cert: IsoCertificate) -> bool:
     """Re-check a certificate from the definitions only.
 
-    h must be a bijection on the domain with the image of every member-set
-    under h equal to the member-set of the image; on a bijection this is
-    equivalent to edge preservation over all pairs.
+    h must be a bijection on the domain, and the h-image of e1's edges, the
+    pairs (h[child], h[parent]), must be exactly e2's edges: a e1 b iff
+    h(a) e2 h(b).
     """
     h = cert.mapping
     n = s.domain_size
     if len(h) != n or sorted(h) != list(range(n)):
         return False
-    ms1 = s.e1.member_sets()
-    ms2 = s.e2.member_sets()
-    return all(frozenset(h[a] for a in ms1[b]) == ms2[h[b]] for b in range(n))
+    return apply_permutation(s.e1, Permutation(h)) == s.e2
 
 
 # -- text formats ------------------------------------------------------------------
@@ -349,7 +362,7 @@ def parse_certificate(text: str) -> IsoCertificate:
     """
     size: int | None = None
     mapping: dict[int, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in numbered_lines(text):
         tokens = raw.split()
         if not tokens:
             continue

@@ -170,14 +170,15 @@ def _check_uniqueness(s: DualStructure, config: SuiteConfig) -> LemmaVerdict:
 def count_witnesses_brute(s: DualStructure, x: int, y: int) -> int:
     """Count all maps from the e1 closure of x into the e2 closure of y
     satisfying the witness conditions, checked from the definitions."""
-    dom = sorted(iso_mod.transitive_closure(s.e1, x, include_self=True))
-    cod = sorted(iso_mod.transitive_closure(s.e2, y, include_self=True))
+    tc1 = iso_mod.transitive_closure(s.e1, x, include_self=True)
+    tc2 = iso_mod.transitive_closure(s.e2, y, include_self=True)
+    dom, cod = sorted(tc1), sorted(tc2)
     count = 0
     for values in itertools.product(cod, repeat=len(dom)):
         f = dict(zip(dom, values))
         if f[x] != y:
             continue
-        if iso_mod.is_witness(s, x, y, f):
+        if all(iso_mod._witness_conditions(s, x, y, f, tc1, tc2).values()):
             count += 1
     return count
 

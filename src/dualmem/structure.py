@@ -1,77 +1,142 @@
 """Dual membership structures: types, text format, generators, tamperers.
 
 A structure is one finite domain {0, .., N-1} carrying two edge relations.
-An edge (a, b) reads "a is a member of b". Everything here is immutable
-after construction; derived data (member-sets, ranks, indexes) is cached
-per instance.
+An edge (a, b) reads "a is a member of b". A relation is stored as two int64
+arrays, ``child`` and ``parent``, holding each edge once, sorted by (parent,
+child): the order of the canonical text format. Everything here is immutable
+after construction. Derived data is built from the arrays on first use and
+cached per instance: member-sets, ranks, indexes, the adjacency matrix, and
+``edges``, the set of (child, parent) pairs that per-pair lookups read.
+Member and parent lists are cut from compressed sparse row (CSR) offsets,
+which cost O(edges) to build.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DualMemError, StructureFormatError
 
 Edge = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipRelation:
-    """A set of (child, parent) edges over a dense domain {0, .., domain_size-1}."""
+    """(child, parent) edges over a dense domain {0, .., domain_size-1}.
+
+    The constructor takes the two id sequences in any order, with repeats;
+    it stores them as read-only int64 arrays sorted by (parent, child)
+    without repeats. Two relations are equal when their domain sizes and
+    edge sets are.
+    """
 
     domain_size: int
-    edges: frozenset[Edge]
-    _derived: dict = field(default_factory=dict, compare=False, repr=False)
+    child: np.ndarray
+    parent: np.ndarray
+    # Derived data, filled on first use. Every cache is an attribute set at
+    # construction: functools.cached_property would write the instance
+    # __dict__ instead, which slows every later attribute read on the
+    # object, and the lemma suite reads _edge_set and _member_sets millions
+    # of times.
+    _edge_set: frozenset[Edge] | None = field(default=None, init=False, repr=False)
+    _member_sets: tuple[frozenset[int], ...] | None = field(default=None, init=False, repr=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        for a, b in self.edges:
-            if not (0 <= a < self.domain_size and 0 <= b < self.domain_size):
-                raise DualMemError(f"edge ({a},{b}) outside domain of size {self.domain_size}")
+        n = self.domain_size
+        child = np.array(self.child, dtype=np.int64).reshape(-1)
+        parent = np.array(self.parent, dtype=np.int64).reshape(-1)
+        if child.shape != parent.shape:
+            raise DualMemError("child and parent ids differ in number")
+        outside = (child < 0) | (child >= n) | (parent < 0) | (parent >= n)
+        if outside.any():
+            i = int(outside.argmax())
+            raise DualMemError(f"edge ({child[i]},{parent[i]}) outside domain of size {n}")
+        if not _canonical_order(child, parent):
+            order = np.lexsort((child, parent))
+            child, parent = child[order], parent[order]
+            fresh = np.ones(child.size, dtype=bool)
+            fresh[1:] = (child[1:] != child[:-1]) | (parent[1:] != parent[:-1])
+            child, parent = child[fresh], parent[fresh]
+        child.flags.writeable = parent.flags.writeable = False
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "parent", parent)
+
+    def __eq__(self, other):
+        if not isinstance(other, MembershipRelation):
+            return NotImplemented
+        return (
+            self.domain_size == other.domain_size
+            and np.array_equal(self.child, other.child)
+            and np.array_equal(self.parent, other.parent)
+        )
+
+    def __hash__(self):
+        return hash((self.domain_size, self.child.tobytes(), self.parent.tobytes()))
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The set of (child, parent) pairs, built on first access."""
+        if self._edge_set is None:
+            object.__setattr__(self, "_edge_set", frozenset(zip(self.child.tolist(), self.parent.tolist())))
+        return self._edge_set
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return (a, b) in (self._edge_set or self.edges)  # the property only while unbuilt or empty
 
     def member_sets(self) -> tuple[frozenset[int], ...]:
-        """member_sets()[b] is the set of members of b."""
-        if "members" not in self._derived:
-            ms: list[set[int]] = [set() for _ in range(self.domain_size)]
-            for a, b in self.edges:
-                ms[b].add(a)
-            self._derived["members"] = tuple(frozenset(s) for s in ms)
-        return self._derived["members"]
+        """member_sets()[b] is the set of members of b, cut from the CSR
+        offsets of the parent array (members ascending within each b)."""
+        if self._member_sets is None:
+            offsets = _offsets(self.parent, self.domain_size)
+            object.__setattr__(self, "_member_sets", _sets_from_csr(offsets, self.child.tolist()))
+        return self._member_sets
 
     def members(self, b: int) -> frozenset[int]:
         return self.member_sets()[b]
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in self.edges
-
     def parent_sets(self) -> tuple[frozenset[int], ...]:
+        """parent_sets()[a] is the set of elements a is a member of."""
         if "parents" not in self._derived:
-            ps: list[set[int]] = [set() for _ in range(self.domain_size)]
-            for a, b in self.edges:
-                ps[a].add(b)
-            self._derived["parents"] = tuple(frozenset(s) for s in ps)
+            self._derived["parents"] = _sets_from_csr(*self._parents_csr())
         return self._derived["parents"]
+
+    def _parents_csr(self) -> tuple[list[int], list[int]]:
+        """(offsets, ids): the parents of a are ids[offsets[a]:offsets[a + 1]], ascending."""
+        by_child = np.argsort(self.child, kind="stable")  # keeps parents ascending per child
+        return _offsets(self.child, self.domain_size), self.parent[by_child].tolist()
+
+    def adjacency(self) -> np.ndarray:
+        """The read-only n-by-n boolean matrix that is True exactly at [child, parent] of an edge."""
+        if "adjacency" not in self._derived:
+            matrix = np.zeros((self.domain_size, self.domain_size), dtype=bool)
+            matrix[self.child, self.parent] = True
+            matrix.flags.writeable = False
+            self._derived["adjacency"] = matrix
+        return self._derived["adjacency"]
 
     def toposort(self) -> tuple[int, ...] | None:
         """Children-first order covering the whole domain, or None if cyclic.
 
-        Deterministic: ties broken by ascending id (Kahn with a sorted frontier).
+        Deterministic: Kahn's algorithm with a FIFO frontier that starts with
+        the memberless elements in ascending id and takes each element's
+        parents in ascending id.
         """
         if "topo" not in self._derived:
-            ms = self.member_sets()
-            ps = self.parent_sets()
-            pending = [len(ms[x]) for x in range(self.domain_size)]
-            frontier = deque(x for x in range(self.domain_size) if pending[x] == 0)
-            order: list[int] = []
-            while frontier:
-                x = frontier.popleft()
-                order.append(x)
-                for p in sorted(ps[x]):
+            offsets, parents = self._parents_csr()
+            pending = np.bincount(self.parent, minlength=self.domain_size).tolist()
+            order = [x for x in range(self.domain_size) if pending[x] == 0]
+            for x in order:  # the order list is also the FIFO queue
+                for p in parents[offsets[x]:offsets[x + 1]]:
                     pending[p] -= 1
                     if pending[p] == 0:
-                        frontier.append(p)
+                        order.append(p)
             self._derived["topo"] = tuple(order) if len(order) == self.domain_size else None
         return self._derived["topo"]
 
@@ -158,6 +223,21 @@ class MembershipRelation:
         return not self.duplicate_extensions()
 
 
+def _canonical_order(child: np.ndarray, parent: np.ndarray) -> bool:
+    """True when the edges are strictly ascending by (parent, child)."""
+    later, earlier = parent[1:], parent[:-1]
+    return bool(np.all((later > earlier) | ((later == earlier) & (child[1:] > child[:-1]))))
+
+
+def _offsets(keys: np.ndarray, n: int) -> list[int]:
+    """CSR offsets of sorted keys in {0, .., n-1}: key k occupies [offsets[k], offsets[k + 1])."""
+    return [0, *np.cumsum(np.bincount(keys, minlength=n)).tolist()]
+
+
+def _sets_from_csr(offsets: list[int], ids: list[int]) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(ids[offsets[k]:offsets[k + 1]]) for k in range(len(offsets) - 1))
+
+
 @dataclass(frozen=True)
 class DualStructure:
     """One domain, two membership relations."""
@@ -217,7 +297,12 @@ class Permutation:
 
 
 def relation_from_edges(domain_size: int, edges) -> MembershipRelation:
-    return MembershipRelation(domain_size, frozenset((int(a), int(b)) for a, b in edges))
+    """The relation holding the given (child, parent) pairs."""
+    try:
+        pairs = np.array([(int(a), int(b)) for a, b in edges], dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise DualMemError(f"edge id beyond the supported range, domain size {domain_size}") from None
+    return MembershipRelation(domain_size, pairs[:, 0], pairs[:, 1])
 
 
 def dual_structure(domain_size: int, e1_edges, e2_edges) -> DualStructure:
@@ -231,7 +316,8 @@ def dual_structure(domain_size: int, e1_edges, e2_edges) -> DualStructure:
 def apply_permutation(rel: MembershipRelation, p: Permutation) -> MembershipRelation:
     if len(p) != rel.domain_size:
         raise DualMemError("permutation length does not match domain size")
-    return relation_from_edges(rel.domain_size, ((p(a), p(b)) for a, b in rel.edges))
+    images = np.array(p.images, dtype=np.int64)
+    return MembershipRelation(rel.domain_size, images[rel.child], images[rel.parent])
 
 
 # -- text format --------------------------------------------------------------
@@ -245,16 +331,76 @@ def is_id_token(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a text file, numbered from 1.
+
+    Lines end at '\n' only, and a trailing '\r' is dropped. str.splitlines()
+    would also break at '\x0b', '\x0c', '\x1c'-'\x1e', '\x85', '\u2028' and
+    '\u2029', so its line numbers could disagree with the file's.
+    """
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        yield line_no, line.removesuffix("\r")
+
+
 def parse_structure(text: str) -> DualStructure:
     """Parse the line-oriented structure format.
 
     Grammar per line: comments starting with '#', a single 'n <N>' header,
     then 'e1 <child> <parent>' / 'e2 <child> <parent>' edge lines.
     Duplicate edges, ids >= N, and malformed tokens are errors with line numbers.
+    Files in the shape serialize_structure writes are read by array operations;
+    everything else, and every error, goes through the line scanner.
     """
+    s = _parse_canonical(text)
+    return s if s is not None else _scan_structure(text)
+
+
+# 'n <N>' and then only edge lines, single spaces, each line ended by '\n'.
+# At most 18 digits per id keeps every id within int64.
+_CANONICAL = re.compile(rb"n ([0-9]+)\n(?:e[12] [0-9]{1,18} [0-9]{1,18}\n)*")
+
+
+def _parse_canonical(text: str) -> DualStructure | None:
+    """The structure in a file of the canonical shape, or None.
+
+    The shape is _CANONICAL, edge lines in any order, with every id below N
+    and no edge repeated. On anything else (comments, blank lines, '\r',
+    other whitespace, non-ASCII text, an id out of range, a repeated edge)
+    it returns None, and the line scanner decides and reports.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    match = _CANONICAL.fullmatch(data)
+    if match is None:
+        return None
+    size = int(match[1])
+    body = data[match.end(1) + 1:]
+    # Without the 'e' of its tag, each edge line is three integers: tag, child, parent.
+    values = np.fromstring(body.translate(None, b"e"), dtype=np.int64, sep=" ")
+    lines = body.count(b"\n")
+    if values.size != 3 * lines:
+        return None
+    rows = values.reshape(lines, 3)
+    if lines and int(rows[:, 1:].max()) >= size:
+        return None
+    relations = []
+    for tag in (1, 2):
+        picked = rows[rows[:, 0] == tag]
+        rel = MembershipRelation(size, picked[:, 1], picked[:, 2])
+        if rel.child.size != len(picked):  # a repeated edge
+            return None
+        relations.append(rel)
+    return DualStructure(size, *relations)
+
+
+def _scan_structure(text: str) -> DualStructure:
+    """The line scanner: reads any file in the format and reports every error."""
     size: int | None = None
     edges: dict[int, set[Edge]] = {1: set(), 2: set()}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in numbered_lines(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -288,8 +434,8 @@ def serialize_structure(s: DualStructure) -> str:
     """Canonical form: header, then per relation the edges sorted by (parent, child)."""
     lines = [f"n {s.domain_size}"]
     for tag in (1, 2):
-        for a, b in sorted(s.relation(tag).edges, key=lambda e: (e[1], e[0])):
-            lines.append(f"e{tag} {a} {b}")
+        rel = s.relation(tag)
+        lines.extend(f"e{tag} {a} {b}" for a, b in zip(rel.child.tolist(), rel.parent.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -5,13 +5,16 @@ lines alongside the pytest verdicts.
 """
 
 import itertools
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import dualmem
 from dualmem import (
     CorpusConfig,
     Permutation,
@@ -255,15 +258,21 @@ class TestAcceptance:
                 ["collapse", str(v3), "--element", "3"],
                 ["collapse", str(gallery_dir / "membership-cycle.st"), "--element", "0"],
             ]
+            # The children run in tmp_path, so a relative PYTHONPATH would not find the package.
+            env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
             for argv in commands:
                 runs = [
                     subprocess.run(
                         [sys.executable, "-m", "dualmem.cli", *argv],
                         capture_output=True,
                         cwd=tmp_path,
+                        env=env,
                     )
                     for _ in range(2)
                 ]
                 assert runs[0].stdout == runs[1].stdout, argv
                 assert runs[0].stderr == runs[1].stderr, argv
                 assert runs[0].returncode == runs[1].returncode, argv
+                for proc in runs:
+                    assert b"Traceback" not in proc.stderr, argv
+                    assert not (proc.returncode == 1 and proc.stdout == b""), argv

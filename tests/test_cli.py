@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import dualmem
-from dualmem import build_v_universe, parse_structure, serialize_structure
+from dualmem import MembershipRelation, build_v_universe, parse_structure, serialize_structure
 from dualmem.cli import main
 from dualmem.lemmas import EXPECTED_SUMMARIES
 
@@ -15,6 +15,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv):
+    """The CLI in a child interpreter, so that a traceback would show on its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "dualmem.cli", *argv], capture_output=True, text=True, env=env,
+    )
 
 
 @pytest.fixture()
@@ -128,15 +136,24 @@ class TestFindIso:
     def test_non_ascii_digit_exit_two_without_traceback(self, tmp_path):
         bad = tmp_path / "bad.st"
         bad.write_text("n 2\ne1 ² 1\n", encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "dualmem.cli", "find-iso", str(bad)],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_process("find-iso", str(bad))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: line 2: ")
         assert "Traceback" not in proc.stderr
+
+    def test_never_builds_edge_set(self, capsys, tmp_path, monkeypatch, scrambled_v4):
+        # Certificate and diagnostic paths alike work on the arrays and member-sets only.
+        iso_file = tmp_path / "s.st"
+        iso_file.write_text(serialize_structure(scrambled_v4))
+        run(capsys, "gen", "gallery", "--out", str(tmp_path / "g"))
+
+        def refuse(rel):
+            raise AssertionError("find-iso built the edge set")
+
+        monkeypatch.setattr(MembershipRelation, "edges", property(refuse))
+        assert run(capsys, "find-iso", str(iso_file), "--verify", "--oracle-check")[0] == 0
+        assert run(capsys, "find-iso", str(tmp_path / "g" / "chain-vs-v3.st"))[0] == 1
 
     def test_cycle_witness_pinned(self, capsys, tmp_path, two_cycles):
         path = tmp_path / "c.st"
@@ -196,6 +213,14 @@ class TestVerifyLemmas:
     def test_no_input_exit_two(self, capsys):
         code, _, _ = run(capsys, "verify-lemmas")
         assert code == 2
+
+    @pytest.mark.parametrize("setting", ["sizes=x", "count=abc", "seed="])
+    def test_bad_corpus_value_exit_two(self, setting):
+        proc = run_process("verify-lemmas", "--corpus", setting)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: corpus setting {setting.partition('=')[0]}")
+        assert "Traceback" not in proc.stderr
 
 
 class TestCollapse:

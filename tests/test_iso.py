@@ -301,6 +301,9 @@ class TestCertificateText:
             ("iso 2\nmap 0 1\niso 2\n", 3),
             ("iso 2\nmap 0 1\n", None),
             ("", None),
+            ("iso 2\x0bmap 0 0\nmap 1 0\n", 1),
+            ("iso 2\nmap 0 0\x0c\nmap 1 5\n", 3),
+            ("iso 2\r\nmap 0 0\r\nmap 1 5\r\n", 3),
         ],
     )
     def test_parse_rejects_malformed(self, text, line_no):

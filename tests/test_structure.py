@@ -1,9 +1,13 @@
+from collections import deque
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmem import (
     DualMemError,
+    MembershipRelation,
     Permutation,
     StructureFormatError,
     build_v_universe,
@@ -14,7 +18,62 @@ from dualmem import (
     serialize_structure,
     tamper,
 )
-from dualmem.structure import random_dual_structure, v_universe_size
+from dualmem.structure import (
+    _parse_canonical,
+    _scan_structure,
+    random_dual_structure,
+    relation_from_edges,
+    v_universe_size,
+)
+
+ARBITRARY_TEXT = st.text(alphabet=st.one_of(st.sampled_from("ne12 03#\n"), st.characters()), max_size=60)
+
+MUTATIONS = ("none", "drop-newline", "duplicate-line", "id-equals-n", "trailing-space", "swap-lines",
+             "no-final-newline", "crlf")
+
+
+def mutated_file(size: int, seed: int, mutation: str, at: int) -> str:
+    """A serialized random structure with one mutation at line at % (number of lines)."""
+    lines = serialize_structure(random_dual_structure(size, seed)).split("\n")[:-1]
+    i = at % len(lines)
+    if mutation == "drop-newline":
+        lines[i:i + 2] = [" ".join(lines[i:i + 2])] if i + 1 < len(lines) else [lines[i]]
+    elif mutation == "duplicate-line":
+        lines.insert(i, lines[i])
+    elif mutation == "id-equals-n":
+        lines.append(f"e{at % 2 + 1} {at % size} {size}")
+        lines[i], lines[-1] = lines[-1], lines[i]
+    elif mutation == "trailing-space":
+        lines[i] += " "
+    elif mutation == "swap-lines":
+        lines[i], lines[-1] = lines[-1], lines[i]
+    elif mutation == "crlf":
+        lines[i] += "\r"
+    text = "\n".join(lines) + "\n"
+    return text[:-1] if mutation == "no-final-newline" else text
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except StructureFormatError as exc:
+        return str(exc), exc.line_no
+
+
+def reference_toposort(rel):
+    # Kahn's algorithm as first written: FIFO queue over member-set sizes, parents in ascending id.
+    ms, ps = rel.member_sets(), rel.parent_sets()
+    pending = [len(ms[x]) for x in range(rel.domain_size)]
+    frontier = deque(x for x in range(rel.domain_size) if pending[x] == 0)
+    order = []
+    while frontier:
+        x = frontier.popleft()
+        order.append(x)
+        for p in sorted(ps[x]):
+            pending[p] -= 1
+            if pending[p] == 0:
+                frontier.append(p)
+    return tuple(order) if len(order) == rel.domain_size else None
 
 
 class TestParse:
@@ -65,13 +124,74 @@ class TestParse:
             parse_structure(text)
         assert exc.value.line_no == line_no
 
-    @given(text=st.text(alphabet=st.one_of(st.sampled_from("ne12 03#\n"), st.characters()), max_size=60))
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [("n 2\x0be1 0 5", 1), ("n 2\x0c\ne1 0 5", 2), ("n 2\u2028\ne1 0 5\n", 2), ("n 2\r\ne1 0 5\r\n", 2)],
+    )
+    def test_lines_end_at_newline_only(self, text, line_no):
+        with pytest.raises(StructureFormatError) as exc:
+            parse_structure(text)
+        assert exc.value.line_no == line_no
+
+    @given(text=ARBITRARY_TEXT)
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_text_never_crashes(self, text):
         try:
             parse_structure(text)
         except StructureFormatError:
             pass
+
+
+class TestCanonicalFastPath:
+    def test_reads_serialized_files(self, v3, scrambled_v4):
+        for s in (v3, scrambled_v4, parse_structure("n 1"), random_dual_structure(9, 4)):
+            assert _parse_canonical(serialize_structure(s)) == s
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# c\nn 2\n", "n 2\n\ne1 0 1\n", "n 2\r\ne1 0 1\n", "n 2\ne1  0 1\n", "n 2\ne1 0 1 \n",
+         "n 2\ne1 0 2\n", "n 2\ne1 0 1\ne1 0 1\n", "n ２\n", "n 2\ne3 0 1\n",
+         "n 2\ne1 0 0000000000000000001\n"],
+    )
+    def test_leaves_other_shapes_to_the_scanner(self, text):
+        assert _parse_canonical(text) is None
+
+    @given(text=st.one_of(
+        ARBITRARY_TEXT,
+        st.builds(mutated_file, st.integers(1, 12), st.integers(0, 10_000), st.sampled_from(MUTATIONS),
+                  st.integers(0, 1_000)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_line_scanner(self, text):
+        assert outcome(parse_structure, text) == outcome(_scan_structure, text)
+
+
+class TestRelationArrays:
+    def test_sorted_by_parent_then_child_without_repeats(self):
+        rel = MembershipRelation(3, [1, 0, 0, 0], [2, 2, 1, 2])
+        assert rel.child.tolist() == [0, 0, 1]
+        assert rel.parent.tolist() == [1, 2, 2]
+        assert rel == relation_from_edges(3, [(0, 2), (1, 2), (0, 1)])
+        assert not rel.child.flags.writeable
+
+    def test_out_of_domain(self):
+        with pytest.raises(DualMemError):
+            MembershipRelation(2, [0], [2])
+
+    def test_adjacency(self, v3):
+        adj = v3.e1.adjacency()
+        assert sorted(zip(*map(np.ndarray.tolist, np.nonzero(adj)))) == sorted(v3.e1.edges)
+        assert not adj.flags.writeable
+
+    @given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_derived_views_match_edges(self, edges):
+        rel = relation_from_edges(8, edges)
+        assert rel.edges == frozenset(edges)
+        for x in range(8):
+            assert rel.members(x) == {a for a, b in edges if b == x}
+            assert rel.parent_sets()[x] == {b for a, b in edges if a == x}
+        assert rel.toposort() == reference_toposort(rel)
 
 
 class TestSerialize:
