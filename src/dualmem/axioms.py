@@ -113,7 +113,7 @@ def check_pairing(s: DualStructure, tag: int) -> Verdict:
         for b in range(a, rel.domain_size):
             if ranks[b] >= height:
                 continue
-            target = frozenset((a, b))
+            target = (a,) if a == b else (a, b)
             if target not in index:
                 return _fail(("a", str(a)), ("b", str(b)), ("target", _ids(target)))
     return Verdict("pass")
@@ -124,7 +124,7 @@ def check_union(s: DualStructure, tag: int) -> Verdict:
     ms = rel.member_sets()
     index = rel.extension_index()
     for a in range(rel.domain_size):
-        target = frozenset(m for x in ms[a] for m in ms[x])
+        target = tuple(sorted({m for x in ms[a] for m in ms[x]}))
         if target not in index:
             return _fail(("a", str(a)), ("target", _ids(target)))
     return Verdict("pass")
@@ -142,7 +142,7 @@ def check_power_set(s: DualStructure, tag: int) -> Verdict:
     for a in range(rel.domain_size):
         if ranks[a] >= height:
             continue
-        target = frozenset(x for x in range(rel.domain_size) if ms[x] <= ms[a])
+        target = tuple(x for x in range(rel.domain_size) if ms[x] <= ms[a])
         if target not in index:
             return _fail(("a", str(a)), ("target", _ids(target)))
     return Verdict("pass")
@@ -152,20 +152,18 @@ def check_separation_semantic(s: DualStructure, tag: int, budget: SamplingBudget
     """Every subset of every member-set is some element's member-set."""
     budget = budget or SamplingBudget()
     rel = s.relation(tag)
-    ms = rel.member_sets()
     index = rel.extension_index()
     sampled = 0
-    for a in range(rel.domain_size):
-        base = sorted(ms[a])
+    for a, base in enumerate(rel.member_tuples()):
         if len(base) <= budget.separation_exhaustive_bound:
             candidates = (
-                frozenset(itertools.compress(base, (mask >> i & 1 for i in range(len(base)))))
+                tuple(itertools.compress(base, (mask >> i & 1 for i in range(len(base)))))
                 for mask in range(1 << len(base))
             )
         else:
             rng = random.Random(budget.seed * 1000003 + tag * 1009 + a)
             candidates = (
-                frozenset(x for x in base if rng.random() < 0.5) for _ in range(budget.samples)
+                tuple(x for x in base if rng.random() < 0.5) for _ in range(budget.samples)
             )
             sampled += budget.samples
         for subset in candidates:
@@ -184,11 +182,9 @@ def check_replacement_semantic(s: DualStructure, tag: int, budget: SamplingBudge
         return Verdict("skipped", (("reason", "ill-founded"),))
     height = max(ranks, default=0)
     low = [x for x in range(rel.domain_size) if ranks[x] < height]
-    ms = rel.member_sets()
     index = rel.extension_index()
     sampled = 0
-    for a in range(rel.domain_size):
-        base = sorted(ms[a])
+    for a, base in enumerate(rel.member_tuples()):
         if not base:
             continue
         if len(base) <= budget.replacement_exhaustive_bound:
@@ -198,7 +194,7 @@ def check_replacement_semantic(s: DualStructure, tag: int, budget: SamplingBudge
             choices = (tuple(rng.choice(low) for _ in base) for _ in range(budget.samples)) if low else ()
             sampled += budget.samples if low else 0
         for values in choices:
-            image = frozenset(values)
+            image = tuple(sorted(set(values)))
             if image not in index:
                 pairs = ",".join(f"{m}:{v}" for m, v in zip(base, values))
                 mode = _sample_mode(sampled, budget)

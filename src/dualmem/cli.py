@@ -22,6 +22,7 @@ from .structure import (
     TAMPER_KINDS,
     Permutation,
     build_v_universe,
+    is_id_token,
     parse_structure,
     random_dual_structure,
     scramble,
@@ -136,7 +137,7 @@ def _parse_assignment(text: str) -> dict[str, int]:
         return assignment
     for chunk in text.split(","):
         name, _, value = chunk.strip().partition("=")
-        if not name or not value.lstrip("-").isdigit():
+        if not name or not is_id_token(value.removeprefix("-")):
             raise DualMemError(f"bad assignment chunk {chunk!r}; expected var=id")
         assignment[name] = int(value)
     return assignment
@@ -182,6 +183,8 @@ def _parse_corpus(text: str, seed: int) -> lemmas_mod.CorpusConfig:
             sizes = tuple(_corpus_int(key, v) for v in value.split(",") if v)
         elif key == "count":
             count = _corpus_int(key, value)
+            if count < 0:
+                raise DualMemError(f"corpus setting count must be >= 0, got {count}")
         elif key == "kinds":
             kinds = tuple(v for v in value.split(",") if v)
         elif key == "seed":

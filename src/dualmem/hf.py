@@ -2,9 +2,14 @@
 
 Identity is by interning: two codes are the same set iff they are the same
 object, so equality is constant-time even where the binary-sum numeral would
-be astronomically large. Numerals are computed only on demand. The intern
-table is process-global and single-threaded by contract; every operation is
-deterministic.
+be astronomically large. A code is interned under the ascending uids of its
+members, and ``_BY_UID`` lists the codes by uid, so the collapse works on
+integer uids and makes an ``HfCode`` only for a member set not met before.
+Numerals are computed only on demand. Rendering, numerals and ranks walk
+with explicit stacks, so a deep chain does not exhaust the interpreter's
+recursion limit; ``hf_compare`` still recurses once per rank. The intern
+tables are process-global and single-threaded by contract; every operation
+is deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from functools import cmp_to_key
 from .errors import CycleError, DualMemError
 from .structure import MembershipRelation
 
-_INTERN: dict[tuple[int, ...], "HfCode"] = {}
+_INTERN: dict[tuple[int, ...], "HfCode"] = {}  # ascending member uids -> code
+_BY_UID: list["HfCode"] = []  # _BY_UID[uid] is the code with that uid
 _ACK_MEMO: dict[int, int] = {}
 _RANK_MEMO: dict[int, int] = {}
 _CMP_MEMO: dict[tuple[int, int], int] = {}
@@ -47,12 +53,16 @@ class HfCode:
 
 def intern_hf(members) -> HfCode:
     """The unique code whose member collection is the given codes (deduplicated)."""
-    key = tuple(sorted({m.uid for m in members}))
+    return _intern_uids(tuple(sorted({m.uid for m in members})))
+
+
+def _intern_uids(key: tuple[int, ...]) -> HfCode:
+    """The unique code whose members have exactly the uids in key (ascending, no repeats)."""
     code = _INTERN.get(key)
     if code is None:
-        by_uid = {m.uid: m for m in members}
-        code = HfCode(tuple(by_uid[u] for u in key), len(_INTERN))
+        code = HfCode(tuple(map(_BY_UID.__getitem__, key)), len(_BY_UID))
         _INTERN[key] = code
+        _BY_UID.append(code)
     return code
 
 
@@ -95,16 +105,49 @@ def _members_descending(x: HfCode) -> tuple[HfCode, ...]:
 
 def render_hf(x: HfCode) -> str:
     """Nested braces, members in ascending numeral order: the report format."""
-    return "{" + ",".join(render_hf(m) for m in reversed(_members_descending(x))) + "}"
+    parts: list[str] = []
+    todo: list[HfCode | str] = [x]  # a stack of codes still to render and literal tokens
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append("{")
+        todo.append("}")
+        members = _members_descending(item)
+        for i, m in enumerate(members, start=1):  # pushed descending, so popped ascending
+            todo.append(m)
+            if i < len(members):
+                todo.append(",")
+    return "".join(parts)
+
+
+def _unmemoized_below(x: HfCode, memo: dict[int, int]) -> list[HfCode]:
+    """The codes reachable from x (x included) whose uid is not in memo,
+    members first, each once."""
+    if x.uid in memo:
+        return []
+    seen = {x.uid}
+    order: list[HfCode] = []
+    stack = [(x, iter(x.members))]
+    while stack:
+        code, members = stack[-1]
+        for m in members:
+            if m.uid not in memo and m.uid not in seen:
+                seen.add(m.uid)
+                stack.append((m, iter(m.members)))
+                break
+        else:
+            stack.pop()
+            order.append(code)
+    return order
 
 
 def ackermann_code(x: HfCode) -> int:
     """code({}) = 0; code(x) = sum over members m of 2**code(m)."""
-    got = _ACK_MEMO.get(x.uid)
-    if got is None:
-        got = sum(1 << ackermann_code(m) for m in x.members)
-        _ACK_MEMO[x.uid] = got
-    return got
+    for code in _unmemoized_below(x, _ACK_MEMO):
+        _ACK_MEMO[code.uid] = sum(1 << _ACK_MEMO[m.uid] for m in code.members)
+    return _ACK_MEMO[x.uid]
 
 
 def ackermann_code_if_below(x: HfCode, bound: int) -> int | None:
@@ -112,20 +155,26 @@ def ackermann_code_if_below(x: HfCode, bound: int) -> int | None:
 
     Never materializes an out-of-bound numeral: exponents are capped level by
     level (a deep chain's numeral is a power tower, so the unbounded form can
-    be unprintable even when the code itself is tiny).
+    be unprintable even when the code itself is tiny). A member at or over
+    its cap makes every code above it so too, so the first one ends the walk.
     """
-    if not x.members:
-        return 0 if bound > 0 else None
-    exponent_cap = bound.bit_length()
-    total = 0
-    for m in x.members:
-        cm = ackermann_code_if_below(m, exponent_cap)
-        if cm is None:
+    frames = [[x, bound, 0, 0]]  # code, bound, members summed so far, their sum
+    while True:
+        frame = frames[-1]
+        code, limit, taken, total = frame
+        if taken < len(code.members):
+            frame[2] = taken + 1
+            frames.append([code.members[taken], limit.bit_length(), 0, 0])
+            continue
+        if total >= limit:
             return None
-        total += 1 << cm
-        if total >= bound:
+        frames.pop()
+        if not frames:
+            return total
+        above = frames[-1]
+        above[3] += 1 << total
+        if above[3] >= above[1]:
             return None
-    return total
 
 
 def decode_ackermann(n: int) -> HfCode:
@@ -148,11 +197,9 @@ def decode_ackermann(n: int) -> HfCode:
 
 def hf_rank(x: HfCode) -> int:
     """0 for the empty set, else 1 + max member rank."""
-    got = _RANK_MEMO.get(x.uid)
-    if got is None:
-        got = 1 + max(hf_rank(m) for m in x.members) if x.members else 0
-        _RANK_MEMO[x.uid] = got
-    return got
+    for code in _unmemoized_below(x, _RANK_MEMO):
+        _RANK_MEMO[code.uid] = 1 + max(_RANK_MEMO[m.uid] for m in code.members) if code.members else 0
+    return _RANK_MEMO[x.uid]
 
 
 V_LEVEL_MAX = 5
@@ -204,15 +251,10 @@ def collapse_result(rel: MembershipRelation, x: int, tag: int | None = None) -> 
     order, cycle = rel.members_first((x,))
     if cycle is not None:
         raise CycleError(cycle, tag)
-    ms = rel.member_sets()
-    mapping: dict[int, HfCode] = {}
-    for node in order:
-        mapping[node] = intern_hf([mapping[m] for m in ms[node]])
-    by_code: dict[int, list[int]] = {}
-    for elem in sorted(mapping):
-        by_code.setdefault(mapping[elem].uid, []).append(elem)
-    duplicates = tuple(sorted(tuple(g) for g in by_code.values() if len(g) > 1))
-    return CollapseResult(mapping[x], mapping, duplicates)
+    uid = _collapse_uids(rel.member_tuples(), order, {})
+    mapping = {node: _BY_UID[uid[node]] for node in order}
+    reached = sorted(uid)
+    return CollapseResult(mapping[x], mapping, _duplicate_groups(reached, [uid[e] for e in reached]))
 
 
 def collapse(rel: MembershipRelation, x: int, tag: int | None = None) -> HfCode:
@@ -239,12 +281,25 @@ def collapse_domain(rel: MembershipRelation, tag: int | None = None) -> DomainCo
     order = rel.toposort()
     if order is None:
         raise CycleError(rel.find_cycle(), tag)
-    ms = rel.member_sets()
-    codes: list[HfCode | None] = [None] * rel.domain_size
+    uid = _collapse_uids(rel.member_tuples(), order, [0] * rel.domain_size)
+    codes = tuple(map(_BY_UID.__getitem__, uid))
+    return DomainCollapse(codes, _duplicate_groups(range(rel.domain_size), uid))
+
+
+def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid):
+    """Fill uid[x] with the uid of x's collapse for each x of a members-first
+    order; an HfCode is made only for a member-uid set not met before."""
+    uid_of = uid.__getitem__
     for x in order:
-        codes[x] = intern_hf([codes[m] for m in ms[x]])
+        uid[x] = _intern_uids(tuple(sorted(set(map(uid_of, members[x]))))).uid
+    return uid
+
+
+def _duplicate_groups(elements, uids: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Groups of elements sharing a code, for ascending elements with uids[i] the uid of elements[i]."""
+    if len(set(uids)) == len(uids):
+        return ()
     by_code: dict[int, list[int]] = {}
-    for elem in range(rel.domain_size):
-        by_code.setdefault(codes[elem].uid, []).append(elem)
-    duplicates = tuple(sorted(tuple(g) for g in by_code.values() if len(g) > 1))
-    return DomainCollapse(tuple(codes), duplicates)
+    for elem, u in zip(elements, uids):
+        by_code.setdefault(u, []).append(elem)
+    return tuple(sorted(tuple(g) for g in by_code.values() if len(g) > 1))

@@ -33,13 +33,14 @@ def transitive_closure(rel: MembershipRelation, x: int, include_self: bool = Fal
     """Least set containing x's members (and x itself when asked) closed under members."""
     if not (0 <= x < rel.domain_size):
         raise DualMemError(f"element {x} outside domain of size {rel.domain_size}")
+    members = rel.member_tuples()
     seen: set[int] = set()
-    queue = list(rel.members(x))
+    queue = list(members[x])
     while queue:
         t = queue.pop()
         if t not in seen:
             seen.add(t)
-            queue.extend(rel.members(t))
+            queue.extend(members[t])
     if include_self:
         seen.add(x)
     return frozenset(seen)
@@ -88,12 +89,12 @@ def _candidate_map(s: DualStructure, x: int) -> dict[int, int] | None:
     key = ("witness-map", x)
     if key in s._derived:
         return s._derived[key]
-    ms1 = s.e1.member_sets()
+    mt1 = s.e1.member_tuples()
     index2 = s.e2.extension_index()
     f: dict[int, int] = {}
     result: dict[int, int] | None = {}
     for t in reachable_postorder(s.e1, x, tag=1):
-        hits = index2.get(frozenset(f[m] for m in ms1[t]))
+        hits = index2.get(tuple(sorted([f[m] for m in mt1[t]])))
         if hits is None or len(hits) != 1:
             result = None
             break
@@ -215,12 +216,11 @@ def extend_to_level(s: DualStructure, w: MatchWitness) -> MatchWitness:
     lev2 = internal_level(s, 2, w.y)
     if lev2.element is None:
         raise LevelExtensionError("missing-level", w.y, 2)
-    ms1 = s.e1.member_sets()
+    mt1 = s.e1.member_tuples()
     index2 = s.e2.extension_index()
     extended: dict[int, int] = {}
     for u in reachable_postorder(s.e1, lev1.element, tag=1):
-        image = frozenset(extended[m] for m in ms1[u])
-        hits = index2.get(image)
+        hits = index2.get(tuple(sorted([extended[m] for m in mt1[u]])))
         if hits is None or len(hits) != 1:
             raise LevelExtensionError("unrealized-image", u, 2)
         extended[u] = hits[0]
@@ -273,16 +273,17 @@ def partners(s: DualStructure) -> list[int | None]:
     """partners(s)[x] is the e2 element matched to x, or None when x has none.
 
     One members-first sweep over e1: x is matched to the unique e2 element
-    whose members are exactly the partners of x's members. On an extensional
-    e1 these are exactly the pairs build_witness certifies. Requires e1
-    acyclic.
+    whose members are exactly the partners of x's members, looked up by
+    their sorted list in e2's extension index. On an extensional e1 these are
+    exactly the pairs build_witness certifies. Requires e1 acyclic.
     """
-    ms1 = s.e1.member_sets()
+    mt1 = s.e1.member_tuples()
     index2 = s.e2.extension_index()
     partner: list[int | None] = [None] * s.domain_size
     for x in s.e1.toposort():
-        if all(partner[m] is not None for m in ms1[x]):
-            hits = index2.get(frozenset(partner[m] for m in ms1[x]))
+        images = list(map(partner.__getitem__, mt1[x]))
+        if None not in images:
+            hits = index2.get(tuple(sorted(images)))
             if hits is not None and len(hits) == 1:
                 partner[x] = hits[0]
     return partner

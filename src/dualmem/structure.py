@@ -5,10 +5,13 @@ An edge (a, b) reads "a is a member of b". A relation is stored as two int64
 arrays, ``child`` and ``parent``, holding each edge once, sorted by (parent,
 child): the order of the canonical text format. Everything here is immutable
 after construction. Derived data is built from the arrays on first use and
-cached per instance: member-sets, ranks, indexes, the adjacency matrix, and
-``edges``, the set of (child, parent) pairs that per-pair lookups read.
-Member and parent lists are cut from compressed sparse row (CSR) offsets,
-which cost O(edges) to build.
+cached per instance. The per-element view is ``member_tuples()``: each
+element's members as an ascending tuple, cut once from compressed sparse row
+(CSR) offsets in O(edges). Ranks, traversals and the extension index (keyed
+by those tuples) read it. ``member_sets()`` (frozensets, derived from the
+tuples), the adjacency matrix and ``edges`` (the set of (child, parent)
+pairs) serve set algebra and per-pair lookups, and find-iso builds none of
+them.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ class MembershipRelation:
     # object, and the lemma suite reads _edge_set and _member_sets millions
     # of times.
     _edge_set: frozenset[Edge] | None = field(default=None, init=False, repr=False)
+    _member_tuples: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
     _member_sets: tuple[frozenset[int], ...] | None = field(default=None, init=False, repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -90,12 +94,22 @@ class MembershipRelation:
     def has_edge(self, a: int, b: int) -> bool:
         return (a, b) in (self._edge_set or self.edges)  # the property only while unbuilt or empty
 
-    def member_sets(self) -> tuple[frozenset[int], ...]:
-        """member_sets()[b] is the set of members of b, cut from the CSR
-        offsets of the parent array (members ascending within each b)."""
-        if self._member_sets is None:
+    def member_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """member_tuples()[b] is the tuple of members of b in ascending id,
+        cut from the CSR offsets of the parent array. This is the view that
+        indexing, ranks, traversals and matching read."""
+        if self._member_tuples is None:
             offsets = _offsets(self.parent, self.domain_size)
-            object.__setattr__(self, "_member_sets", _sets_from_csr(offsets, self.child.tolist()))
+            ints = list(range(self.domain_size))  # one object per id: ints above 256 are not shared
+            ids = tuple(map(ints.__getitem__, self.child.tolist()))
+            tuples = tuple(ids[offsets[b]:offsets[b + 1]] for b in range(self.domain_size))
+            object.__setattr__(self, "_member_tuples", tuples)
+        return self._member_tuples
+
+    def member_sets(self) -> tuple[frozenset[int], ...]:
+        """member_sets()[b] is the set of members of b, for set algebra."""
+        if self._member_sets is None:
+            object.__setattr__(self, "_member_sets", tuple(map(frozenset, self.member_tuples())))
         return self._member_sets
 
     def members(self, b: int) -> frozenset[int]:
@@ -104,7 +118,9 @@ class MembershipRelation:
     def parent_sets(self) -> tuple[frozenset[int], ...]:
         """parent_sets()[a] is the set of elements a is a member of."""
         if "parents" not in self._derived:
-            self._derived["parents"] = _sets_from_csr(*self._parents_csr())
+            offsets, ids = self._parents_csr()
+            sets = tuple(frozenset(ids[offsets[a]:offsets[a + 1]]) for a in range(self.domain_size))
+            self._derived["parents"] = sets
         return self._derived["parents"]
 
     def _parents_csr(self) -> tuple[list[int], list[int]]:
@@ -153,7 +169,7 @@ class MembershipRelation:
         at the first cycle met, the order so far and the cycle (first element
         repeated last).
         """
-        ms = self.member_sets()
+        mt = self.member_tuples()
         done: dict[int, bool] = {}  # False while on the current path
         order: list[int] = []
         for root in roots:
@@ -161,7 +177,7 @@ class MembershipRelation:
                 continue
             done[root] = False
             path = [root]
-            walks = [iter(sorted(ms[root]))]
+            walks = [iter(mt[root])]
             while walks:
                 child = next(walks[-1], None)
                 if child is None:
@@ -172,7 +188,7 @@ class MembershipRelation:
                 elif child not in done:
                     done[child] = False
                     path.append(child)
-                    walks.append(iter(sorted(ms[child])))
+                    walks.append(iter(mt[child]))
                 elif not done[child]:
                     return order, tuple(path[path.index(child):] + [child])
         return order, None
@@ -189,29 +205,36 @@ class MembershipRelation:
             order = self.toposort()
             if order is None:
                 raise DualMemError("ranks undefined on a cyclic relation")
-            ms = self.member_sets()
+            mt = self.member_tuples()
             rk = [0] * self.domain_size
             for x in order:
-                if ms[x]:
-                    rk[x] = 1 + max(rk[m] for m in ms[x])
+                if mt[x]:
+                    rk[x] = 1 + max(map(rk.__getitem__, mt[x]))
             self._derived["ranks"] = tuple(rk)
         return self._derived["ranks"]
 
     def max_rank(self) -> int:
         return max(self.ranks(), default=0)
 
-    def extension_index(self) -> dict[frozenset[int], tuple[int, ...]]:
-        """Map member-set -> ascending ids of the elements realizing it."""
+    def extension_index(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Map ascending member tuple -> ascending ids of the elements realizing it.
+
+        Look a set s up by tuple(sorted(s)).
+        """
         if "ext_index" not in self._derived:
-            index: dict[frozenset[int], list[int]] = {}
-            for x, s in enumerate(self.member_sets()):
-                index.setdefault(s, []).append(x)
-            self._derived["ext_index"] = {s: tuple(xs) for s, xs in index.items()}
+            tuples = self.member_tuples()
+            index = {members: (x,) for x, members in enumerate(tuples)}
+            if len(index) < self.domain_size:  # some member tuple is shared: group the ids
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for x, members in enumerate(tuples):
+                    groups.setdefault(members, []).append(x)
+                index = {members: tuple(xs) for members, xs in groups.items()}
+            self._derived["ext_index"] = index
         return self._derived["ext_index"]
 
-    def realizer(self, s: frozenset[int]) -> int | None:
+    def realizer(self, s: Iterable[int]) -> int | None:
         """The unique element whose member-set is s, or None if absent/ambiguous."""
-        hits = self.extension_index().get(s)
+        hits = self.extension_index().get(tuple(sorted(s)))
         return hits[0] if hits is not None and len(hits) == 1 else None
 
     def duplicate_extensions(self) -> tuple[tuple[int, ...], ...]:
@@ -233,9 +256,6 @@ def _offsets(keys: np.ndarray, n: int) -> list[int]:
     """CSR offsets of sorted keys in {0, .., n-1}: key k occupies [offsets[k], offsets[k + 1])."""
     return [0, *np.cumsum(np.bincount(keys, minlength=n)).tolist()]
 
-
-def _sets_from_csr(offsets: list[int], ids: list[int]) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(ids[offsets[k]:offsets[k + 1]]) for k in range(len(offsets) - 1))
 
 
 @dataclass(frozen=True)
@@ -356,8 +376,12 @@ def parse_structure(text: str) -> DualStructure:
 
 
 # 'n <N>' and then only edge lines, single spaces, each line ended by '\n'.
-# At most 18 digits per id keeps every id within int64.
-_CANONICAL = re.compile(rb"n ([0-9]+)\n(?:e[12] [0-9]{1,18} [0-9]{1,18}\n)*")
+# At most 18 digits per id keeps every id within int64. The quantifiers are
+# possessive: every digit run ends at a non-digit and every line at 'e' or the
+# end, so giving nothing back accepts the same files, and the matcher keeps no
+# backtracking frame per edge line (with greedy ones it held about 16 times
+# the file size at its peak).
+_CANONICAL = re.compile(rb"n ([0-9]+)\n(?:e[12] [0-9]{1,18}+ [0-9]{1,18}+\n)*+")
 
 
 def _parse_canonical(text: str) -> DualStructure | None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import dualmem
-from dualmem import MembershipRelation, build_v_universe, parse_structure, serialize_structure
+from dualmem import MembershipRelation, build_v_universe, dual_structure, parse_structure, serialize_structure
 from dualmem.cli import main
 from dualmem.lemmas import EXPECTED_SUMMARIES
 
@@ -155,6 +155,19 @@ class TestFindIso:
         assert run(capsys, "find-iso", str(iso_file), "--verify", "--oracle-check")[0] == 0
         assert run(capsys, "find-iso", str(tmp_path / "g" / "chain-vs-v3.st"))[0] == 1
 
+    def test_never_builds_member_sets(self, capsys, tmp_path, monkeypatch, scrambled_v4):
+        # Matching, verification, the oracle and the diagnostic read the ascending member tuples only.
+        iso_file = tmp_path / "s.st"
+        iso_file.write_text(serialize_structure(scrambled_v4))
+        run(capsys, "gen", "gallery", "--out", str(tmp_path / "g"))
+
+        def refuse(rel):
+            raise AssertionError("find-iso built the member sets")
+
+        monkeypatch.setattr(MembershipRelation, "member_sets", refuse)
+        assert run(capsys, "find-iso", str(iso_file), "--verify", "--oracle-check")[0] == 0
+        assert run(capsys, "find-iso", str(tmp_path / "g" / "chain-vs-v3.st"))[0] == 1
+
     def test_cycle_witness_pinned(self, capsys, tmp_path, two_cycles):
         path = tmp_path / "c.st"
         path.write_text(serialize_structure(two_cycles))
@@ -184,6 +197,18 @@ class TestEval:
     def test_missing_assignment_exit_two(self, capsys, v3_file):
         code, _, err = run(capsys, "eval", v3_file, "--formula", "x in1 y", "--assign", "x=0")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["²", "١", "--1", "1-"])
+    def test_non_ascii_or_malformed_id_exit_two(self, v3_file, value):
+        proc = run_process("eval", v3_file, "--formula", "x in1 x", "--assign", f"x={value}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: bad assignment chunk 'x={value}'; expected var=id\n"
+
+    def test_negative_id_outside_domain(self, capsys, v3_file):
+        code, _, err = run(capsys, "eval", v3_file, "--formula", "x in1 x", "--assign", "x=-1")
+        assert code == 2
+        assert "outside domain" in err
 
     def test_formula_file(self, capsys, tmp_path, v3_file):
         f = tmp_path / "f.formula"
@@ -222,6 +247,18 @@ class TestVerifyLemmas:
         assert proc.stderr.startswith(f"error: corpus setting {setting.partition('=')[0]}")
         assert "Traceback" not in proc.stderr
 
+    def test_negative_count_exit_two(self):
+        proc = run_process("verify-lemmas", "--corpus", "count=-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: corpus setting count")
+        assert "Traceback" not in proc.stderr
+
+    def test_zero_count_is_empty_corpus(self, capsys):
+        code, out, _ = run(capsys, "verify-lemmas", "--corpus", "count=0")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("corpus seeds=- sizes=3,4 kinds=scrambled items=0 ")
+
 
 class TestCollapse:
     def test_braces_and_code(self, capsys, v3_file):
@@ -247,6 +284,15 @@ class TestCollapse:
         for element, cycle in (("0", "3>4>5>3"), ("5", "5>3>4>5"), ("7", "7>6>7")):
             out = f"fail ill-founded e1 cycle={cycle}\n"
             assert run(capsys, "collapse", str(path), "--element", element) == (1, out, "")
+
+    def test_deep_chain(self, capsys, tmp_path):
+        # One nesting per rank: a recursive renderer or numeral overruns the stack here.
+        n = 3000
+        path = tmp_path / "chain.st"
+        path.write_text(serialize_structure(dual_structure(n, [(i, i + 1) for i in range(n - 1)], [])))
+        code, out, _ = run(capsys, "collapse", str(path), "--element", str(n - 1))
+        assert code == 0
+        assert out == "{" * n + "}" * n + "\ncode=large\n"
 
     def test_out_of_range_exit_two(self, capsys, v3_file):
         code, _, _ = run(capsys, "collapse", v3_file, "--element", "9")

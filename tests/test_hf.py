@@ -1,4 +1,5 @@
 import itertools
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,8 @@ from dualmem import (
     render_hf,
     v_level_codes,
 )
-from dualmem.hf import ackermann_code_if_below, collapse_result, intern_hf
+from dualmem import hf
+from dualmem.hf import ackermann_code_if_below, collapse_result, hf_compare, intern_hf
 from dualmem.structure import apply_permutation, relation_from_edges
 
 
@@ -191,3 +193,67 @@ class TestRendering:
         dc = collapse_domain(r)
         assert dc.duplicate_groups == ((0, 1),)
         assert not dc.extensional
+
+
+# The recursive definitions the iterative forms replace, kept as references.
+def reference_render(x):
+    return "{" + ",".join(reference_render(m) for m in sorted(x.members, key=cmp_to_key(hf_compare))) + "}"
+
+
+def reference_code(x):
+    return sum(1 << reference_code(m) for m in x.members)
+
+
+def reference_code_if_below(x, bound):
+    if not x.members:
+        return 0 if bound > 0 else None
+    total = 0
+    for m in x.members:
+        cm = reference_code_if_below(m, bound.bit_length())
+        if cm is None:
+            return None
+        total += 1 << cm
+        if total >= bound:
+            return None
+    return total
+
+
+def reference_rank(x):
+    return 1 + max(reference_rank(m) for m in x.members) if x.members else 0
+
+
+class TestIterativeForms:
+    @given(seed=st.integers(0, 500), size=st.integers(1, 9), element=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_agree_with_the_recursive_definitions(self, seed, size, element):
+        code = collapse(random_extensional_relation(size, seed), element % size)
+        assert render_hf(code) == reference_render(code)
+        assert hf_rank(code) == reference_rank(code)
+        if hf_rank(code) <= 5:  # higher ranks have numerals of more than 2**65536 bits
+            assert ackermann_code(code) == reference_code(code)
+        for bound in (-3, 0, 1, 2, 3, 5, 16, 17, 1 << 20, 1 << 64):
+            assert ackermann_code_if_below(code, bound) == reference_code_if_below(code, bound), bound
+
+    def test_deep_chain(self):
+        deep = EMPTY
+        for _ in range(5000):
+            deep = intern_hf([deep])
+        assert render_hf(deep) == "{" * 5001 + "}" * 5001
+        assert hf_rank(deep) == 5000
+        assert ackermann_code_if_below(deep, 1 << 64) is None
+
+
+class TestInterning:
+    def test_by_uid_lists_every_interned_code(self, v4):
+        collapse_domain(v4.e1)
+        decode_ackermann(12345)
+        assert len(hf._BY_UID) == len(hf._INTERN)
+        for key, code in hf._INTERN.items():
+            assert hf._BY_UID[code.uid] is code
+            assert tuple(m.uid for m in code.members) == key
+
+    def test_collapse_reuses_interned_codes(self, scrambled_v4):
+        codes = collapse_domain(scrambled_v4.e1).codes
+        assert [intern_hf(c.members) for c in codes] == list(codes)
+        inverse = Permutation.random(16, 7).inverse()
+        assert collapse_domain(scrambled_v4.e2).codes == tuple(codes[x] for x in inverse.images)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -165,6 +166,21 @@ class TestCanonicalFastPath:
     def test_agrees_with_line_scanner(self, text):
         assert outcome(parse_structure, text) == outcome(_scan_structure, text)
 
+    def test_parse_peak_memory_is_a_few_file_sizes(self):
+        # A backtracking regex kept one frame per edge line: about 18 times the file at its peak.
+        n = 1 << 16
+        chain = dual_structure(n, zip(range(n - 1), range(1, n)), [])
+        s = scramble(chain, Permutation.random(n, 3))
+        text = serialize_structure(s)
+        tracemalloc.start()
+        try:
+            parsed = parse_structure(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == s
+        assert peak < 10 * len(text)
+
 
 class TestRelationArrays:
     def test_sorted_by_parent_then_child_without_repeats(self):
@@ -192,6 +208,33 @@ class TestRelationArrays:
             assert rel.members(x) == {a for a, b in edges if b == x}
             assert rel.parent_sets()[x] == {b for a, b in edges if a == x}
         assert rel.toposort() == reference_toposort(rel)
+
+    @given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_member_tuples_are_the_sorted_member_sets(self, edges):
+        rel = relation_from_edges(8, edges)
+        assert [rel.member_tuples()[b] for b in range(8)] == [tuple(sorted(rel.member_sets()[b])) for b in range(8)]
+
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24),
+        probes=st.lists(st.frozensets(st.integers(0, 7), max_size=4), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_realizer_agrees_with_brute_force(self, edges, probes):
+        rel = relation_from_edges(8, edges)
+        for s in [*rel.member_sets(), *probes]:
+            hits = [x for x in range(8) if rel.members(x) == s]
+            assert rel.realizer(s) == (hits[0] if len(hits) == 1 else None)
+            assert rel.realizer(sorted(s, reverse=True)) == rel.realizer(s)
+
+    @given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_duplicate_extensions_group_equal_member_sets(self, edges):
+        rel = relation_from_edges(8, edges)
+        groups: dict[frozenset[int], list[int]] = {}
+        for x in range(8):
+            groups.setdefault(frozenset(a for a, b in edges if b == x), []).append(x)
+        assert rel.duplicate_extensions() == tuple(sorted(tuple(g) for g in groups.values() if len(g) > 1))
 
 
 class TestSerialize:
