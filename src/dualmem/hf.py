@@ -5,11 +5,10 @@ object, so equality is constant-time even where the binary-sum numeral would
 be astronomically large. A code is interned under the ascending uids of its
 members, and ``_BY_UID`` lists the codes by uid, so the collapse works on
 integer uids and makes an ``HfCode`` only for a member set not met before.
-Numerals are computed only on demand. Rendering, numerals and ranks walk
-with explicit stacks, so a deep chain does not exhaust the interpreter's
-recursion limit; ``hf_compare`` still recurses once per rank. The intern
-tables are process-global and single-threaded by contract; every operation
-is deterministic.
+Numerals are computed only on demand. Comparison, rendering, numerals and
+ranks walk with loops and explicit stacks, so a deep chain does not exhaust
+the interpreter's recursion limit. The intern tables are process-global and
+single-threaded by contract; every operation is deterministic.
 """
 
 from __future__ import annotations
@@ -73,33 +72,45 @@ def hf_compare(x: HfCode, y: HfCode) -> int:
     """Order by binary-sum numeral without materializing it.
 
     Two distinct sets differ at their largest non-shared member (highest
-    differing bit): whichever set contains it is the larger.
+    differing bit): whichever set contains it is the larger. That member pair
+    is compared the same way, so the walk goes down one pair per rank until a
+    memoized pair or a pair whose shared prefix decides by length; every pair
+    on the way gets the same result.
     """
     if x is y:
         return 0
-    key = (x.uid, y.uid)
-    cached = _CMP_MEMO.get(key)
-    if cached is not None:
-        return cached
-    xs, ys = _members_descending(x), _members_descending(y)
-    result = 0
-    for mx, my in zip(xs, ys):
-        c = hf_compare(mx, my)
-        if c:
-            result = c
+    path: list[tuple[HfCode, HfCode]] = []
+    while True:
+        cached = _CMP_MEMO.get((x.uid, y.uid))
+        if cached is not None:
+            result = cached
             break
-    else:
-        result = (len(xs) > len(ys)) - (len(xs) < len(ys))
-    _CMP_MEMO[key] = result
-    _CMP_MEMO[(y.uid, x.uid)] = -result
+        path.append((x, y))
+        xs, ys = _members_descending(x), _members_descending(y)
+        first = next(((mx, my) for mx, my in zip(xs, ys) if mx is not my), None)
+        if first is None:
+            result = (len(xs) > len(ys)) - (len(xs) < len(ys))
+            break
+        x, y = first
+    for a, b in path:
+        _CMP_MEMO[(a.uid, b.uid)] = result
+        _CMP_MEMO[(b.uid, a.uid)] = -result
     return result
 
 
 def _members_descending(x: HfCode) -> tuple[HfCode, ...]:
+    """x's members in descending numeral order.
+
+    The codes below x are sorted members first, so each sort compares codes
+    whose own members are already sorted, and hf_compare's walk never starts
+    another sort: the call depth stays constant however deep x is.
+    """
     got = _SORTED_MEMO.get(x.uid)
     if got is None:
-        got = tuple(sorted(x.members, key=cmp_to_key(hf_compare), reverse=True))
-        _SORTED_MEMO[x.uid] = got
+        key = cmp_to_key(hf_compare)
+        for code in _unmemoized_below(x, _SORTED_MEMO):
+            _SORTED_MEMO[code.uid] = tuple(sorted(code.members, key=key, reverse=True))
+        got = _SORTED_MEMO[x.uid]
     return got
 
 

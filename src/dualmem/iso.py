@@ -86,9 +86,8 @@ def _candidate_map(s: DualStructure, x: int) -> dict[int, int] | None:
     exactly one e2 element, or when the map comes out non-injective (which on
     an extensional e1 cannot happen).
     """
-    key = ("witness-map", x)
-    if key in s._derived:
-        return s._derived[key]
+    if x in s.witness_maps:
+        return s.witness_maps[x]
     mt1 = s.e1.member_tuples()
     index2 = s.e2.extension_index()
     f: dict[int, int] = {}
@@ -101,7 +100,7 @@ def _candidate_map(s: DualStructure, x: int) -> dict[int, int] | None:
         f[t] = hits[0]
     if result is not None:
         result = f if len(set(f.values())) == len(f) else None
-    s._derived[key] = result
+    s.witness_maps[x] = result
     return result
 
 
@@ -109,9 +108,15 @@ def build_witness(s: DualStructure, x: int, y: int) -> MatchWitness | None:
     """The unique witness for (x, y) when one exists; None when matching fails.
 
     Cycles below x (in e1) or below y (in e2) are errors, distinct from
-    absence: the witness predicate presupposes well-founded closures.
+    absence: the witness predicate presupposes well-founded closures. The
+    walk below y runs only when e2 has a cycle somewhere, to find out whether
+    one lies below y.
     """
-    reachable_postorder(s.e2, y, tag=2)  # for its CycleError only
+    for t in (x, y):
+        if not (0 <= t < s.domain_size):
+            raise DualMemError(f"element {t} outside domain of size {s.domain_size}")
+    if not s.e2.is_acyclic():
+        reachable_postorder(s.e2, y, tag=2)  # for its CycleError only
     f = _candidate_map(s, x)
     if f is None or f[x] != y:
         return None

@@ -169,16 +169,43 @@ def _check_uniqueness(s: DualStructure, config: SuiteConfig) -> LemmaVerdict:
 
 def count_witnesses_brute(s: DualStructure, x: int, y: int) -> int:
     """Count all maps from the e1 closure of x into the e2 closure of y
-    satisfying the witness conditions, checked from the definitions."""
+    satisfying the witness conditions, checked from the definitions.
+
+    An exhaustive depth-first search that never calls the construction: x is
+    bound to y first, then the other elements of the e1 closure in ascending
+    id, each to every element of the e2 closure in turn. A partial map is
+    dropped as soon as two bound elements t, w (t = w included) disagree on
+    membership, (t, w) in e1 but not (f[t], f[w]) in e2 or the other way
+    round, since every completion of it fails preserves-membership. A
+    complete map counts only when _witness_conditions accepts all of its
+    conditions. The count is that of all maps with f[x] = y that pass the
+    conditions, on any relation, cyclic or non-extensional included.
+    """
     tc1 = iso_mod.transitive_closure(s.e1, x, include_self=True)
     tc2 = iso_mod.transitive_closure(s.e2, y, include_self=True)
-    dom, cod = sorted(tc1), sorted(tc2)
+    order = [x, *sorted(tc1 - {x})]
+    cod = sorted(tc2)
+    e1, e2 = s.e1.edges, s.e2.edges
+    f: dict[int, int] = {}
     count = 0
-    for values in itertools.product(cod, repeat=len(dom)):
-        f = dict(zip(dom, values))
-        if f[x] != y:
+    choices = [iter((y,))]  # choices[i]: the values still to try for order[i]
+    while choices:
+        i = len(choices) - 1
+        t = order[i]
+        loop = (t, t) in e1
+        for v in choices[-1]:
+            if loop == ((v, v) in e2) and all(
+                ((t, w) in e1) == ((v, f[w]) in e2) and ((w, t) in e1) == ((f[w], v) in e2)
+                for w in order[:i]
+            ):
+                break
+        else:
+            choices.pop()
             continue
-        if all(iso_mod._witness_conditions(s, x, y, f, tc1, tc2).values()):
+        f[t] = v
+        if i + 1 < len(order):
+            choices.append(iter(cod))
+        elif all(iso_mod._witness_conditions(s, x, y, f, tc1, tc2).values()):
             count += 1
     return count
 

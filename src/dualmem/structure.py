@@ -265,7 +265,11 @@ class DualStructure:
     domain_size: int
     e1: MembershipRelation
     e2: MembershipRelation
-    _derived: dict = field(default_factory=dict, compare=False, repr=False)
+    # iso's memo of candidate witness maps: e1 element x -> its map, or None
+    # when matching fails below x. It lives and dies with the structure.
+    witness_maps: dict[int, dict[int, int] | None] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.e1.domain_size != self.domain_size or self.e2.domain_size != self.domain_size:
@@ -367,13 +371,17 @@ def parse_structure(text: str) -> DualStructure:
 
     Grammar per line: comments starting with '#', a single 'n <N>' header,
     then 'e1 <child> <parent>' / 'e2 <child> <parent>' edge lines.
-    Duplicate edges, ids >= N, and malformed tokens are errors with line numbers.
+    Duplicate edges, ids >= N, an N beyond int64 and malformed tokens are
+    errors with line numbers.
     Files in the shape serialize_structure writes are read by array operations;
     everything else, and every error, goes through the line scanner.
     """
     s = _parse_canonical(text)
     return s if s is not None else _scan_structure(text)
 
+
+# Ids are stored as int64, so a larger 'n' header is a format error.
+_MAX_DOMAIN_SIZE = int(np.iinfo(np.int64).max)
 
 # 'n <N>' and then only edge lines, single spaces, each line ended by '\n'.
 # At most 18 digits per id keeps every id within int64. The quantifiers are
@@ -389,8 +397,8 @@ def _parse_canonical(text: str) -> DualStructure | None:
 
     The shape is _CANONICAL, edge lines in any order, with every id below N
     and no edge repeated. On anything else (comments, blank lines, '\r',
-    other whitespace, non-ASCII text, an id out of range, a repeated edge)
-    it returns None, and the line scanner decides and reports.
+    other whitespace, non-ASCII text, an N beyond int64, an id out of range,
+    a repeated edge) it returns None, and the line scanner decides and reports.
     """
     if not text.isascii():
         return None
@@ -401,6 +409,8 @@ def _parse_canonical(text: str) -> DualStructure | None:
     if match is None:
         return None
     size = int(match[1])
+    if size > _MAX_DOMAIN_SIZE:
+        return None
     body = data[match.end(1) + 1:]
     # Without the 'e' of its tag, each edge line is three integers: tag, child, parent.
     values = np.fromstring(body.translate(None, b"e"), dtype=np.int64, sep=" ")
@@ -435,6 +445,8 @@ def _scan_structure(text: str) -> DualStructure:
             if len(tokens) != 2 or not is_id_token(tokens[1]):
                 raise StructureFormatError("header must be 'n <N>'", line_no)
             size = int(tokens[1])
+            if size > _MAX_DOMAIN_SIZE:
+                raise StructureFormatError(f"domain size {size} does not fit in int64", line_no)
         elif tokens[0] in ("e1", "e2"):
             if size is None:
                 raise StructureFormatError("edge before 'n' header", line_no)

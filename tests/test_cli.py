@@ -142,6 +142,16 @@ class TestFindIso:
         assert proc.stderr.startswith("error: line 2: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["find-iso", "check-axioms"])
+    def test_domain_size_beyond_int64_exit_two(self, tmp_path, command):
+        bad = tmp_path / "huge.st"
+        bad.write_text("n 99999999999999999999\ne1 0 1\n")
+        proc = run_process(command, str(bad))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: line 1: ")
+        assert "Traceback" not in proc.stderr
+
     def test_never_builds_edge_set(self, capsys, tmp_path, monkeypatch, scrambled_v4):
         # Certificate and diagnostic paths alike work on the arrays and member-sets only.
         iso_file = tmp_path / "s.st"
@@ -293,6 +303,20 @@ class TestCollapse:
         code, out, _ = run(capsys, "collapse", str(path), "--element", str(n - 1))
         assert code == 0
         assert out == "{" * n + "}" * n + "\ncode=large\n"
+
+    def test_members_differing_only_at_the_bottom(self, capsys, tmp_path):
+        # Ordering the two members compares them once per rank, down to {} against {{}}.
+        depth = 1500
+        over_empty = [(0, 2)] + [(i, i + 1) for i in range(2, depth + 1)]
+        over_one = [(0, 1), (1, depth + 2)] + [(i, i + 1) for i in range(depth + 2, 2 * depth + 1)]
+        top = 2 * depth + 2
+        edges = over_empty + over_one + [(depth + 1, top), (2 * depth + 1, top)]
+        path = tmp_path / "two-chains.st"
+        path.write_text(serialize_structure(dual_structure(top + 1, edges, [])))
+        code, out, _ = run(capsys, "collapse", str(path), "--element", str(top))
+        assert code == 0
+        lower, upper = depth + 1, depth + 2  # nesting depths of the two members
+        assert out == "{" + "{" * lower + "}" * lower + "," + "{" * upper + "}" * upper + "}\ncode=large\n"
 
     def test_out_of_range_exit_two(self, capsys, v3_file):
         code, _, _ = run(capsys, "collapse", v3_file, "--element", "9")

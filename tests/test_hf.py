@@ -242,6 +242,16 @@ class TestIterativeForms:
         assert hf_rank(deep) == 5000
         assert ackermann_code_if_below(deep, 1 << 64) is None
 
+    def test_compare_chains_differing_at_the_bottom(self):
+        low, high = EMPTY, intern_hf([EMPTY])
+        for _ in range(5000):
+            low, high = intern_hf([low]), intern_hf([high])
+        assert hf_compare(low, high) == -1
+        assert hf_compare(high, low) == 1
+        assert hf._CMP_MEMO[(low.uid, high.uid)] == -1
+        top = intern_hf([low, high])
+        assert render_hf(top) == "{" + "{" * 5001 + "}" * 5001 + "," + "{" * 5002 + "}" * 5002 + "}"
+
 
 class TestInterning:
     def test_by_uid_lists_every_interned_code(self, v4):

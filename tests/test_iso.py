@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from dualmem import (
     CycleError,
+    DualMemError,
     LevelExtensionError,
+    MembershipRelation,
     NonExtensionalError,
     Permutation,
     StructureFormatError,
@@ -93,6 +95,32 @@ class TestBuildPsi:
         r = random_extensional_relation(8, 5)
         assert reachable_postorder(r, 4) == [6, 3, 0, 1, 7, 2, 4]
         assert reachable_postorder(r, 6) == [6]
+
+    def test_acyclic_e2_is_not_walked(self, monkeypatch):
+        s = scramble(build_v_universe(4), Permutation.random(16, 3))
+        walk = MembershipRelation.members_first
+
+        def refuse_e2(rel, roots):
+            if rel is s.e2:
+                raise AssertionError("build_witness walked the acyclic e2")
+            return walk(rel, roots)
+
+        monkeypatch.setattr(MembershipRelation, "members_first", refuse_e2)
+        found = [(x, y) for x in range(16) for y in range(16) if build_witness(s, x, y) is not None]
+        assert found == [(x, Permutation.random(16, 3)(x)) for x in range(16)]
+
+    @pytest.mark.parametrize("pair", [(0, 4), (4, 0), (-1, 0), (0, -1)])
+    def test_pair_outside_domain(self, scrambled_v3, pair):
+        with pytest.raises(DualMemError, match="outside domain of size 4"):
+            build_witness(scrambled_v3, *pair)
+
+    def test_witness_maps_belong_to_the_structure(self):
+        s = scramble(build_v_universe(3), Permutation((0, 2, 1, 3)))
+        other = scramble(build_v_universe(3), Permutation((0, 2, 1, 3)))
+        build_witness(s, 3, 3)
+        assert s.witness_maps == {3: {0: 0, 1: 2, 3: 3}}
+        assert other.witness_maps == {}
+        assert s == other
 
     def test_witness_satisfies_all_conditions(self, scrambled_v4):
         for x in range(16):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from dualmem import (
     scramble,
     tamper,
 )
+from dualmem import iso as iso_mod
 from dualmem.lemmas import (
     LEMMA_NAMES,
     SuiteConfig,
@@ -20,7 +23,7 @@ from dualmem.lemmas import (
     gallery_summary,
     render_suite,
 )
-from dualmem.structure import apply_permutation, random_dual_structure
+from dualmem.structure import TAMPER_KINDS, apply_permutation, random_dual_structure
 
 
 class TestRunSuite:
@@ -136,12 +139,67 @@ class TestRunSuite:
         assert all(l.split()[2] in ("pass", "fail", "n/a") for l in lines)
 
 
+def reference_count(s, x, y):
+    """Product-and-filter: every map from the e1 closure of x into the e2
+    closure of y, kept when it sends x to y and passes every condition."""
+    tc1 = iso_mod.transitive_closure(s.e1, x, include_self=True)
+    tc2 = iso_mod.transitive_closure(s.e2, y, include_self=True)
+    dom, cod = sorted(tc1), sorted(tc2)
+    count = 0
+    for values in itertools.product(cod, repeat=len(dom)):
+        f = dict(zip(dom, values))
+        if f[x] == y and all(iso_mod._witness_conditions(s, x, y, f, tc1, tc2).values()):
+            count += 1
+    return count
+
+
+def _scrambled(level, seed):
+    base = build_v_universe(level)
+    return scramble(base, Permutation.random(base.domain_size, seed))
+
+
+def _tampered(level, kind, seed):
+    return tamper(_scrambled(level, seed), kind, seed)
+
+
+COUNT_INPUTS = st.one_of(
+    st.builds(random_dual_structure, st.integers(3, 8), st.integers(0, 10_000)),
+    st.builds(_scrambled, st.sampled_from((3, 4)), st.integers(0, 10_000)),
+    st.builds(_tampered, st.sampled_from((3, 4)), st.sampled_from(TAMPER_KINDS), st.integers(0, 10_000)),
+)
+
+
 class TestWitnessCounting:
     def test_exactly_one_when_matched(self, scrambled_v3):
         assert count_witnesses_brute(scrambled_v3, 1, 2) == 1
 
     def test_zero_when_unmatched(self, scrambled_v3):
         assert count_witnesses_brute(scrambled_v3, 1, 1) == 0
+
+    @given(s=COUNT_INPUTS)
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_product_and_filter(self, s):
+        def small(rel, x):
+            return len(iso_mod.transitive_closure(rel, x, include_self=True)) <= 4
+
+        xs = [x for x in range(s.domain_size) if small(s.e1, x)]
+        ys = [y for y in range(s.domain_size) if small(s.e2, y)]
+        for x in xs:
+            for y in ys:
+                assert count_witnesses_brute(s, x, y) == reference_count(s, x, y), (x, y)
+
+    def test_counts_above_one(self):
+        # Without extensionality a pair can have several witnesses: 0 and 1
+        # are both empty, so the map on {0, 1, 2} may swap them.
+        s = dual_structure(3, [(0, 2), (1, 2)], [(0, 2), (1, 2)])
+        assert count_witnesses_brute(s, 2, 2) == reference_count(s, 2, 2) == 2
+
+    def test_self_loops(self):
+        s = dual_structure(2, [(0, 0), (0, 1)], [(1, 1), (1, 0)])
+        for x in range(2):
+            for y in range(2):
+                assert count_witnesses_brute(s, x, y) == reference_count(s, x, y)
+        assert count_witnesses_brute(s, 1, 0) == 1
 
 
 class TestRunCorpus:

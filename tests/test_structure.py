@@ -134,6 +134,23 @@ class TestParse:
             parse_structure(text)
         assert exc.value.line_no == line_no
 
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("n 99999999999999999999\ne1 0 1\n", 1),
+            ("n 9223372036854775808\ne1 0 1\n", 1),
+            ("# size first\nn 99999999999999999999\ne1 0 1\n", 2),
+            ("n 99999999999999999999", 1),
+        ],
+    )
+    def test_domain_size_beyond_int64_rejected(self, text, line_no):
+        with pytest.raises(StructureFormatError) as exc:
+            parse_structure(text)
+        assert exc.value.line_no == line_no
+
+    def test_largest_int64_domain_size_reads(self):
+        assert parse_structure("n 9223372036854775807\n").domain_size == 2**63 - 1
+
     @given(text=ARBITRARY_TEXT)
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_text_never_crashes(self, text):
