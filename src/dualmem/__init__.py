@@ -6,7 +6,7 @@ construction's properties as executable checks, and cross-examine everything
 against an independent canonical-collapse oracle.
 """
 
-from .axioms import SamplingBudget, check_schema_battery, full_report, render_report
+from .axioms import SchemaBudget, check_schema_battery, full_report, render_report
 from .errors import (
     CycleError,
     DualMemError,
@@ -49,7 +49,7 @@ from .iso import (
     transitive_closure,
     verify_certificate,
 )
-from .lemmas import CorpusConfig, SuiteConfig, counterexample_gallery, run_corpus, run_suite
+from .lemmas import CorpusConfig, counterexample_gallery, run_corpus, run_suite
 from .structure import (
     DualStructure,
     MembershipRelation,

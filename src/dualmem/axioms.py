@@ -8,16 +8,20 @@ that characterize the cumulative levels exactly; the characterization is
 exercised by the acceptance suite.
 
 Semantic (second-order) separation and replacement quantify over external
-subsets and functions, exhaustively below the configured bounds and by
-seeded sampling above them. Schema checks evaluate joint-vocabulary
-first-order instances: the fixed battery and, in bounded mode, enumerated
-separation instances.
+subsets and functions, and both are decided exactly. Separation: every
+subset of ms(x) is realized iff every ms(x) - {m} is realized by an element
+that itself misses no subset. Replacement: the images of the maps from ms(x)
+into the elements below the height are the sets of those elements with one
+to |ms(x)| members, so it comes down to counting the realized ones per size.
+Schema checks evaluate joint-vocabulary first-order instances: the fixed
+battery and, in bounded mode, enumerated separation instances.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import battery as battery_mod
@@ -42,15 +46,15 @@ SCHEMA_MODES = ("semantic", "battery", "bounded")
 Witness = tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class SamplingBudget:
-    """Knobs for the exhaustive/sampled split and the schema checks."""
+# The schema checks tabulate every assignment of a sentence's variables, so
+# they are skipped on domains above this size.
+SCHEMA_DOMAIN_LIMIT = 16
 
-    seed: int = 0
-    samples: int = 64
-    separation_exhaustive_bound: int = 20
-    replacement_exhaustive_bound: int = 3
-    schema_domain_limit: int = 16
+
+@dataclass(frozen=True)
+class SchemaBudget:
+    """Formula size and instance cap of the bounded separation schema."""
+
     bounded_depth: int = 12
     bounded_cap: int = battery_mod.DEFAULT_BOUNDED_CAP
 
@@ -148,34 +152,42 @@ def check_power_set(s: DualStructure, tag: int) -> Verdict:
     return Verdict("pass")
 
 
-def check_separation_semantic(s: DualStructure, tag: int, budget: SamplingBudget | None = None) -> Verdict:
-    """Every subset of every member-set is some element's member-set."""
-    budget = budget or SamplingBudget()
+def check_separation_semantic(s: DualStructure, tag: int) -> Verdict:
+    """Every subset of every member-set is some element's member-set.
+
+    All subsets of ms(x) are realized iff every removal ms(x) - {m} is the
+    member-set of an element that itself misses no subset, so one pass over
+    the member tuples in ascending length decides all of them. The witness
+    is the first element that misses a subset, with its least unrealized
+    subset in mask order (bit i selects the i-th least member).
+    """
     rel = s.relation(tag)
     index = rel.extension_index()
-    sampled = 0
+    full: set[tuple[int, ...]] = set()
+    for base in sorted(index, key=len):
+        if all(base[:i] + base[i + 1:] in full for i in range(len(base))):
+            full.add(base)
     for a, base in enumerate(rel.member_tuples()):
-        if len(base) <= budget.separation_exhaustive_bound:
-            candidates = (
-                tuple(itertools.compress(base, (mask >> i & 1 for i in range(len(base)))))
-                for mask in range(1 << len(base))
-            )
-        else:
-            rng = random.Random(budget.seed * 1000003 + tag * 1009 + a)
-            candidates = (
-                tuple(x for x in base if rng.random() < 0.5) for _ in range(budget.samples)
-            )
-            sampled += budget.samples
-        for subset in candidates:
-            if subset not in index:
-                mode = _sample_mode(sampled, budget)
-                return _fail(("a", str(a)), ("subset", _ids(subset)), mode=mode)
-    return Verdict("pass", mode=_sample_mode(sampled, budget))
+        if base not in full:
+            bit = {m: 1 << i for i, m in enumerate(base)}
+            realized = {sum(map(bit.__getitem__, t)) for t in index if all(m in bit for m in t)}
+            mask = next(i for i in itertools.count() if i not in realized)
+            subset = [m for m, b in bit.items() if mask & b]
+            return _fail(("a", str(a)), ("subset", _ids(subset)), mode="exhaustive")
+    return Verdict("pass", mode="exhaustive")
 
 
-def check_replacement_semantic(s: DualStructure, tag: int, budget: SamplingBudget | None = None) -> Verdict:
-    """Images of member-sets under arbitrary maps into sub-height elements exist."""
-    budget = budget or SamplingBudget()
+def check_replacement_semantic(s: DualStructure, tag: int) -> Verdict:
+    """Images of member-sets under arbitrary maps into sub-height elements exist.
+
+    The images of the maps from a k-member set into low, the elements below
+    the height, are exactly the sets S within low with 1 <= |S| <= k. With j
+    the least size at which fewer than C(|low|, j) subsets of low are
+    realized, an element fails iff it has at least j members. The witness is
+    the first unrealized map in itertools.product order: take the unrealized
+    S least by (min S, |S|, sorted S), send the first k - |S| + 1 members to
+    min S and the rest to the rest of S in ascending order.
+    """
     rel = s.relation(tag)
     ranks = _height_checked(rel)
     if ranks is None:
@@ -183,75 +195,71 @@ def check_replacement_semantic(s: DualStructure, tag: int, budget: SamplingBudge
     height = max(ranks, default=0)
     low = [x for x in range(rel.domain_size) if ranks[x] < height]
     index = rel.extension_index()
-    sampled = 0
+    by_size = Counter(map(len, index))  # members rank below their set, so every key lies within low
+    short = next((j for j in range(1, len(low) + 1) if by_size[j] < math.comb(len(low), j)), math.inf)
     for a, base in enumerate(rel.member_tuples()):
-        if not base:
-            continue
-        if len(base) <= budget.replacement_exhaustive_bound:
-            choices = itertools.product(low, repeat=len(base))
-        else:
-            rng = random.Random(budget.seed * 1000003 + tag * 2003 + a)
-            choices = (tuple(rng.choice(low) for _ in base) for _ in range(budget.samples)) if low else ()
-            sampled += budget.samples if low else 0
-        for values in choices:
-            image = tuple(sorted(set(values)))
-            if image not in index:
-                pairs = ",".join(f"{m}:{v}" for m, v in zip(base, values))
-                mode = _sample_mode(sampled, budget)
-                return _fail(("a", str(a)), ("map", pairs), ("image", _ids(image)), mode=mode)
-    return Verdict("pass", mode=_sample_mode(sampled, budget))
+        if len(base) >= short:
+            image = _least_unrealized_image(low, len(base), index)
+            values = image[:1] * (len(base) - len(image) + 1) + image[1:]
+            pairs = ",".join(f"{m}:{v}" for m, v in zip(base, values))
+            return _fail(("a", str(a)), ("map", pairs), ("image", _ids(image)), mode="exhaustive")
+    return Verdict("pass", mode="exhaustive")
 
 
-def _sample_mode(sampled: int, budget: SamplingBudget) -> str:
-    if sampled:
-        return f"sampled:{sampled},seed={budget.seed}"
-    return "exhaustive"
+def _least_unrealized_image(low: list[int], k: int, index) -> tuple[int, ...]:
+    """The unrealized S within low, 1 <= |S| <= k, least by (min S, |S|,
+    sorted S); the caller knows one exists. Each candidate passed over is a
+    distinct realized set, so the walk makes at most n + 1 lookups."""
+    for i, m in enumerate(low):
+        tail = low[i + 1:] if k > 1 else []  # copied only when larger sets follow
+        for size in range(min(k - 1, len(tail)) + 1):
+            for rest in itertools.combinations(tail, size):
+                if (m, *rest) not in index:
+                    return (m, *rest)
 
 
 # -- schema checks ---------------------------------------------------------------
 
-def check_schema_battery(s: DualStructure, budget: SamplingBudget | None = None) -> dict[str, Verdict]:
+def _falsifying_tokens(s: DualStructure, sentence) -> str:
+    assign = falsifying_assignment(s, sentence) or {}
+    return ",".join(f"{k}:{v}" for k, v in assign.items())
+
+
+def check_schema_battery(s: DualStructure) -> dict[str, Verdict]:
     """Evaluate every fixed battery sentence; falsifying assignments reported."""
-    budget = budget or SamplingBudget()
     out: dict[str, Verdict] = {}
     for item in battery_mod.fixed_battery():
-        if s.domain_size > budget.schema_domain_limit:
+        if s.domain_size > SCHEMA_DOMAIN_LIMIT:
             out[item.name] = Verdict("skipped", (("reason", "domain-too-large"),))
-            continue
-        if evaluate_table(s, item.sentence):
+        elif evaluate_table(s, item.sentence):
             out[item.name] = Verdict("pass")
         else:
-            assign = falsifying_assignment(s, item.sentence) or {}
-            toks = ",".join(f"{k}:{v}" for k, v in assign.items())
-            out[item.name] = _fail(("instance", item.name), ("assign", toks))
+            out[item.name] = _fail(("instance", item.name), ("assign", _falsifying_tokens(s, item.sentence)))
     return out
 
 
-def check_schema_bounded(s: DualStructure, budget: SamplingBudget | None = None) -> dict[str, Verdict]:
+def check_schema_bounded(s: DualStructure, budget: SchemaBudget | None = None) -> dict[str, Verdict]:
     """Evaluate enumerated separation instances up to the configured depth/cap."""
-    budget = budget or SamplingBudget()
+    budget = budget or SchemaBudget()
     out: dict[str, Verdict] = {}
-    if s.domain_size > budget.schema_domain_limit:
+    if s.domain_size > SCHEMA_DOMAIN_LIMIT:
         for tag in (1, 2):
             out[f"bounded-separation-{tag}"] = Verdict("skipped", (("reason", "domain-too-large"),))
         return out
     instances = battery_mod.bounded_instances(budget.bounded_depth, cap=budget.bounded_cap)
     for tag in (1, 2):
-        verdict = Verdict("pass", mode=f"bounded:{sum(1 for i in instances if i.tag == tag)}")
-        for inst in instances:
-            if inst.tag != tag:
-                continue
-            if not evaluate_table(s, inst.sentence):
-                assign = falsifying_assignment(s, inst.sentence) or {}
-                toks = ",".join(f"{k}:{v}" for k, v in assign.items())
-                verdict = _fail(
-                    ("instance", f"bounded:{inst.index}"),
-                    ("filter", inst.filter_text.replace(" ", "_")),
-                    ("assign", toks),
-                    mode=f"bounded:{sum(1 for i in instances if i.tag == tag)}",
-                )
-                break
-        out[f"bounded-separation-{tag}"] = verdict
+        mine = [inst for inst in instances if inst.tag == tag]
+        mode = f"bounded:{len(mine)}"
+        bad = next((inst for inst in mine if not evaluate_table(s, inst.sentence)), None)
+        if bad is None:
+            out[f"bounded-separation-{tag}"] = Verdict("pass", mode=mode)
+        else:
+            out[f"bounded-separation-{tag}"] = _fail(
+                ("instance", f"bounded:{bad.index}"),
+                ("filter", bad.filter_text.replace(" ", "_")),
+                ("assign", _falsifying_tokens(s, bad.sentence)),
+                mode=mode,
+            )
     return out
 
 
@@ -296,12 +304,11 @@ def _combine_schema(verdicts: dict[str, Verdict], mode_label: str) -> Verdict:
     return Verdict("pass", mode=mode_label)
 
 
-def full_report(s: DualStructure, budget: SamplingBudget | None = None, schema_mode: str = "battery") -> FullReport:
-    """Run every check for both tags. Deterministic given the budget seed."""
+def full_report(s: DualStructure, budget: SchemaBudget | None = None, schema_mode: str = "battery") -> FullReport:
+    """Run every check for both tags; the budget only shapes bounded mode."""
     if schema_mode not in SCHEMA_MODES:
         raise DualMemError(f"schema mode must be one of {SCHEMA_MODES}")
-    budget = budget or SamplingBudget()
-    battery_verdicts = check_schema_battery(s, budget) if schema_mode != "semantic" else {}
+    battery_verdicts = check_schema_battery(s) if schema_mode != "semantic" else {}
     bounded_verdicts = check_schema_bounded(s, budget) if schema_mode == "bounded" else {}
     by_tag: dict[int, AxiomReport] = {}
     for tag in (1, 2):
@@ -311,8 +318,8 @@ def full_report(s: DualStructure, budget: SamplingBudget | None = None, schema_m
             "pairing": check_pairing(s, tag),
             "union": check_union(s, tag),
             "power-set": check_power_set(s, tag),
-            "separation-semantic": check_separation_semantic(s, tag, budget),
-            "replacement-semantic": check_replacement_semantic(s, tag, budget),
+            "separation-semantic": check_separation_semantic(s, tag),
+            "replacement-semantic": check_replacement_semantic(s, tag),
         }
         if schema_mode == "semantic":
             rows["separation-schema"] = Verdict("skipped", (("reason", "mode-semantic"),))

@@ -41,14 +41,6 @@ def _write_structure(path: Path, s) -> None:
     path.write_text(serialize_structure(s), encoding="utf-8")
 
 
-def _budget(args) -> axioms_mod.SamplingBudget:
-    return axioms_mod.SamplingBudget(
-        seed=getattr(args, "seed", 0) or 0,
-        samples=getattr(args, "samples", 64),
-        bounded_depth=getattr(args, "depth", 12),
-    )
-
-
 def cmd_gen(args) -> int:
     out = sys.stdout
     if args.kind == "v-universe":
@@ -98,7 +90,8 @@ def cmd_gen(args) -> int:
 
 def cmd_check_axioms(args) -> int:
     s = _read_structure(args.infile)
-    report = axioms_mod.full_report(s, _budget(args), schema_mode=args.mode)
+    budget = axioms_mod.SchemaBudget(bounded_depth=args.depth)
+    report = axioms_mod.full_report(s, budget, schema_mode=args.mode)
     sys.stdout.write(axioms_mod.render_report(report))
     return PASS if report.all_pass else NEGATIVE
 
@@ -238,8 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("infile")
     check.add_argument("--mode", choices=list(axioms_mod.SCHEMA_MODES), default="battery")
     check.add_argument("--depth", type=int, default=12, help="bounded-mode formula size")
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--samples", type=int, default=64)
     check.set_defaults(func=cmd_check_axioms)
 
     find = sub.add_parser("find-iso", help="construct the definable isomorphism")

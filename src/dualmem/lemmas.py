@@ -14,12 +14,12 @@ halting with the reproducing seed on any unexpected verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import axioms as axioms_mod
 from . import hf
 from . import iso as iso_mod
-from .axioms import SamplingBudget
+from .axioms import SchemaBudget
 from .errors import DualMemError, LevelExtensionError
 from .structure import (
     DualStructure,
@@ -43,6 +43,12 @@ LEMMA_NAMES = (
 
 Witness = tuple[tuple[str, str], ...]
 
+# Witnesses are counted by brute force on pairs whose closures (self
+# included) have at most this many elements on both sides.
+UNIQUENESS_CLOSURE_BOUND = 4
+# Up to this domain size partner-functionality tabulates `matches` on every pair.
+EXHAUSTIVE_PAIR_BOUND = 16
+
 
 @dataclass(frozen=True)
 class LemmaVerdict:
@@ -52,13 +58,6 @@ class LemmaVerdict:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    uniqueness_closure_bound: int = 4
-    exhaustive_pair_bound: int = 16  # full pair-table up to this domain size
-    budget: SamplingBudget = field(default_factory=SamplingBudget)
 
 
 @dataclass(frozen=True)
@@ -97,10 +96,8 @@ def _all_na(reason: str, *extra: tuple[str, str]) -> dict[str, LemmaVerdict]:
     return {name: _na(reason, *extra) for name in LEMMA_NAMES}
 
 
-def run_suite(s: DualStructure, config: SuiteConfig | None = None) -> SuiteReport:
+def run_suite(s: DualStructure) -> SuiteReport:
     """Run every lemma check that applies to the given structure."""
-    config = config or SuiteConfig()
-
     for tag in (1, 2):
         cycle = s.relation(tag).find_cycle()
         if cycle is not None:
@@ -115,14 +112,14 @@ def run_suite(s: DualStructure, config: SuiteConfig | None = None) -> SuiteRepor
 
     lemmas: dict[str, LemmaVerdict] = {}
     matched = _matched_pairs(s)
-    lemmas["witness-uniqueness"] = _check_uniqueness(s, config)
+    lemmas["witness-uniqueness"] = _check_uniqueness(s)
     lemmas["witness-restriction"] = _check_restriction(s, matched)
-    lemmas["partner-functionality"] = _check_functionality(s, matched, config)
+    lemmas["partner-functionality"] = _check_functionality(s, matched)
     lemmas["membership-preservation"] = _check_membership_preservation(s, matched)
     lemmas["ordinal-preservation"] = _check_ordinal_preservation(s, matched)
     lemmas["level-extension"] = _check_level_extension(s, matched)
 
-    gate = axioms_mod.full_report(s, config.budget, schema_mode="semantic")
+    gate = axioms_mod.full_report(s, schema_mode="semantic")
     result = iso_mod.global_isomorphism(s)
     if not gate.semantic_pass:
         failing = _first_semantic_failure(gate)
@@ -146,19 +143,18 @@ def _matched_pairs(s: DualStructure) -> tuple[tuple[int, int], ...]:
     return tuple((x, y) for x, y in enumerate(iso_mod.partners(s)) if y is not None)
 
 
-def _check_uniqueness(s: DualStructure, config: SuiteConfig) -> LemmaVerdict:
+def _check_uniqueness(s: DualStructure) -> LemmaVerdict:
     """Brute-force witness counting on pairs with small closures on both sides."""
-    bound = config.uniqueness_closure_bound
-    tc1 = {x: sorted(iso_mod.transitive_closure(s.e1, x, include_self=True)) for x in range(s.domain_size)}
-    tc2 = {y: sorted(iso_mod.transitive_closure(s.e2, y, include_self=True)) for y in range(s.domain_size)}
+    tc1 = [iso_mod.transitive_closure(s.e1, x, include_self=True) for x in range(s.domain_size)]
+    tc2 = [iso_mod.transitive_closure(s.e2, y, include_self=True) for y in range(s.domain_size)]
     for x in range(s.domain_size):
-        if len(tc1[x]) > bound:
+        if len(tc1[x]) > UNIQUENESS_CLOSURE_BOUND:
             continue
         for y in range(s.domain_size):
-            if len(tc2[y]) > bound:
+            if len(tc2[y]) > UNIQUENESS_CLOSURE_BOUND:
                 continue
             expected = 1 if iso_mod.matches(s, x, y) else 0
-            count = count_witnesses_brute(s, x, y)
+            count = count_witnesses_brute(s, x, y, tc1[x], tc2[y])
             if count != expected:
                 return LemmaVerdict(
                     "fail",
@@ -167,7 +163,9 @@ def _check_uniqueness(s: DualStructure, config: SuiteConfig) -> LemmaVerdict:
     return LemmaVerdict("pass")
 
 
-def count_witnesses_brute(s: DualStructure, x: int, y: int) -> int:
+def count_witnesses_brute(
+    s: DualStructure, x: int, y: int, tc1: frozenset[int] | None = None, tc2: frozenset[int] | None = None
+) -> int:
     """Count all maps from the e1 closure of x into the e2 closure of y
     satisfying the witness conditions, checked from the definitions.
 
@@ -180,9 +178,11 @@ def count_witnesses_brute(s: DualStructure, x: int, y: int) -> int:
     complete map counts only when _witness_conditions accepts all of its
     conditions. The count is that of all maps with f[x] = y that pass the
     conditions, on any relation, cyclic or non-extensional included.
+    tc1 and tc2, the closures of x in e1 and of y in e2 with x and y
+    included, are computed when not given.
     """
-    tc1 = iso_mod.transitive_closure(s.e1, x, include_self=True)
-    tc2 = iso_mod.transitive_closure(s.e2, y, include_self=True)
+    tc1 = tc1 or iso_mod.transitive_closure(s.e1, x, include_self=True)
+    tc2 = tc2 or iso_mod.transitive_closure(s.e2, y, include_self=True)
     order = [x, *sorted(tc1 - {x})]
     cod = sorted(tc2)
     e1, e2 = s.e1.edges, s.e2.edges
@@ -224,8 +224,8 @@ def _check_restriction(s: DualStructure, matched) -> LemmaVerdict:
     return LemmaVerdict("pass")
 
 
-def _check_functionality(s: DualStructure, matched, config: SuiteConfig) -> LemmaVerdict:
-    if s.domain_size <= config.exhaustive_pair_bound:
+def _check_functionality(s: DualStructure, matched) -> LemmaVerdict:
+    if s.domain_size <= EXHAUSTIVE_PAIR_BOUND:
         graph = {(x, y) for x in range(s.domain_size) for y in range(s.domain_size) if iso_mod.matches(s, x, y)}
     else:
         graph = set(matched)
@@ -317,7 +317,6 @@ class CorpusConfig:
     count: int = 100
     seed: int = 0
     kinds: tuple[str, ...] = ("scrambled",)
-    suite: SuiteConfig = field(default_factory=SuiteConfig)
 
 
 def run_corpus(config: CorpusConfig) -> SuiteReport:
@@ -342,7 +341,7 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
                     s = random_dual_structure(size_index, seed)
                 else:
                     raise DualMemError(f"unknown corpus kind {kind!r}")
-                report = run_suite(s, config.suite)
+                report = run_suite(s)
                 items += 1
                 repro = (("kind", kind), ("size", str(size_index)), ("seed", str(seed)))
                 iso_verdict = report.lemmas["isomorphism"]
@@ -396,7 +395,7 @@ def _corpus_line(config: CorpusConfig, items: int, iso_pass: int, iso_fail: int)
 
 # -- counterexample gallery ----------------------------------------------------------
 
-GALLERY_BUDGET = SamplingBudget(bounded_depth=4, bounded_cap=60)
+GALLERY_BUDGET = SchemaBudget(bounded_depth=4, bounded_cap=60)
 
 
 @dataclass(frozen=True)
@@ -406,7 +405,7 @@ class GalleryItem:
     expected_summary: str
 
 
-def gallery_summary(s: DualStructure, budget: SamplingBudget = GALLERY_BUDGET) -> str:
+def gallery_summary(s: DualStructure, budget: SchemaBudget = GALLERY_BUDGET) -> str:
     """The stored-and-reproduced account of one gallery item.
 
     Two axiom lines (failing axiom names per tag), one line per failing

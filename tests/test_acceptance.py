@@ -31,7 +31,7 @@ from dualmem import (
     v_level_codes,
 )
 from dualmem.axioms import (
-    SamplingBudget,
+    SchemaBudget,
     check_extensionality,
     check_foundation,
     check_pairing,
@@ -150,7 +150,6 @@ class TestAcceptance:
 
     def test_criterion_5_finite_surrogate_characterization(self):
         with criterion(5, "finite-surrogate characterization"):
-            budget = SamplingBudget()
             structures = small_corpus(16)
             structures.append(tamper(build_v_universe(3), "add-cycle", 0))
             structures.append(tamper(build_v_universe(3), "break-extensionality", 0))
@@ -169,7 +168,7 @@ class TestAcceptance:
                             check_power_set,
                         )
                     )
-                    sep = check_separation_semantic(s, tag, budget)
+                    sep = check_separation_semantic(s, tag)
                     battery = battery and sep.passed and sep.mode == "exhaustive"
                     if rel.is_acyclic():
                         dc = collapse_domain(rel)
@@ -215,7 +214,7 @@ class TestAcceptance:
             ext1 = parse_formula("forall x forall y ((forall z (z in1 x <-> z in1 y)) -> x = y)")
             ext2 = parse_formula("forall x forall y ((forall z (z in2 x <-> z in2 y)) -> x = y)")
             instances = bounded_instances(2, cap=25)
-            budget = SamplingBudget(bounded_depth=2, bounded_cap=25)
+            budget = SchemaBudget(bounded_depth=2, bounded_cap=25)
             disagreements = 0
             for s in structures:
                 if evaluate(s, ext1) != check_extensionality(s, 1).passed:
@@ -249,6 +248,7 @@ class TestAcceptance:
                 ["check-axioms", str(v3)],
                 ["check-axioms", str(v3), "--mode", "bounded", "--depth", "3"],
                 ["check-axioms", str(tmp_path / "t.st")],
+                ["check-axioms", str(tmp_path / "v4.st"), "--mode", "semantic"],
                 ["find-iso", str(tmp_path / "s.st"), "--verify", "--oracle-check"],
                 ["find-iso", str(gallery_dir / "chain-vs-v3.st")],
                 ["eval", str(v3), "--formula", "forall x exists y x in1 y"],

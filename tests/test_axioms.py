@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmem import (
     Permutation,
-    SamplingBudget,
+    SchemaBudget,
     build_v_universe,
     check_schema_battery,
     dual_structure,
@@ -14,6 +16,7 @@ from dualmem import (
     tamper,
 )
 from dualmem.axioms import (
+    Verdict,
     check_extensionality,
     check_foundation,
     check_pairing,
@@ -25,6 +28,56 @@ from dualmem.axioms import (
     parse_report,
 )
 from dualmem.structure import apply_permutation, random_dual_structure
+
+
+def reference_separation(s, tag):
+    """Every subset of every member-set, walked in mask order (bit i selects
+    the i-th least member); the first unrealized one is the witness."""
+    rel = s.relation(tag)
+    index = rel.extension_index()
+    for a, base in enumerate(rel.member_tuples()):
+        for mask in range(1 << len(base)):
+            subset = tuple(m for i, m in enumerate(base) if mask >> i & 1)
+            if subset not in index:
+                witness = (("a", str(a)), ("subset", ",".join(map(str, subset))))
+                return Verdict("fail", witness, "exhaustive")
+    return Verdict("pass", mode="exhaustive")
+
+
+def reference_replacement(s, tag):
+    """Every map from every nonempty member-set into the elements below the
+    height, walked in itertools.product order; the first map whose image is
+    unrealized is the witness."""
+    rel = s.relation(tag)
+    if not rel.is_acyclic():
+        return Verdict("skipped", (("reason", "ill-founded"),))
+    ranks = rel.ranks()
+    low = [x for x in range(rel.domain_size) if ranks[x] < max(ranks, default=0)]
+    index = rel.extension_index()
+    for a, base in enumerate(rel.member_tuples()):
+        if not base:
+            continue
+        for values in itertools.product(low, repeat=len(base)):
+            image = tuple(sorted(set(values)))
+            if image not in index:
+                pairs = ",".join(f"{m}:{v}" for m, v in zip(base, values))
+                witness = (("a", str(a)), ("map", pairs), ("image", ",".join(map(str, image))))
+                return Verdict("fail", witness, "exhaustive")
+    return Verdict("pass", mode="exhaustive")
+
+
+@st.composite
+def arbitrary_relations(draw):
+    """A relation on at most 8 elements, self-loops, cycles and equal
+    member-sets allowed; half of them keep only the edges that climb a drawn
+    order, so that replacement is not always skipped."""
+    n = draw(st.integers(0, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)) if n else st.nothing()
+    edges = draw(st.sets(pairs, max_size=n * n))
+    if draw(st.booleans()):
+        position = {x: i for i, x in enumerate(draw(st.permutations(range(n))))}
+        edges = {(a, b) for a, b in edges if position[a] < position[b]}
+    return dual_structure(n, edges, [])
 
 
 class TestExtensionality:
@@ -103,12 +156,23 @@ class TestSeparationSemantic:
         witness = dict(verdict.witness)
         assert witness["a"] == "2" and witness["subset"] == "1"
 
+    def test_witness_is_least_unrealized_mask(self):
+        # 4 = {0,1,2,3}; {}, {0}, {1}, {0,1}, {2} and {1,2} are realized, so
+        # mask 5 = {0,2} is the least missing one although mask 6 is not
+        edges = [(0, 1), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (2, 4), (3, 4), (2, 5), (1, 6), (2, 6)]
+        verdict = check_separation_semantic(dual_structure(7, edges, []), 1)
+        assert verdict == Verdict("fail", (("a", "4"), ("subset", "0,2")), "exhaustive")
+
     def test_sampled_mode_recorded(self):
+        # 21 members, above the old sampling bound: decided exactly now
         big = dual_structure(22, [(i, 21) for i in range(21)], [])
-        budget = SamplingBudget(seed=5, samples=8)
-        verdict = check_separation_semantic(big, 1, budget)
-        assert verdict.status == "fail"
-        assert verdict.mode == "sampled:8,seed=5"
+        verdict = check_separation_semantic(big, 1)
+        assert verdict == Verdict("fail", (("a", "21"), ("subset", "0")), "exhaustive")
+
+    @given(s=arbitrary_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mask_enumeration(self, s):
+        assert check_separation_semantic(s, 1) == reference_separation(s, 1)
 
 
 class TestReplacementSemantic:
@@ -131,6 +195,38 @@ class TestReplacementSemantic:
         s = dual_structure(2, [(0, 1), (1, 0)], [])
         assert check_replacement_semantic(s, 1).status == "skipped"
 
+    def test_four_member_failure_is_exact(self, v4):
+        # V4 with {3} emptied and ids 1 and 15 swapped: the first nonempty
+        # element is {0,1,2,3}, now id 1 with members 0,2,3,15. Below the
+        # height lie 0, 2, 3, 8, 15; {0} is realized and {0,8} is not, so the
+        # least failing map sends the first three members to 0, the last to 8.
+        swap = Permutation((0, 15, *range(2, 15), 1))
+        edges = [(swap(a), swap(b)) for a, b in v4.e1.edges if (a, b) != (3, 8)]
+        s = dual_structure(16, edges, [])
+        verdict = check_replacement_semantic(s, 1)
+        assert verdict == Verdict(
+            "fail", (("a", "1"), ("map", "0:0,2:0,3:0,15:8"), ("image", "0,8")), "exhaustive"
+        )
+        assert verdict == reference_replacement(s, 1)
+
+    def test_first_short_size_four(self):
+        # V4 plus every subset of it with at most 3 members, ids in code order:
+        # below the height lies V4, every image of up to 3 elements is
+        # realized, and of the 4-element ones only {0,1,2,3} (id 15)
+        codes = [c for c in range(1 << 16) if c < 16 or bin(c).count("1") <= 3]
+        edges = [(a, i) for i, c in enumerate(codes) for a in range(16) if c >> a & 1]
+        s = dual_structure(len(codes), edges, [])
+        verdict = check_replacement_semantic(s, 1)
+        assert verdict == Verdict(
+            "fail", (("a", "15"), ("map", "0:0,1:1,2:2,3:4"), ("image", "0,1,2,4")), "exhaustive"
+        )
+        assert verdict == reference_replacement(s, 1)
+
+    @given(s=arbitrary_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_product_walk(self, s):
+        assert check_replacement_semantic(s, 1) == reference_replacement(s, 1)
+
 
 class TestSchemaChecks:
     def test_battery_all_pass_on_scrambled(self, scrambled_v4):
@@ -139,13 +235,13 @@ class TestSchemaChecks:
 
     def test_skipped_above_domain_limit(self):
         big = dual_structure(40, [], [])
-        verdicts = check_schema_battery(big, SamplingBudget(schema_domain_limit=16))
+        verdicts = check_schema_battery(big)
         assert all(v.status == "skipped" for v in verdicts.values())
 
     def test_bounded_localizes_schema_gap(self):
         from dualmem.lemmas import _schema_gap
 
-        verdicts = check_schema_bounded(_schema_gap(), SamplingBudget(bounded_depth=4, bounded_cap=60))
+        verdicts = check_schema_bounded(_schema_gap(), SchemaBudget(bounded_depth=4, bounded_cap=60))
         assert verdicts["bounded-separation-1"].passed
         gap = verdicts["bounded-separation-2"]
         assert gap.status == "fail"

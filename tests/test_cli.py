@@ -95,6 +95,22 @@ class TestCheckAxioms:
         assert code == 0
         assert "battery+bounded" in out
 
+    def test_v5_semantic_mode_is_exact(self, capsys, tmp_path):
+        v5 = tmp_path / "v5.st"
+        assert run(capsys, "gen", "v-universe", "--n", "5", "--out", str(v5))[0] == 0
+        code, out, _ = run(capsys, "check-axioms", str(v5), "--mode", "semantic")
+        assert code == 0
+        rows = [line for line in out.splitlines() if "schema" not in line]
+        assert len(rows) == 14
+        assert all(line.split()[2] == "pass" for line in rows)
+        for tag in (1, 2):
+            for axiom in ("separation-semantic", "replacement-semantic"):
+                assert f"{tag} {axiom} pass mode=exhaustive" in rows
+
+    def test_sampling_flags_removed(self, capsys, v3_file):
+        for flag in ("--seed", "--samples"):
+            assert run(capsys, "check-axioms", v3_file, flag, "1")[0] == 2
+
 
 class TestFindIso:
     def test_identity_certificate(self, capsys, v3_file):

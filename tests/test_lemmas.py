@@ -18,7 +18,6 @@ from dualmem import (
 from dualmem import iso as iso_mod
 from dualmem.lemmas import (
     LEMMA_NAMES,
-    SuiteConfig,
     count_witnesses_brute,
     gallery_summary,
     render_suite,
