@@ -46,7 +46,6 @@ from .iso import (
     internal_level,
     is_ordinal,
     matches,
-    transitive_closure,
     verify_certificate,
 )
 from .lemmas import CorpusConfig, counterexample_gallery, run_corpus, run_suite
@@ -61,6 +60,7 @@ from .structure import (
     scramble,
     serialize_structure,
     tamper,
+    transitive_closure,
 )
 
 __version__ = "0.1.0"

@@ -125,10 +125,10 @@ def check_pairing(s: DualStructure, tag: int) -> Verdict:
 
 def check_union(s: DualStructure, tag: int) -> Verdict:
     rel = s.relation(tag)
-    ms = rel.member_sets()
+    mt = rel.member_tuples()
     index = rel.extension_index()
     for a in range(rel.domain_size):
-        target = tuple(sorted({m for x in ms[a] for m in ms[x]}))
+        target = tuple(sorted({m for x in mt[a] for m in mt[x]}))
         if target not in index:
             return _fail(("a", str(a)), ("target", _ids(target)))
     return Verdict("pass")
@@ -141,12 +141,13 @@ def check_power_set(s: DualStructure, tag: int) -> Verdict:
     if ranks is None:
         return Verdict("skipped", (("reason", "ill-founded"),))
     height = max(ranks, default=0)
-    ms = rel.member_sets()
+    mt = rel.member_tuples()
     index = rel.extension_index()
     for a in range(rel.domain_size):
         if ranks[a] >= height:
             continue
-        target = tuple(x for x in range(rel.domain_size) if ms[x] <= ms[a])
+        covers = set(mt[a]).issuperset
+        target = tuple(x for x in range(rel.domain_size) if covers(mt[x]))
         if target not in index:
             return _fail(("a", str(a)), ("target", _ids(target)))
     return Verdict("pass")

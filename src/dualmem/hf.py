@@ -31,7 +31,7 @@ _DECODE_MEMO: dict[int, "HfCode"] = {}
 class HfCode:
     """A canonical HF set: a uid plus member codes sorted strictly by uid."""
 
-    __slots__ = ("members", "uid", "__weakref__")
+    __slots__ = ("members", "uid")
 
     def __init__(self, members: tuple["HfCode", ...], uid: int):
         self.members = members
@@ -164,28 +164,20 @@ def ackermann_code(x: HfCode) -> int:
 def ackermann_code_if_below(x: HfCode, bound: int) -> int | None:
     """The numeral of x when it is < bound, else None.
 
-    Never materializes an out-of-bound numeral: exponents are capped level by
-    level (a deep chain's numeral is a power tower, so the unbounded form can
-    be unprintable even when the code itself is tiny). A member at or over
-    its cap makes every code above it so too, so the first one ends the walk.
+    Never materializes an out-of-bound numeral (a deep chain's numeral is a
+    power tower, so the unbounded form can be unprintable even when the code
+    itself is tiny). One members-first walk saturates every numeral at bound:
+    sat(c) = min(sum of 2**min(sat(m), cap), bound) with cap the bit length
+    of bound. A member numeral e >= cap puts 2**e over bound, so sat(c) is
+    the exact numeral whenever it is below bound.
     """
-    frames = [[x, bound, 0, 0]]  # code, bound, members summed so far, their sum
-    while True:
-        frame = frames[-1]
-        code, limit, taken, total = frame
-        if taken < len(code.members):
-            frame[2] = taken + 1
-            frames.append([code.members[taken], limit.bit_length(), 0, 0])
-            continue
-        if total >= limit:
-            return None
-        frames.pop()
-        if not frames:
-            return total
-        above = frames[-1]
-        above[3] += 1 << total
-        if above[3] >= above[1]:
-            return None
+    if bound <= 0:
+        return None
+    cap = bound.bit_length()
+    sat: dict[int, int] = {}
+    for code in _unmemoized_below(x, sat):
+        sat[code.uid] = min(sum(1 << min(sat[m.uid], cap) for m in code.members), bound)
+    return sat[x.uid] if sat[x.uid] < bound else None
 
 
 def decode_ackermann(n: int) -> HfCode:

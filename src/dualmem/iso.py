@@ -1,13 +1,13 @@
 """The definable-isomorphism construction and its certificates.
 
-``build_witness`` realizes the witness predicate constructively: the unique
-candidate map on the membership closure below x matches each element to the
-e2 element whose members are exactly the images of its members, bottom-up.
-``global_isomorphism`` runs the same matching as one members-first sweep over
-the whole domain (``partners``) and returns either a re-checkable bijection or
-a structured account of which elements have no partner. The ordinal and
-internal-level functions are the construction that the level-extension lemma
-checks; the global map does not run them.
+The matching is the paper's recursion on membership: each e1 element goes to
+the e2 element whose members are exactly the images of its members. One
+members-first sweep (``_match``) computes it: ``partners`` runs it over the
+whole domain, ``build_witness`` below x, and ``extend_to_level`` over an
+internal level. ``global_isomorphism`` reads off the whole-domain sweep either
+a re-checkable bijection or a structured account of which elements have no
+partner. The ordinal and internal-level functions are the construction that
+the level-extension lemma checks; the global map does not run them.
 
 The collapse oracle (hf module) is consulted only for diagnostics and
 cross-checks, never by the construction itself.
@@ -26,24 +26,8 @@ from .structure import (
     apply_permutation,
     is_id_token,
     numbered_lines,
+    transitive_closure,
 )
-
-
-def transitive_closure(rel: MembershipRelation, x: int, include_self: bool = False) -> frozenset[int]:
-    """Least set containing x's members (and x itself when asked) closed under members."""
-    if not (0 <= x < rel.domain_size):
-        raise DualMemError(f"element {x} outside domain of size {rel.domain_size}")
-    members = rel.member_tuples()
-    seen: set[int] = set()
-    queue = list(members[x])
-    while queue:
-        t = queue.pop()
-        if t not in seen:
-            seen.add(t)
-            queue.extend(members[t])
-    if include_self:
-        seen.add(x)
-    return frozenset(seen)
 
 
 def reachable_postorder(rel: MembershipRelation, x: int, tag: int | None = None) -> list[int]:
@@ -79,27 +63,34 @@ class MatchWitness:
         return self.as_dict()[t]
 
 
+def _match(s: DualStructure, order) -> dict[int, int | None]:
+    """The partner of each element of a members-first e1 order, in that order:
+    the unique e2 element whose members are exactly its members' partners (by
+    e2's extension index), or None when there is none, several, or a member
+    without one. The sweep goes on past a failure; a None propagates upward.
+    """
+    mt1 = s.e1.member_tuples()
+    lookup = s.e2.extension_index().get
+    partner: dict[int, int | None] = {}
+    image = partner.__getitem__
+    for t in order:
+        images = list(map(image, mt1[t]))
+        hits = None if None in images else lookup(tuple(sorted(images)))
+        partner[t] = hits[0] if hits is not None and len(hits) == 1 else None
+    return partner
+
+
 def _candidate_map(s: DualStructure, x: int) -> dict[int, int] | None:
     """The unique possible witness map below x, or None when matching fails.
 
-    Matching fails when some required image set is not the member-set of
-    exactly one e2 element, or when the map comes out non-injective (which on
-    an extensional e1 cannot happen).
+    The matching sweep over the closure below x; it fails when x has no
+    partner (some element below x has none), or when the map comes out
+    non-injective (which on an extensional e1 cannot happen).
     """
     if x in s.witness_maps:
         return s.witness_maps[x]
-    mt1 = s.e1.member_tuples()
-    index2 = s.e2.extension_index()
-    f: dict[int, int] = {}
-    result: dict[int, int] | None = {}
-    for t in reachable_postorder(s.e1, x, tag=1):
-        hits = index2.get(tuple(sorted([f[m] for m in mt1[t]])))
-        if hits is None or len(hits) != 1:
-            result = None
-            break
-        f[t] = hits[0]
-    if result is not None:
-        result = f if len(set(f.values())) == len(f) else None
+    f = _match(s, reachable_postorder(s.e1, x, tag=1))
+    result = f if f[x] is not None and len(set(f.values())) == len(f) else None
     s.witness_maps[x] = result
     return result
 
@@ -221,14 +212,10 @@ def extend_to_level(s: DualStructure, w: MatchWitness) -> MatchWitness:
     lev2 = internal_level(s, 2, w.y)
     if lev2.element is None:
         raise LevelExtensionError("missing-level", w.y, 2)
-    mt1 = s.e1.member_tuples()
-    index2 = s.e2.extension_index()
-    extended: dict[int, int] = {}
-    for u in reachable_postorder(s.e1, lev1.element, tag=1):
-        hits = index2.get(tuple(sorted([extended[m] for m in mt1[u]])))
-        if hits is None or len(hits) != 1:
+    extended = _match(s, reachable_postorder(s.e1, lev1.element, tag=1))
+    for u, v in extended.items():  # members first: the first None has all its members matched
+        if v is None:
             raise LevelExtensionError("unrealized-image", u, 2)
-        extended[u] = hits[0]
     if extended[lev1.element] != lev2.element:
         raise LevelExtensionError("level-mismatch", lev1.element, 2)
     return MatchWitness(lev1.element, lev2.element, tuple(sorted(extended.items())))
@@ -261,9 +248,6 @@ class IsoCertificate:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def as_permutation_images(self) -> tuple[int, ...]:
-        return self.mapping
-
 
 @dataclass(frozen=True)
 class FailureDiagnostic:
@@ -277,21 +261,11 @@ class FailureDiagnostic:
 def partners(s: DualStructure) -> list[int | None]:
     """partners(s)[x] is the e2 element matched to x, or None when x has none.
 
-    One members-first sweep over e1: x is matched to the unique e2 element
-    whose members are exactly the partners of x's members, looked up by
-    their sorted list in e2's extension index. On an extensional e1 these are
-    exactly the pairs build_witness certifies. Requires e1 acyclic.
+    The matching sweep over all of e1 in toposort order. On an extensional e1
+    these are exactly the pairs build_witness certifies. Requires e1 acyclic.
     """
-    mt1 = s.e1.member_tuples()
-    index2 = s.e2.extension_index()
-    partner: list[int | None] = [None] * s.domain_size
-    for x in s.e1.toposort():
-        images = list(map(partner.__getitem__, mt1[x]))
-        if None not in images:
-            hits = index2.get(tuple(sorted(images)))
-            if hits is not None and len(hits) == 1:
-                partner[x] = hits[0]
-    return partner
+    partner = _match(s, s.e1.toposort())
+    return list(map(partner.__getitem__, range(s.domain_size)))
 
 
 def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 import re
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -344,6 +343,23 @@ def apply_permutation(rel: MembershipRelation, p: Permutation) -> MembershipRela
     return MembershipRelation(rel.domain_size, images[rel.child], images[rel.parent])
 
 
+def transitive_closure(rel: MembershipRelation, x: int, include_self: bool = False) -> frozenset[int]:
+    """Least set containing x's members (and x itself when asked) closed under members."""
+    if not (0 <= x < rel.domain_size):
+        raise DualMemError(f"element {x} outside domain of size {rel.domain_size}")
+    members = rel.member_tuples()
+    seen: set[int] = set()
+    queue = list(members[x])
+    while queue:
+        t = queue.pop()
+        if t not in seen:
+            seen.add(t)
+            queue.extend(members[t])
+    if include_self:
+        seen.add(x)
+    return frozenset(seen)
+
+
 # -- text format --------------------------------------------------------------
 
 def is_id_token(token: str) -> bool:
@@ -578,13 +594,14 @@ def tamper(s: DualStructure, kind: str, seed: int) -> DualStructure:
     elif kind == "break-extensionality":
         if s.domain_size < 2:
             raise DualMemError("break-extensionality needs at least two elements")
-        ms = s.e1.member_sets()
+        mt = s.e1.member_tuples()
+        below = [transitive_closure(s.e1, a) for a in range(s.domain_size)]
         pairs = [(a, b) for a in range(s.domain_size) for b in range(s.domain_size)
-                 if a != b and ms[a] != ms[b] and not _reaches_any(s.e1, ms[a], b)]
+                 if a != b and mt[a] != mt[b] and b not in below[a]]
         if not pairs:
             raise DualMemError("no pair can be equalized without creating a cycle")
         a, b = rng.choice(pairs)
-        edges = {(c, p) for c, p in edges if p != b} | {(m, b) for m in ms[a]}
+        edges = {(c, p) for c, p in edges if p != b} | {(m, b) for m in mt[a]}
     elif kind == "remove-edge":
         if not edges:
             raise DualMemError("remove-edge needs at least one e1 edge")
@@ -592,18 +609,3 @@ def tamper(s: DualStructure, kind: str, seed: int) -> DualStructure:
     else:
         raise DualMemError(f"unknown tamper kind {kind!r}; expected one of {TAMPER_KINDS}")
     return DualStructure(s.domain_size, relation_from_edges(s.domain_size, edges), s.e2)
-
-
-def _reaches_any(rel: MembershipRelation, starts: frozenset[int], target: int) -> bool:
-    # True if target is membership-reachable from (or equal to) any start.
-    seen = set(starts)
-    queue = deque(starts)
-    while queue:
-        x = queue.popleft()
-        if x == target:
-            return True
-        for m in rel.members(x):
-            if m not in seen:
-                seen.add(m)
-                queue.append(m)
-    return False

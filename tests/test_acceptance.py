@@ -244,6 +244,8 @@ class TestAcceptance:
                 ["gen", "random-pair", "--size", "6", "--seed", "3", "--out", str(tmp_path / "r.st")],
                 ["gen", "tamper", "--in", str(v3), "--tamper-kind", "add-cycle", "--seed", "1",
                  "--out", str(tmp_path / "t.st")],
+                ["gen", "tamper", "--in", str(v3), "--tamper-kind", "break-extensionality", "--seed", "1",
+                 "--out", str(tmp_path / "b.st")],
                 ["gen", "gallery", "--out", str(gallery_dir)],
                 ["check-axioms", str(v3)],
                 ["check-axioms", str(v3), "--mode", "bounded", "--depth", "3"],

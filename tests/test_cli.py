@@ -182,17 +182,20 @@ class TestFindIso:
         assert run(capsys, "find-iso", str(tmp_path / "g" / "chain-vs-v3.st"))[0] == 1
 
     def test_never_builds_member_sets(self, capsys, tmp_path, monkeypatch, scrambled_v4):
-        # Matching, verification, the oracle and the diagnostic read the ascending member tuples only.
+        # Matching, verification, the oracle, the diagnostic and every axiom
+        # check read the ascending member tuples only.
         iso_file = tmp_path / "s.st"
         iso_file.write_text(serialize_structure(scrambled_v4))
         run(capsys, "gen", "gallery", "--out", str(tmp_path / "g"))
 
         def refuse(rel):
-            raise AssertionError("find-iso built the member sets")
+            raise AssertionError("a command built the member sets")
 
         monkeypatch.setattr(MembershipRelation, "member_sets", refuse)
         assert run(capsys, "find-iso", str(iso_file), "--verify", "--oracle-check")[0] == 0
         assert run(capsys, "find-iso", str(tmp_path / "g" / "chain-vs-v3.st"))[0] == 1
+        for mode in ("battery", "bounded", "semantic"):
+            assert run(capsys, "check-axioms", str(iso_file), "--mode", mode)[0] == 0, mode
 
     def test_cycle_witness_pinned(self, capsys, tmp_path, two_cycles):
         path = tmp_path / "c.st"

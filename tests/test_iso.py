@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualmem import (
@@ -141,14 +141,15 @@ class TestPhi:
             expected = collapse(scrambled_v4.e1, x) is collapse(scrambled_v4.e2, y)
             assert matches(scrambled_v4, x, y) == expected
 
-    @given(seed=st.integers(0, 120), size=st.integers(1, 8))
+    @given(s=st.builds(random_dual_structure, size=st.integers(1, 8), seed=st.integers(0, 120)))
+    @example(s=scramble(build_v_universe(3), Permutation((0, 2, 1, 3))))
+    @example(s=scramble(build_v_universe(4), Permutation.random(16, 7)))
     @settings(max_examples=40, deadline=None)
-    def test_partner_sweep_gives_the_matched_pairs(self, seed, size):
-        s = random_dual_structure(size, seed)
+    def test_partner_sweep_gives_the_matched_pairs(self, s):
         partner = partners(s)
-        for x in range(size):
+        for x in range(s.domain_size):
             expected = [] if partner[x] is None else [partner[x]]
-            assert [y for y in range(size) if matches(s, x, y)] == expected
+            assert [y for y in range(s.domain_size) if matches(s, x, y)] == expected
 
     def test_partial_on_mismatched_pair(self):
         s = _chain_vs_v3()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dualmem import (
     CorpusConfig,
+    LevelExtensionError,
     Permutation,
     build_v_universe,
     counterexample_gallery,
@@ -18,11 +19,17 @@ from dualmem import (
 from dualmem import iso as iso_mod
 from dualmem.lemmas import (
     LEMMA_NAMES,
+    LemmaVerdict,
     count_witnesses_brute,
     gallery_summary,
     render_suite,
 )
 from dualmem.structure import TAMPER_KINDS, apply_permutation, random_dual_structure
+
+
+def _v3_plus_ordinal():
+    edges = [(0, 1), (1, 2), (0, 3), (1, 3), (0, 4), (1, 4), (3, 4)]
+    return scramble(dual_structure(5, edges, edges), Permutation.random(5, 2))
 
 
 class TestRunSuite:
@@ -118,6 +125,30 @@ class TestRunSuite:
         x, y = int(witness["e1"]), int(witness["e2"])
         assert not any(matches(s, x, other) for other in range(s.domain_size))
         assert not any(matches(s, other, y) for other in range(s.domain_size))
+
+    def test_level_extension_skips_an_unrealized_level(self):
+        # V3 plus the ordinal {0, 1, 3}, whose internal level {0, 1, 2, 3} has
+        # no element: its pair is skipped and the other ordinal pairs pass.
+        s = _v3_plus_ordinal()
+        w = iso_mod.build_witness(s, 4, iso_mod.partners(s)[4])
+        with pytest.raises(LevelExtensionError) as info:
+            iso_mod.extend_to_level(s, w)
+        assert (info.value.kind, info.value.witness, info.value.tag) == ("missing-level", 4, 1)
+        assert run_suite(s).lemmas["level-extension"] == LemmaVerdict("pass")
+
+    def test_level_extension_without_level_pairs(self):
+        verdict = run_suite(dual_structure(0, [], [])).lemmas["level-extension"]
+        assert verdict == LemmaVerdict("n/a", (("reason", "no-level-pairs"),))
+
+    def test_level_extension_failure_tokens(self, monkeypatch):
+        def unrealized(s, w):
+            raise LevelExtensionError("unrealized-image", 3, 2)
+
+        monkeypatch.setattr(iso_mod, "extend_to_level", unrealized)
+        verdict = run_suite(_v3_plus_ordinal()).lemmas["level-extension"]
+        assert verdict == LemmaVerdict(
+            "fail", (("ordinal", "0"), ("kind", "unrealized-image"), ("witness", "3"))
+        )
 
     @given(seed=st.integers(0, 60))
     @settings(max_examples=15, deadline=None)

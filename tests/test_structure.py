@@ -365,6 +365,31 @@ class TestTamper:
         with pytest.raises(DualMemError):
             tamper(v3, "nonsense", 0)
 
+    @pytest.mark.parametrize(
+        "seed, removed, added",
+        [
+            (0, {(3, 11)}, {(2, 11)}),
+            (1, {(3, 8)}, {(1, 8)}),
+            (2, {(0, 15), (1, 15), (2, 15), (3, 15)}, set()),
+        ],
+    )
+    def test_break_extensionality_pinned_on_v4(self, v4, seed, removed, added):
+        s = tamper(v4, "break-extensionality", seed)
+        assert s.e1.edges == (v4.e1.edges - removed) | added
+
+    @pytest.mark.parametrize(
+        "seed, removed, added",
+        [
+            (0, set(), {(7, 2)}),
+            (1, {(2, 3), (4, 3)}, set()),
+            (2, {(1, 5), (3, 5)}, {(2, 5)}),
+        ],
+    )
+    def test_break_extensionality_pinned_on_cycles(self, two_cycles, seed, removed, added):
+        # The closures below each element must tolerate e1's two cycles.
+        s = tamper(two_cycles, "break-extensionality", seed)
+        assert s.e1.edges == (two_cycles.e1.edges - removed) | added
+
     @given(seed=st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
     def test_break_extensionality_never_creates_cycle(self, seed):
