@@ -108,7 +108,7 @@ def cmd_find_iso(args) -> int:
         print(f"fail non-extensional e{exc.tag} x={exc.pair[0]} y={exc.pair[1]}")
         return NEGATIVE
     if isinstance(result, iso_mod.FailureDiagnostic):
-        sys.stdout.write(iso_mod.render_diagnostic(result))
+        sys.stdout.write(iso_mod.render_diagnostic(s, result))
         return NEGATIVE
     if args.verify and not iso_mod.verify_certificate(s, result):
         print("fail certificate-rejected")

@@ -226,42 +226,18 @@ def v_level_codes(n: int) -> frozenset[HfCode]:
 
 # -- collapse -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollapseResult:
-    """Collapse of the part reachable from one element.
-
-    ``mapping`` covers exactly the elements reachable from (and including) the
-    start; ``duplicate_groups`` lists reachable elements merged to one code,
-    the warning flag for a non-extensional reachable part.
-    """
-
-    code: HfCode
-    mapping: dict[int, HfCode]
-    duplicate_groups: tuple[tuple[int, ...], ...]
-
-    @property
-    def extensional(self) -> bool:
-        return not self.duplicate_groups
-
-
-def collapse_result(rel: MembershipRelation, x: int, tag: int | None = None) -> CollapseResult:
-    """Recursively replace every reachable element by the set of its members' values.
-
-    A cycle below x is a hard error; merged elements are only flagged.
+def collapse(rel: MembershipRelation, x: int, tag: int | None = None) -> HfCode:
+    """The collapse of x: each element reachable from x, members first, is
+    replaced by the set of its members' values. A cycle below x is a hard
+    error; elements with equal values merge unflagged (collapse_domain lists
+    such groups).
     """
     if not (0 <= x < rel.domain_size):
         raise DualMemError(f"element {x} outside domain of size {rel.domain_size}")
     order, cycle = rel.members_first((x,))
     if cycle is not None:
         raise CycleError(cycle, tag)
-    uid = _collapse_uids(rel.member_tuples(), order, {})
-    mapping = {node: _BY_UID[uid[node]] for node in order}
-    reached = sorted(uid)
-    return CollapseResult(mapping[x], mapping, _duplicate_groups(reached, [uid[e] for e in reached]))
-
-
-def collapse(rel: MembershipRelation, x: int, tag: int | None = None) -> HfCode:
-    return collapse_result(rel, x, tag).code
+    return _BY_UID[_collapse_uids(rel.member_tuples(), order, {})[x]]
 
 
 @dataclass(frozen=True)
@@ -286,7 +262,7 @@ def collapse_domain(rel: MembershipRelation, tag: int | None = None) -> DomainCo
         raise CycleError(rel.find_cycle(), tag)
     uid = _collapse_uids(rel.member_tuples(), order, [0] * rel.domain_size)
     codes = tuple(map(_BY_UID.__getitem__, uid))
-    return DomainCollapse(codes, _duplicate_groups(range(rel.domain_size), uid))
+    return DomainCollapse(codes, _duplicate_groups(uid))
 
 
 def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid):
@@ -298,11 +274,11 @@ def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid):
     return uid
 
 
-def _duplicate_groups(elements, uids: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Groups of elements sharing a code, for ascending elements with uids[i] the uid of elements[i]."""
+def _duplicate_groups(uids: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Groups of elements sharing a code, given uids[x], the uid of element x's code."""
     if len(set(uids)) == len(uids):
         return ()
     by_code: dict[int, list[int]] = {}
-    for elem, u in zip(elements, uids):
+    for elem, u in enumerate(uids):
         by_code.setdefault(u, []).append(elem)
     return tuple(sorted(tuple(g) for g in by_code.values() if len(g) > 1))

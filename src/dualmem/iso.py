@@ -4,13 +4,15 @@ The matching is the paper's recursion on membership: each e1 element goes to
 the e2 element whose members are exactly the images of its members. One
 members-first sweep (``_match``) computes it: ``partners`` runs it over the
 whole domain, ``build_witness`` below x, and ``extend_to_level`` over an
-internal level. ``global_isomorphism`` reads off the whole-domain sweep either
-a re-checkable bijection or a structured account of which elements have no
-partner. The ordinal and internal-level functions are the construction that
-the level-extension lemma checks; the global map does not run them.
+internal level. ``read_off`` turns the whole-domain sweep into either a
+re-checkable bijection or the ids of the elements with no partner;
+``global_isomorphism`` validates both relations and runs the two. The ordinal
+and internal-level functions are the construction that the level-extension
+lemma checks; the global map does not run them.
 
-The collapse oracle (hf module) is consulted only for diagnostics and
-cross-checks, never by the construction itself.
+The collapse oracle (hf module) is never consulted by the construction. Only
+``render_diagnostic``, which renders the collapse of each unmatched element,
+and the CLI's ``--oracle-check`` read it.
 """
 
 from __future__ import annotations
@@ -251,11 +253,15 @@ class IsoCertificate:
 
 @dataclass(frozen=True)
 class FailureDiagnostic:
-    """Which side(s) of the matched-pair relation fail to cover the domain."""
+    """Which side(s) of the matched-pair relation fail to cover the domain.
+
+    Each side lists its unmatched element ids ordered by (rank, id); only
+    render_diagnostic turns them into collapse renderings.
+    """
 
     case: str  # both-directions-fail | e1-element-unmatched | e2-element-unmatched
-    unmatched_e1: tuple[tuple[int, str], ...]  # (element, collapse rendering)
-    unmatched_e2: tuple[tuple[int, str], ...]
+    unmatched_e1: tuple[int, ...]
+    unmatched_e2: tuple[int, ...]
 
 
 def partners(s: DualStructure) -> list[int | None]:
@@ -269,14 +275,12 @@ def partners(s: DualStructure) -> list[int | None]:
 
 
 def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
-    """Match the whole domain in one members-first sweep and read the map off it.
+    """Validate both relations, match the whole domain in one members-first
+    sweep and read the result off it.
 
     The ordinal and level stages of the proof are not run here; the
     level-extension lemma checks them. Requires both relations acyclic and
     extensional (typed errors otherwise).
-    Returns a certificate exactly when the matching is total and onto;
-    otherwise a diagnostic whose witnesses are re-checkable and carry their
-    collapse renderings.
     """
     for tag in (1, 2):
         rel = s.relation(tag)
@@ -286,8 +290,14 @@ def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
         dupes = rel.duplicate_extensions()
         if dupes:
             raise NonExtensionalError((dupes[0][0], dupes[0][1]), tag)
+    return read_off(s, partners(s))
 
-    partner = partners(s)
+
+def read_off(s: DualStructure, partner: list[int | None]) -> IsoCertificate | FailureDiagnostic:
+    """The certificate when partner, a partners(s) list, is total and onto;
+    otherwise the diagnostic listing the unmatched ids of each side, whose
+    witnesses are re-checkable. Requires both relations acyclic.
+    """
     matched2 = {y for y in partner if y is not None}
     unmatched1 = [x for x in range(s.domain_size) if partner[x] is None]
     unmatched2 = [y for y in range(s.domain_size) if y not in matched2]
@@ -301,15 +311,11 @@ def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
     else:
         case = "e1-element-unmatched"
     ranks1, ranks2 = s.e1.ranks(), s.e2.ranks()
-    witness1 = tuple(
-        (x, hf.render_hf(hf.collapse(s.e1, x, tag=1)))
-        for x in sorted(unmatched1, key=lambda x: (ranks1[x], x))
+    return FailureDiagnostic(
+        case,
+        tuple(sorted(unmatched1, key=lambda x: (ranks1[x], x))),
+        tuple(sorted(unmatched2, key=lambda y: (ranks2[y], y))),
     )
-    witness2 = tuple(
-        (y, hf.render_hf(hf.collapse(s.e2, y, tag=2)))
-        for y in sorted(unmatched2, key=lambda y: (ranks2[y], y))
-    )
-    return FailureDiagnostic(case, witness1, witness2)
 
 
 def verify_certificate(s: DualStructure, cert: IsoCertificate) -> bool:
@@ -366,8 +372,14 @@ def parse_certificate(text: str) -> IsoCertificate:
     return IsoCertificate(tuple(mapping[x] for x in range(size)))
 
 
-def render_diagnostic(diag: FailureDiagnostic) -> str:
+def render_diagnostic(s: DualStructure, diag: FailureDiagnostic) -> str:
+    """The report text of a diagnostic: each unmatched element with the
+    rendering of its collapse. Each relation with an unmatched element is
+    collapsed once, as a whole (a diagnostic exists only for acyclic relations).
+    """
     lines = [f"fail {diag.case}"]
-    lines.extend(f"unmatched e1 {x} collapse {r}" for x, r in diag.unmatched_e1)
-    lines.extend(f"unmatched e2 {y} collapse {r}" for y, r in diag.unmatched_e2)
+    for tag, unmatched in ((1, diag.unmatched_e1), (2, diag.unmatched_e2)):
+        if unmatched:
+            codes = hf.collapse_domain(s.relation(tag), tag).codes
+            lines.extend(f"unmatched e{tag} {x} collapse {hf.render_hf(codes[x])}" for x in unmatched)
     return "\n".join(lines) + "\n"

@@ -110,7 +110,8 @@ def run_suite(s: DualStructure) -> SuiteReport:
             return SuiteReport(_all_na("non-extensional", *witness))
 
     lemmas: dict[str, LemmaVerdict] = {}
-    matched = _matched_pairs(s)
+    partner = iso_mod.partners(s)
+    matched = tuple((x, y) for x, y in enumerate(partner) if y is not None)
     lemmas["witness-uniqueness"] = _check_uniqueness(s)
     lemmas["witness-restriction"] = _check_restriction(s, matched)
     lemmas["partner-functionality"] = _check_functionality(s, matched)
@@ -119,7 +120,7 @@ def run_suite(s: DualStructure) -> SuiteReport:
     lemmas["level-extension"] = _check_level_extension(s, matched)
 
     gate = axioms_mod.full_report(s, schema_mode="semantic")
-    result = iso_mod.global_isomorphism(s)
+    result = iso_mod.read_off(s, partner)  # the gates above cover global_isomorphism's checks
     if not gate.semantic_pass:
         failing = _first_semantic_failure(gate)
         lemmas["totality"] = _na("axioms", *failing)
@@ -136,10 +137,6 @@ def _first_semantic_failure(report: axioms_mod.FullReport) -> Witness:
             if v.status == "fail":
                 return (("tag", str(tag)), ("axiom", axiom))
     return ()
-
-
-def _matched_pairs(s: DualStructure) -> tuple[tuple[int, int], ...]:
-    return tuple((x, y) for x, y in enumerate(iso_mod.partners(s)) if y is not None)
 
 
 def _check_uniqueness(s: DualStructure) -> LemmaVerdict:
@@ -288,8 +285,8 @@ def _check_level_extension(s: DualStructure, matched) -> LemmaVerdict:
 def _check_totality(result: iso_mod.IsoCertificate | iso_mod.FailureDiagnostic) -> LemmaVerdict:
     if isinstance(result, iso_mod.IsoCertificate):
         return LemmaVerdict("pass")
-    e1 = str(result.unmatched_e1[0][0]) if result.unmatched_e1 else "-"
-    e2 = str(result.unmatched_e2[0][0]) if result.unmatched_e2 else "-"
+    e1 = str(result.unmatched_e1[0]) if result.unmatched_e1 else "-"
+    e2 = str(result.unmatched_e2[0]) if result.unmatched_e2 else "-"
     return LemmaVerdict("fail", (("case", result.case), ("e1", e1), ("e2", e2)))
 
 

@@ -42,7 +42,7 @@ from dualmem.axioms import (
 )
 from dualmem.battery import bounded_instances
 from dualmem.hf import collapse_domain as collapse_domain_fn
-from dualmem.iso import IsoCertificate, global_isomorphism, transitive_closure
+from dualmem.iso import IsoCertificate, global_isomorphism, render_diagnostic, transitive_closure
 from dualmem.lemmas import _chain_vs_v3, _schema_gap, count_witnesses_brute, gallery_summary
 from dualmem.structure import random_dual_structure, tamper
 
@@ -196,8 +196,13 @@ class TestAcceptance:
             assert diag.case == "both-directions-fail"
             # the two unmatched witnesses and their collapse renderings:
             # {{{{}}}} on the chain side, {{},{{}}} on the level side
-            assert diag.unmatched_e1 == ((3, "{{{{}}}}"),)
-            assert diag.unmatched_e2 == ((2, "{{},{{}}}"),)
+            assert diag.unmatched_e1 == (3,)
+            assert diag.unmatched_e2 == (2,)
+            assert render_diagnostic(chain.structure, diag) == (
+                "fail both-directions-fail\n"
+                "unmatched e1 3 collapse {{{{}}}}\n"
+                "unmatched e2 2 collapse {{},{{}}}\n"
+            )
 
     def test_criterion_7_evaluator_cross_check(self):
         with criterion(7, "formula evaluator cross-check"):
@@ -259,6 +264,8 @@ class TestAcceptance:
                 ["verify-lemmas", "--corpus", "sizes=3 count=3", "--seed", "2"],
                 ["collapse", str(v3), "--element", "3"],
                 ["collapse", str(gallery_dir / "membership-cycle.st"), "--element", "0"],
+                ["gen", "random-pair", "--size", "40", "--seed", "1", "--out", str(tmp_path / "r40.st")],
+                ["verify-lemmas", str(tmp_path / "r40.st")],
             ]
             # The children run in tmp_path, so a relative PYTHONPATH would not find the package.
             env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}

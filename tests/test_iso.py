@@ -25,6 +25,7 @@ from dualmem import (
     transitive_closure,
     verify_certificate,
 )
+from dualmem import hf
 from dualmem.iso import (
     FailureDiagnostic,
     IsoCertificate,
@@ -244,11 +245,24 @@ class TestGlobalIsomorphism:
         assert found == [cert.mapping]
 
     def test_chain_vs_v3_diagnostic(self):
-        diag = global_isomorphism(_chain_vs_v3())
+        s = _chain_vs_v3()
+        diag = global_isomorphism(s)
         assert isinstance(diag, FailureDiagnostic)
         assert diag.case == "both-directions-fail"
-        assert diag.unmatched_e1 == ((3, "{{{{}}}}"),)
-        assert diag.unmatched_e2 == ((2, "{{},{{}}}"),)
+        assert diag.unmatched_e1 == (3,)
+        assert diag.unmatched_e2 == (2,)
+        assert render_diagnostic(s, diag) == (
+            "fail both-directions-fail\n"
+            "unmatched e1 3 collapse {{{{}}}}\n"
+            "unmatched e2 2 collapse {{},{{}}}\n"
+        )
+
+    def test_diagnostic_is_read_without_the_oracle(self, monkeypatch):
+        def refuse(key):
+            raise AssertionError("the matching interned an hf code")
+
+        monkeypatch.setattr(hf, "_intern_uids", refuse)
+        assert global_isomorphism(_chain_vs_v3()) == FailureDiagnostic("both-directions-fail", (3,), (2,))
 
     def test_ill_founded_is_error(self):
         s = dual_structure(2, [(0, 1), (1, 0)], [(0, 1)])
@@ -269,7 +283,8 @@ class TestGlobalIsomorphism:
         assert texts[0] == texts[1]
         diags = []
         for _ in range(2):
-            diags.append(render_diagnostic(global_isomorphism(_chain_vs_v3())))
+            s = _chain_vs_v3()
+            diags.append(render_diagnostic(s, global_isomorphism(s)))
         assert diags[0] == diags[1]
 
 
@@ -341,8 +356,10 @@ class TestCertificateText:
         assert exc.value.line_no == line_no
 
     def test_diagnostic_format(self):
-        diag = global_isomorphism(_chain_vs_v3())
-        assert render_diagnostic(diag) == (
+        s = _chain_vs_v3()
+        diag = global_isomorphism(s)
+        assert diag == FailureDiagnostic("both-directions-fail", (3,), (2,))
+        assert render_diagnostic(s, diag) == (
             "fail both-directions-fail\n"
             "unmatched e1 3 collapse {{{{}}}}\n"
             "unmatched e2 2 collapse {{},{{}}}\n"

@@ -16,9 +16,11 @@ from dualmem import (
     scramble,
     tamper,
 )
+from dualmem import hf
 from dualmem import iso as iso_mod
 from dualmem.lemmas import (
     LEMMA_NAMES,
+    _chain_vs_v3,
     LemmaVerdict,
     count_witnesses_brute,
     gallery_summary,
@@ -38,8 +40,6 @@ class TestRunSuite:
         assert all(v.status == "pass" for v in report.lemmas.values())
 
     def test_chain_vs_v3_pattern(self):
-        from dualmem.lemmas import _chain_vs_v3
-
         report = run_suite(_chain_vs_v3())
         lemmas = report.lemmas
         for name in LEMMA_NAMES[:6]:
@@ -117,8 +117,6 @@ class TestRunSuite:
 
     def test_fail_witness_reruns_in_isolation(self):
         from dualmem.iso import matches
-        from dualmem.lemmas import _chain_vs_v3
-
         s = _chain_vs_v3()
         verdict = run_suite(s).lemmas["isomorphism"]
         witness = dict(verdict.witness)
@@ -149,6 +147,29 @@ class TestRunSuite:
         assert verdict == LemmaVerdict(
             "fail", (("ordinal", "0"), ("kind", "unrealized-image"), ("witness", "3"))
         )
+
+    def test_suite_renders_no_collapse(self, monkeypatch):
+        def refuse(code):
+            raise AssertionError("the suite rendered a collapse")
+
+        monkeypatch.setattr(hf, "render_hf", refuse)
+        text = render_suite(run_suite(random_dual_structure(40, 1)))
+        assert "lemma isomorphism fail case=both-directions-fail e1=3 e2=26\n" in text
+
+    @pytest.mark.parametrize(
+        "build", [_chain_vs_v3, lambda: build_v_universe(4)], ids=["chain-vs-v3", "v4"]
+    )
+    def test_one_matching_sweep(self, monkeypatch, build):
+        calls = []
+        sweep = iso_mod.partners
+
+        def counted(s):
+            calls.append(s)
+            return sweep(s)
+
+        monkeypatch.setattr(iso_mod, "partners", counted)
+        run_suite(build())
+        assert len(calls) == 1
 
     @given(seed=st.integers(0, 60))
     @settings(max_examples=15, deadline=None)
