@@ -16,6 +16,12 @@ oracle (quantifiers loop over the domain in ascending id order), and
 ``evaluate_table`` computes satisfying-assignment tables with numpy, which is
 what makes deep schema instances feasible at desk scale. They implement the
 same semantics and are cross-checked in the test suite.
+
+A table is a uint8 array of 0s and 1s with one axis of length n per free
+variable. The axes always follow one order: by the depth of each variable's
+nearest binder, innermost first, with the variables of an assignment or a
+peeled forall-prefix below every binder. So quantifiers reduce axis 0 and
+connectives align their operands by reshape, writing into a fresh operand.
 """
 
 from __future__ import annotations
@@ -424,65 +430,69 @@ def _eval(s: DualStructure, f: Formula, env: Assignment) -> bool:
 
 # -- relational (table) evaluation ------------------------------------------------
 
-def _align(vars_a, arr_a, vars_b, arr_b, n):
-    merged = list(vars_a) + [v for v in vars_b if v not in vars_a]
-    shape = tuple(n for _ in merged)
+def _table(s: DualStructure, f: Formula, depth: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The satisfying-assignment table of f: its free variables and a uint8 0/1 array.
 
-    def lift(vars_x, arr_x):
-        idx = [merged.index(v) for v in vars_x]
-        expanded = np.moveaxis(
-            arr_x.reshape(arr_x.shape + (1,) * (len(merged) - len(vars_x))),
-            range(len(vars_x)),
-            idx,
-        )
-        return np.broadcast_to(expanded, shape)
-
-    return merged, lift(vars_a, arr_a), lift(vars_b, arr_b)
-
-
-def _table(s: DualStructure, f: Formula) -> tuple[list[str], np.ndarray]:
+    depth[v] is the depth of v's nearest binder. The axes are the free
+    variables sorted by depth, deepest first, so a quantifier's variable is
+    always axis 0 and both operands of a connective align by reshape alone.
+    A writeable table is fresh and held by no one else, so a connective or
+    negation may write its result into it; adjacency() views are read-only.
+    """
     n = s.domain_size
-    if isinstance(f, TrueF):
-        return [], np.ones((), dtype=bool)
-    if isinstance(f, FalseF):
-        return [], np.zeros((), dtype=bool)
+    if isinstance(f, (TrueF, FalseF)):
+        return (), np.array(isinstance(f, TrueF), dtype=np.uint8)
     if isinstance(f, Membership):
-        adj = s.relation(f.tag).adjacency()
+        adj = s.relation(f.tag).adjacency().view(np.uint8)
         if f.left == f.right:
-            return [f.left], adj.diagonal().copy()
-        return [f.left, f.right], adj
+            return (f.left,), adj.diagonal()
+        if depth[f.left] > depth[f.right]:
+            return (f.left, f.right), adj
+        return (f.right, f.left), adj.T
     if isinstance(f, Equality):
         if f.left == f.right:
-            return [f.left], np.ones(n, dtype=bool)
-        return [f.left, f.right], np.eye(n, dtype=bool)
+            return (f.left,), np.ones(n, dtype=np.uint8)
+        deeper = depth[f.left] > depth[f.right]
+        return ((f.left, f.right) if deeper else (f.right, f.left)), np.eye(n, dtype=np.uint8)
     if isinstance(f, Not):
-        vs, arr = _table(s, f.body)
-        return vs, ~arr
+        vs, arr = _table(s, f.body, depth)
+        return vs, np.bitwise_xor(arr, 1, out=arr if arr.flags.writeable else None)
     if isinstance(f, (And, Or, Implies, Iff)):
-        va, aa = _table(s, f.left)
-        vb, ab = _table(s, f.right)
-        merged, xa, xb = _align(va, aa, vb, ab, n)
+        va, xa = _table(s, f.left, depth)
+        vb, xb = _table(s, f.right, depth)
+        merged = tuple(sorted(set(va).union(vb), key=depth.__getitem__, reverse=True))
+        xa = xa.reshape([n if v in va else 1 for v in merged])
+        xb = xb.reshape([n if v in vb else 1 for v in merged])
+        full = (n,) * len(merged)
+        out = next((x for x in (xa, xb) if x.flags.writeable and x.shape == full), None)
+        if out is None:
+            out = np.empty(full, dtype=np.uint8)
         if isinstance(f, And):
-            return merged, xa & xb
+            return merged, np.bitwise_and(xa, xb, out=out)
         if isinstance(f, Or):
-            return merged, xa | xb
+            return merged, np.bitwise_or(xa, xb, out=out)
         if isinstance(f, Implies):
-            return merged, ~xa | xb
-        return merged, xa == xb
+            return merged, np.bitwise_or(np.bitwise_xor(xa, 1, out=xa if xa.flags.writeable else None), xb, out=out)
+        return merged, np.bitwise_xor(np.bitwise_xor(xa, xb, out=out), 1, out=out)
     if isinstance(f, (ForAll, Exists)):
-        vs, arr = _table(s, f.body)
-        if f.var not in vs:
-            vs = vs + [f.var]
-            arr = np.broadcast_to(arr.reshape(arr.shape + (1,)), arr.shape + (n,))
-        axis = vs.index(f.var)
-        reduced = arr.all(axis=axis) if isinstance(f, ForAll) else arr.any(axis=axis)
-        rest = [v for v in vs if v != f.var]
-        return rest, reduced
+        outer = depth.get(f.var)
+        depth[f.var] = max(depth.values(), default=-1) + 1
+        vs, arr = _table(s, f.body, depth)
+        if outer is None:
+            del depth[f.var]
+        else:
+            depth[f.var] = outer
+        if vs[:1] != (f.var,):  # vacuous, unless the empty domain leaves nothing to range over
+            return vs, arr if n else np.full(arr.shape, isinstance(f, ForAll), dtype=np.uint8)
+        reduced = arr.all(axis=0) if isinstance(f, ForAll) else arr.any(axis=0)
+        return vs[1:], reduced.view(np.uint8)
     raise EvalError(f"unknown node {f!r}")
 
 
 def evaluate_table(s: DualStructure, f: Formula, assignment: Assignment | None = None) -> bool:
-    """Same semantics as evaluate, via satisfying-assignment tables."""
+    """Same semantics as evaluate, via f's uint8 satisfying-assignment table
+    (see _table), whose axis order puts the assignment's variables below
+    every binder."""
     env = dict(assignment) if assignment else {}
     missing = free_vars(f) - env.keys()
     if missing:
@@ -490,18 +500,19 @@ def evaluate_table(s: DualStructure, f: Formula, assignment: Assignment | None =
     for var, val in env.items():
         if not (0 <= val < s.domain_size):
             raise EvalError(f"assignment {var}={val} outside domain of size {s.domain_size}")
-    vs, arr = _table(s, f)
-    for v in vs:
-        arr = arr.take(env[v], axis=0)
-    return bool(arr)
+    vs, arr = _table(s, f, {v: i for i, v in enumerate(env)})
+    return bool(arr[tuple(env[v] for v in vs)])
 
 
 def falsifying_assignment(s: DualStructure, sentence: Formula) -> Assignment | None:
     """For a false closed sentence, least witness values for its leading universals.
 
     Peels the outermost forall-prefix and picks the lexicographically least
-    cell where the body fails (the body of a closed sentence has free
-    variables only among the prefix). None when the sentence is true.
+    tuple of prefix values, outermost binder first, at which the body fails
+    (the body of a closed sentence has free variables only among the
+    prefix). A name bound twice takes the value of its innermost binder;
+    the names free in the body appear once, in order of first occurrence.
+    None when the sentence is true.
     """
     if free_vars(sentence):
         raise EvalError("falsifying_assignment needs a closed sentence")
@@ -510,15 +521,12 @@ def falsifying_assignment(s: DualStructure, sentence: Formula) -> Assignment | N
     while isinstance(body, ForAll):
         prefix.append(body.var)
         body = body.body
-    vs, arr = _table(s, body)
-    if arr.ndim == 0:
-        return None if bool(arr) else {}
-    arr = np.transpose(arr, [vs.index(v) for v in prefix if v in vs])
-    failing = np.argwhere(~arr)
-    if failing.size == 0:
+    vs, arr = _table(s, body, {v: i for i, v in enumerate(prefix)})  # an inner binder overrides
+    failing = np.argwhere(arr.transpose() == 0)  # axes outermost first: rows in lexicographic order
+    if not len(failing):
         return None
-    least = min(map(tuple, failing))
-    return {var: int(val) for var, val in zip([v for v in prefix if v in vs], least)}
+    least = dict(zip(reversed(vs), failing[0].tolist()))
+    return {v: least[v] for v in dict.fromkeys(prefix) if v in least}
 
 
 # -- schema instances --------------------------------------------------------------

@@ -575,6 +575,27 @@ def random_dual_structure(size: int, seed: int) -> DualStructure:
     )
 
 
+def _closure_bits(rel: MembershipRelation) -> list[int]:
+    """Bit t of the x-th int is set when t is in transitive_closure(rel, x).
+
+    One members-first pass when rel is acyclic; around a cycle the passes
+    repeat until nothing changes.
+    """
+    members = rel.member_tuples()
+    order = rel.toposort()
+    below = [0] * rel.domain_size
+    while True:
+        changed = False
+        for x in order or range(rel.domain_size):
+            bits = 0
+            for m in members[x]:
+                bits |= below[m] | 1 << m
+            changed |= bits != below[x]
+            below[x] = bits
+        if order is not None or not changed:
+            return below
+
+
 TAMPER_KINDS = ("add-cycle", "break-extensionality", "remove-edge")
 
 
@@ -594,13 +615,31 @@ def tamper(s: DualStructure, kind: str, seed: int) -> DualStructure:
     elif kind == "break-extensionality":
         if s.domain_size < 2:
             raise DualMemError("break-extensionality needs at least two elements")
+        # The candidates are the pairs (a, b), a-major, with b outside a's
+        # closure and a's member set: counted per a, then indexed, which is
+        # the draw rng.choice makes over the listed pairs.
         mt = s.e1.member_tuples()
-        below = [transitive_closure(s.e1, a) for a in range(s.domain_size)]
-        pairs = [(a, b) for a in range(s.domain_size) for b in range(s.domain_size)
-                 if a != b and mt[a] != mt[b] and b not in below[a]]
-        if not pairs:
+        below = _closure_bits(s.e1)
+        alike: dict[tuple[int, ...], int] = {}
+        for a, members in enumerate(mt):
+            alike[members] = alike.get(members, 0) | 1 << a
+        everything = (1 << s.domain_size) - 1
+
+        def candidates(a: int) -> int:
+            return everything & ~(below[a] | alike[mt[a]])
+
+        counts = [candidates(a).bit_count() for a in range(s.domain_size)]
+        if not any(counts):
             raise DualMemError("no pair can be equalized without creating a cycle")
-        a, b = rng.choice(pairs)
+        index = rng.randrange(sum(counts))
+        a = 0
+        while index >= counts[a]:
+            index -= counts[a]
+            a += 1
+        bits = candidates(a)
+        for _ in range(index):
+            bits &= bits - 1  # drop the least candidate
+        b = (bits & -bits).bit_length() - 1
         edges = {(c, p) for c, p in edges if p != b} | {(m, b) for m in mt[a]}
     elif kind == "remove-edge":
         if not edges:

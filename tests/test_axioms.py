@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +233,20 @@ class TestSchemaChecks:
     def test_battery_all_pass_on_scrambled(self, scrambled_v4):
         verdicts = check_schema_battery(scrambled_v4)
         assert all(v.passed for v in verdicts.values())
+
+    def test_battery_peak_memory_on_v4(self):
+        # 16**6 cells is one table of the six-variable replacement instances;
+        # the tables used to be built at a bit over twice that.
+        v4 = build_v_universe(4)
+        v4.e1.adjacency(), v4.e2.adjacency()
+        tracemalloc.start()
+        try:
+            verdicts = check_schema_battery(v4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(v.passed for v in verdicts.values())
+        assert peak < 1.5 * 16**6
 
     def test_skipped_above_domain_limit(self):
         big = dual_structure(40, [], [])

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,14 +63,14 @@ def formulas(max_depth=4):
     )
 
 
-def structures():
+def structures(min_size=1):
     def build(size, bits1, bits2):
         pairs = [(a, b) for a in range(size) for b in range(size)]
         e1 = [pairs[i] for i in range(len(pairs)) if bits1 >> i & 1]
         e2 = [pairs[i] for i in range(len(pairs)) if bits2 >> i & 1]
         return dual_structure(size, e1, e2)
 
-    return st.integers(1, 4).flatmap(
+    return st.integers(min_size, 4).flatmap(
         lambda n: st.builds(build, st.just(n), st.integers(0, 2 ** (n * n) - 1), st.integers(0, 2 ** (n * n) - 1))
     )
 
@@ -174,15 +176,26 @@ class TestEvaluate:
         for val in range(4):
             assert evaluate(v3, f, {"y": val}) == evaluate(v3, g, {"y": val})
 
-    @given(f=formulas(), s=structures())
+    @given(f=formulas(), s=structures(), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_naive_and_table_agree(self, f, s):
-        assignment = {v: 0 for v in free_vars(f)}
+    def test_naive_and_table_agree(self, f, s, data):
+        values = st.integers(0, s.domain_size - 1)
+        assignment = {v: data.draw(values, label=v) for v in sorted(free_vars(f))}
         assert evaluate(s, f, assignment) == evaluate_table(s, f, assignment)
 
-    def test_sentence_invariance_exhaustive_small(self):
-        import itertools
+    @given(f=formulas(), s=structures(min_size=0), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_naive_and_table_agree_on_sentences(self, f, s, data):
+        for v in sorted(free_vars(f)):
+            f = data.draw(st.sampled_from((ForAll, Exists)), label=v)(v, f)
+        assert evaluate(s, f) == evaluate_table(s, f)
 
+    def test_vacuous_binder_under_assignment(self, v3):
+        f = parse_formula("forall z x in1 y")
+        for x, y in itertools.product(range(4), repeat=2):
+            assert evaluate_table(v3, f, {"x": x, "y": y}) == evaluate(v3, f, {"x": x, "y": y})
+
+    def test_sentence_invariance_exhaustive_small(self):
         s = dual_structure(4, [(0, 1), (1, 2), (0, 3)], [(2, 1), (3, 0)])
         sentences = [
             parse_formula("forall x exists y (x in1 y | y in2 x)"),
@@ -270,3 +283,38 @@ class TestFalsifyingAssignment:
     def test_requires_closed_sentence(self, v3):
         with pytest.raises(EvalError):
             falsifying_assignment(v3, parse_formula("x in1 y"))
+
+    def test_rebound_prefix_names(self, v3):
+        # Each name takes the value of its innermost binder; names appear once,
+        # in order of first occurrence, and the least tuple is taken in the
+        # order of the binders: here the innermost x varies fastest.
+        assert falsifying_assignment(v3, parse_formula("forall x forall x !x in1 x")) is None
+        assert falsifying_assignment(v3, parse_formula("forall x forall y forall x x in1 y")) == {"x": 0, "y": 0}
+        # The body fails at (x, y) = (1, 2), (0, 3) and (1, 3): y is least first.
+        body = "!(x in1 y & (exists z z in1 x | exists z (z in1 y & !z = x)))"
+        assert falsifying_assignment(v3, parse_formula(f"forall x forall y {body}")) == {"x": 0, "y": 3}
+        got = falsifying_assignment(v3, parse_formula(f"forall x forall y forall x {body}"))
+        assert list(got.items()) == [("x", 1), ("y", 2)]
+
+    @given(names=st.lists(st.sampled_from(VARS), max_size=4), body=formulas(), s=structures())
+    @settings(max_examples=200, deadline=None)
+    def test_least_failing_prefix_tuple(self, names, body, s):
+        sentence = body
+        for v in reversed(sorted(free_vars(body) - set(names)) + names):
+            sentence = ForAll(v, sentence)
+        assert falsifying_assignment(s, sentence) == least_failing_assignment(s, sentence)
+
+
+def least_failing_assignment(s, sentence):
+    """The first tuple of the forall-prefix, in lexicographic order, at which
+    the naive evaluation of the body fails, read as one value per name."""
+    prefix, body = [], sentence
+    while isinstance(body, ForAll):
+        prefix.append(body.var)
+        body = body.body
+    used = free_vars(body)
+    for values in itertools.product(range(s.domain_size), repeat=len(prefix)):
+        env = dict(zip(prefix, values))  # an inner binder overrides an outer one
+        if not evaluate(s, body, env):
+            return {v: val for v, val in env.items() if v in used}
+    return None

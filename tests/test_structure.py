@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from collections import deque
 
@@ -20,10 +21,12 @@ from dualmem import (
     tamper,
 )
 from dualmem.structure import (
+    DualStructure,
     _parse_canonical,
     _scan_structure,
     random_dual_structure,
     relation_from_edges,
+    transitive_closure,
     v_universe_size,
 )
 
@@ -75,6 +78,28 @@ def reference_toposort(rel):
             if pending[p] == 0:
                 frontier.append(p)
     return tuple(order) if len(order) == rel.domain_size else None
+
+
+def break_outcome(tamperer, s, seed):
+    try:
+        return tamperer(s, "break-extensionality", seed)
+    except DualMemError as exc:
+        return str(exc)
+
+
+def reference_break_extensionality(s, kind, seed):
+    """tamper's break-extensionality draw over the full list of candidate pairs."""
+    assert kind == "break-extensionality"
+    rng = random.Random(seed)
+    n = s.domain_size
+    mt = s.e1.member_tuples()
+    below = [transitive_closure(s.e1, a) for a in range(n)]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and mt[a] != mt[b] and b not in below[a]]
+    if not pairs:
+        raise DualMemError("no pair can be equalized without creating a cycle")
+    a, b = rng.choice(pairs)
+    edges = {(c, p) for c, p in s.e1.edges if p != b} | {(m, b) for m in mt[a]}
+    return DualStructure(n, relation_from_edges(n, edges), s.e2)
 
 
 class TestParse:
@@ -389,6 +414,17 @@ class TestTamper:
         # The closures below each element must tolerate e1's two cycles.
         s = tamper(two_cycles, "break-extensionality", seed)
         assert s.e1.edges == (two_cycles.e1.edges - removed) | added
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_break_extensionality_matches_pair_list(self, seed):
+        # The candidate pairs are counted per element; the draw must still
+        # pick the pair that rng.choice over the full list would pick.
+        for size in (2, 3, 7, 20, 60):
+            s = random_dual_structure(size, seed)
+            for base in (s, tamper(s, "add-cycle", seed)):
+                for draw in range(3):
+                    expected = break_outcome(reference_break_extensionality, base, draw)
+                    assert break_outcome(tamper, base, draw) == expected
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
