@@ -9,7 +9,7 @@ Terms are variables only. The grammar (whitespace-insensitive):
 Precedence ! > & > | > -> > <->, with -> right-associative, & | <-> left-
 associative, and quantifier bodies extending maximally to the right. The
 canonical printer fully parenthesizes binary operations, so parse(render(f))
-is the identity.
+is the identity while the printed text nests within MAX_FORMULA_DEPTH.
 
 Two evaluation routes are provided: ``evaluate`` is the naive recursive
 oracle (quantifiers loop over the domain in ascending id order), and
@@ -148,11 +148,20 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# The most levels a parsed formula may nest, an atom being one. The parser
+# descends once per '(', quantifier, '!' and '->', and render, free_vars,
+# evaluate and the tables recurse once per tree level: the ceiling keeps both
+# well inside Python's recursion limit. The deepest battery sentence has 25.
+MAX_FORMULA_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _lex(text)
         self.i = 0
+        # id() of each compound node built -> its tree's levels; all stay alive, so ids are unique.
+        self.heights: dict[int, int] = {}
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -171,48 +180,57 @@ class _Parser:
             raise FormulaError(f"expected {op!r}", pos)
         self.i += 1
 
+    def _within(self, levels: int, pos: int) -> int:
+        """levels, when the ceiling allows them; else an error at the token at pos."""
+        if levels > MAX_FORMULA_DEPTH:
+            raise FormulaError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", pos)
+        return levels
+
+    def _node(self, pos: int, cls: type[Formula], *parts) -> Formula:
+        node = cls(*parts)
+        height = 1 + max(self.heights.get(id(p), 1) for p in parts if isinstance(p, Formula))
+        self.heights[id(node)] = self._within(height, pos)
+        return node
+
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.iff(0)
         tok = self.peek()
         if tok is not None:
             raise FormulaError(f"trailing input {tok[1]!r}", tok[2])
         return f
 
-    def iff(self) -> Formula:
-        f = self.implies()
+    def iff(self, depth: int) -> Formula:
+        f = self.implies(depth)
         while self._at_op("<->"):
-            self.i += 1
-            f = Iff(f, self.implies())
+            f = self._node(self.next()[2], Iff, f, self.implies(depth))
         return f
 
-    def implies(self) -> Formula:
-        f = self.disjunction()
+    def implies(self, depth: int) -> Formula:
+        f = self.disjunction(depth)
         if self._at_op("->"):
-            self.i += 1
-            return Implies(f, self.implies())
+            pos = self.next()[2]
+            return self._node(pos, Implies, f, self.implies(self._within(depth + 1, pos)))
         return f
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def disjunction(self, depth: int) -> Formula:
+        f = self.conjunction(depth)
         while self._at_op("|"):
-            self.i += 1
-            f = Or(f, self.conjunction())
+            f = self._node(self.next()[2], Or, f, self.conjunction(depth))
         return f
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
+    def conjunction(self, depth: int) -> Formula:
+        f = self.unary(depth)
         while self._at_op("&"):
-            self.i += 1
-            f = And(f, self.unary())
+            f = self._node(self.next()[2], And, f, self.unary(depth))
         return f
 
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
         if self._at_op("!"):
-            self.i += 1
-            return Not(self.unary())
-        return self.atom()
+            pos = self.next()[2]
+            return self._node(pos, Not, self.unary(self._within(depth + 1, pos)))
+        return self.atom(depth)
 
-    def atom(self) -> Formula:
+    def atom(self, depth: int) -> Formula:
         tok = self.peek()
         if tok is None:
             raise FormulaError("unexpected end of input", len(self.text))
@@ -220,7 +238,7 @@ class _Parser:
         if kind == "op":
             if value == "(":
                 self.i += 1
-                f = self.iff()
+                f = self.iff(self._within(depth + 1, pos))
                 self.expect_op(")")
                 return f
             raise FormulaError(f"unexpected {value!r}", pos)
@@ -236,8 +254,8 @@ class _Parser:
             if var_tok is None or var_tok[0] != "ident" or var_tok[1] in KEYWORDS:
                 raise FormulaError(f"dangling quantifier: {value} needs a variable", pos)
             self.i += 1
-            body = self.iff()  # maximal extent
-            return (ForAll if value == "forall" else Exists)(var_tok[1], body)
+            body = self.iff(self._within(depth + 1, pos))  # maximal extent
+            return self._node(pos, ForAll if value == "forall" else Exists, var_tok[1], body)
         if value in ("in1", "in2"):
             raise FormulaError(f"{value} needs a left-hand variable", pos)
         # variable: must be followed by in1 / in2 / =

@@ -82,36 +82,22 @@ def _match(s: DualStructure, order) -> dict[int, int | None]:
     return partner
 
 
-def _candidate_map(s: DualStructure, x: int) -> dict[int, int] | None:
-    """The unique possible witness map below x, or None when matching fails.
-
-    The matching sweep over the closure below x; it fails when x has no
-    partner (some element below x has none), or when the map comes out
-    non-injective (which on an extensional e1 cannot happen).
-    """
-    if x in s.witness_maps:
-        return s.witness_maps[x]
-    f = _match(s, reachable_postorder(s.e1, x, tag=1))
-    result = f if f[x] is not None and len(set(f.values())) == len(f) else None
-    s.witness_maps[x] = result
-    return result
-
-
 def build_witness(s: DualStructure, x: int, y: int) -> MatchWitness | None:
     """The unique witness for (x, y) when one exists; None when matching fails.
 
-    Cycles below x (in e1) or below y (in e2) are errors, distinct from
-    absence: the witness predicate presupposes well-founded closures. The
-    walk below y runs only when e2 has a cycle somewhere, to find out whether
-    one lies below y.
+    Each call runs the matching sweep below x, which also fails on a
+    non-injective map (impossible on an extensional e1). Cycles below x (in
+    e1) or below y (in e2) are errors, distinct from absence: the witness
+    predicate presupposes well-founded closures. The walk below y runs only
+    when e2 has a cycle somewhere, to find out whether one lies below y.
     """
     for t in (x, y):
         if not (0 <= t < s.domain_size):
             raise DualMemError(f"element {t} outside domain of size {s.domain_size}")
     if not s.e2.is_acyclic():
         reachable_postorder(s.e2, y, tag=2)  # for its CycleError only
-    f = _candidate_map(s, x)
-    if f is None or f[x] != y:
+    f = _match(s, reachable_postorder(s.e1, x, tag=1))
+    if f[x] != y or len(set(f.values())) < len(f):
         return None
     return MatchWitness(x, y, tuple(sorted(f.items())))
 

@@ -112,7 +112,7 @@ def run_suite(s: DualStructure) -> SuiteReport:
     lemmas: dict[str, LemmaVerdict] = {}
     partner = iso_mod.partners(s)
     matched = tuple((x, y) for x, y in enumerate(partner) if y is not None)
-    lemmas["witness-uniqueness"] = _check_uniqueness(s)
+    lemmas["witness-uniqueness"] = _check_uniqueness(s, partner)
     lemmas["witness-restriction"] = _check_restriction(s, matched)
     lemmas["partner-functionality"] = _check_functionality(s, matched)
     lemmas["membership-preservation"] = _check_membership_preservation(s, matched)
@@ -139,8 +139,9 @@ def _first_semantic_failure(report: axioms_mod.FullReport) -> Witness:
     return ()
 
 
-def _check_uniqueness(s: DualStructure) -> LemmaVerdict:
-    """Brute-force witness counting on pairs with small closures on both sides."""
+def _check_uniqueness(s: DualStructure, partner: list[int | None]) -> LemmaVerdict:
+    """Brute-force witness counting on pairs with small closures on both sides:
+    one witness where the partners(s) list sends x to y, none elsewhere."""
     tc1 = [transitive_closure(s.e1, x, include_self=True) for x in range(s.domain_size)]
     tc2 = [transitive_closure(s.e2, y, include_self=True) for y in range(s.domain_size)]
     for x in range(s.domain_size):
@@ -149,7 +150,7 @@ def _check_uniqueness(s: DualStructure) -> LemmaVerdict:
         for y in range(s.domain_size):
             if len(tc2[y]) > UNIQUENESS_CLOSURE_BOUND:
                 continue
-            expected = 1 if iso_mod.matches(s, x, y) else 0
+            expected = 1 if partner[x] == y else 0
             count = count_witnesses_brute(s, x, y, tc1[x], tc2[y])
             if count != expected:
                 return LemmaVerdict(
@@ -169,10 +170,10 @@ def count_witnesses_brute(
     bound to y first, then the other elements of the e1 closure in ascending
     id, each to every element of the e2 closure in turn. A partial map is
     dropped as soon as two bound elements t, w (t = w included) disagree on
-    membership, (t, w) in e1 but not (f[t], f[w]) in e2 or the other way
-    round, since every completion of it fails preserves-membership. A
-    complete map counts only when _witness_conditions accepts all of its
-    conditions. The count is that of all maps with f[x] = y that pass the
+    membership, read from the member sets: t in w in e1 but not f[t] in f[w]
+    in e2 or the other way round, since every completion of it fails
+    preserves-membership. A complete map counts only when _witness_conditions
+    accepts all of its conditions. The count is that of all maps with f[x] = y that pass the
     conditions, on any relation, cyclic or non-extensional included.
     tc1 and tc2, the closures of x in e1 and of y in e2 with x and y
     included, are computed when not given.
@@ -181,17 +182,17 @@ def count_witnesses_brute(
     tc2 = tc2 or transitive_closure(s.e2, y, include_self=True)
     order = [x, *sorted(tc1 - {x})]
     cod = sorted(tc2)
-    e1, e2 = s.e1.edges, s.e2.edges
+    ms1, ms2 = s.e1.member_sets(), s.e2.member_sets()
     f: dict[int, int] = {}
     count = 0
     choices = [iter((y,))]  # choices[i]: the values still to try for order[i]
     while choices:
         i = len(choices) - 1
         t = order[i]
-        loop = (t, t) in e1
+        loop = t in ms1[t]
         for v in choices[-1]:
-            if loop == ((v, v) in e2) and all(
-                ((t, w) in e1) == ((v, f[w]) in e2) and ((w, t) in e1) == ((f[w], v) in e2)
+            if loop == (v in ms2[v]) and all(
+                (t in ms1[w]) == (v in ms2[f[w]]) and (w in ms1[t]) == (f[w] in ms2[v])
                 for w in order[:i]
             ):
                 break

@@ -9,9 +9,9 @@ cached per instance. The per-element view is ``member_tuples()``: each
 element's members as an ascending tuple, cut once from compressed sparse row
 (CSR) offsets in O(edges). Ranks, traversals and the extension index (keyed
 by those tuples) read it. ``member_sets()`` (frozensets, derived from the
-tuples), the adjacency matrix and ``edges`` (the set of (child, parent)
-pairs) serve set algebra and per-pair lookups, and find-iso builds none of
-them.
+tuples) serves set algebra and membership tests, and the adjacency matrix the
+formula tables; find-iso builds neither. Generators and tamperers build and
+edit the arrays.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ class MembershipRelation:
     # Derived data, filled on first use. Every cache is an attribute set at
     # construction: functools.cached_property would write the instance
     # __dict__ instead, which slows every later attribute read on the
-    # object, and the lemma suite reads _edge_set and _member_sets millions
-    # of times.
-    _edge_set: frozenset[Edge] | None = field(default=None, init=False, repr=False)
+    # object, and the lemma suite reads _member_sets millions of times.
     _member_tuples: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
     _member_sets: tuple[frozenset[int], ...] | None = field(default=None, init=False, repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
@@ -85,13 +83,8 @@ class MembershipRelation:
 
     @property
     def edges(self) -> frozenset[Edge]:
-        """The set of (child, parent) pairs, built on first access."""
-        if self._edge_set is None:
-            object.__setattr__(self, "_edge_set", frozenset(zip(self.child.tolist(), self.parent.tolist())))
-        return self._edge_set
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (a, b) in (self._edge_set or self.edges)  # the property only while unbuilt or empty
+        """The set of (child, parent) pairs, built afresh on each access."""
+        return frozenset(zip(self.child.tolist(), self.parent.tolist()))
 
     def member_tuples(self) -> tuple[tuple[int, ...], ...]:
         """member_tuples()[b] is the tuple of members of b in ascending id,
@@ -264,11 +257,6 @@ class DualStructure:
     domain_size: int
     e1: MembershipRelation
     e2: MembershipRelation
-    # iso's memo of candidate witness maps: e1 element x -> its map, or None
-    # when matching fails below x. It lives and dies with the structure.
-    witness_maps: dict[int, dict[int, int] | None] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self):
         if self.e1.domain_size != self.domain_size or self.e2.domain_size != self.domain_size:
@@ -282,7 +270,8 @@ class DualStructure:
         raise DualMemError(f"relation tag must be 1 or 2, got {tag}")
 
     def contains(self, tag: int, a: int, b: int) -> bool:
-        return self.relation(tag).has_edge(a, b)
+        """Whether a is a member of b in relation tag, read from its member sets."""
+        return a in self.relation(tag).member_sets()[b]
 
 
 @dataclass(frozen=True)
@@ -514,14 +503,9 @@ def build_v_universe(n: int) -> DualStructure:
     if n > V_UNIVERSE_MAX:
         raise DualMemError(f"level {n} exceeds the supported bound {V_UNIVERSE_MAX} (size 2^65536)")
     size = v_universe_size(n)
-    edges = []
-    for b in range(size):
-        m = b
-        while m:
-            a = (m & -m).bit_length() - 1
-            edges.append((a, b))
-            m &= m - 1
-    rel = relation_from_edges(size, edges)
+    # Row b holds the bits of b; its nonzeros come row-major, ordered by (parent, child).
+    parent, child = np.nonzero(np.arange(size)[:, None] >> np.arange(max(size - 1, 0).bit_length()) & 1)
+    rel = MembershipRelation(size, child, parent)
     return DualStructure(size, rel, rel)
 
 
@@ -602,18 +586,26 @@ TAMPER_KINDS = ("add-cycle", "break-extensionality", "remove-edge")
 def tamper(s: DualStructure, kind: str, seed: int) -> DualStructure:
     """Return a copy with e1 mutated to violate one targeted axiom."""
     rng = random.Random(seed)
-    edges = set(s.e1.edges)
+    n, child, parent = s.domain_size, s.e1.child, s.e1.parent
     if kind == "add-cycle":
-        if s.domain_size < 1:
+        if n < 1:
             raise DualMemError("add-cycle needs a nonempty domain")
-        candidates = [(b, a) for a, b in sorted(edges) if (b, a) not in edges]
-        if candidates:
-            edges.add(rng.choice(candidates))
+        # The candidates (b, a), for the edges (a, b) in ascending order, that
+        # are no edges themselves: the edges of the reversed relation, in its
+        # canonical order, that e1 lacks. The work is per edge, not per element.
+        back = MembershipRelation(n, parent, child)
+        both = np.concatenate((back.child, child)), np.concatenate((back.parent, parent))
+        order = np.lexsort(both)  # stable: of a pair in both, back's copy comes first
+        twin = (np.diff(both[0][order]) == 0) & (np.diff(both[1][order]) == 0)
+        options = np.delete(np.arange(back.child.size), order[:-1][twin])  # the pairs of back that e1 lacks
+        if options.size:
+            pick = options[rng.randrange(options.size)]
+            child, parent = np.append(child, back.child[pick]), np.append(parent, back.parent[pick])
         else:
-            x = rng.randrange(s.domain_size)
-            edges.add((x, x))
+            x = rng.randrange(n)
+            child, parent = np.append(child, x), np.append(parent, x)
     elif kind == "break-extensionality":
-        if s.domain_size < 2:
+        if n < 2:
             raise DualMemError("break-extensionality needs at least two elements")
         # The candidates are the pairs (a, b), a-major, with b outside a's
         # closure and a's member set: counted per a, then indexed, which is
@@ -623,12 +615,12 @@ def tamper(s: DualStructure, kind: str, seed: int) -> DualStructure:
         alike: dict[tuple[int, ...], int] = {}
         for a, members in enumerate(mt):
             alike[members] = alike.get(members, 0) | 1 << a
-        everything = (1 << s.domain_size) - 1
+        everything = (1 << n) - 1
 
         def candidates(a: int) -> int:
             return everything & ~(below[a] | alike[mt[a]])
 
-        counts = [candidates(a).bit_count() for a in range(s.domain_size)]
+        counts = [candidates(a).bit_count() for a in range(n)]
         if not any(counts):
             raise DualMemError("no pair can be equalized without creating a cycle")
         index = rng.randrange(sum(counts))
@@ -640,11 +632,13 @@ def tamper(s: DualStructure, kind: str, seed: int) -> DualStructure:
         for _ in range(index):
             bits &= bits - 1  # drop the least candidate
         b = (bits & -bits).bit_length() - 1
-        edges = {(c, p) for c, p in edges if p != b} | {(m, b) for m in mt[a]}
+        kept, members = parent != b, np.array(mt[a], dtype=np.int64)
+        child, parent = np.append(child[kept], members), np.append(parent[kept], np.full(members.size, b))
     elif kind == "remove-edge":
-        if not edges:
+        if not child.size:
             raise DualMemError("remove-edge needs at least one e1 edge")
-        edges.remove(rng.choice(sorted(edges)))
+        drop = np.lexsort((parent, child))[rng.randrange(child.size)]  # the draw over sorted pairs
+        child, parent = np.delete(child, drop), np.delete(parent, drop)
     else:
         raise DualMemError(f"unknown tamper kind {kind!r}; expected one of {TAMPER_KINDS}")
-    return DualStructure(s.domain_size, relation_from_edges(s.domain_size, edges), s.e2)
+    return DualStructure(n, MembershipRelation(n, child, parent), s.e2)

@@ -8,6 +8,7 @@ import pytest
 import dualmem
 from dualmem import MembershipRelation, build_v_universe, dual_structure, parse_structure, serialize_structure
 from dualmem.cli import main
+from dualmem.formulas import MAX_FORMULA_DEPTH
 from dualmem.lemmas import EXPECTED_SUMMARIES
 
 
@@ -169,17 +170,31 @@ class TestFindIso:
         assert "Traceback" not in proc.stderr
 
     def test_never_builds_edge_set(self, capsys, tmp_path, monkeypatch, scrambled_v4):
-        # Certificate and diagnostic paths alike work on the arrays and member-sets only.
-        iso_file = tmp_path / "s.st"
-        iso_file.write_text(serialize_structure(scrambled_v4))
-        run(capsys, "gen", "gallery", "--out", str(tmp_path / "g"))
+        # Every subcommand works on the arrays, member tuples and member sets only.
+        iso_file = str(tmp_path / "s.st")
+        Path(iso_file).write_text(serialize_structure(scrambled_v4))
+        gallery = tmp_path / "g"
+        run(capsys, "gen", "gallery", "--out", str(gallery))
 
         def refuse(rel):
-            raise AssertionError("find-iso built the edge set")
+            raise AssertionError("a command built the edge set")
 
         monkeypatch.setattr(MembershipRelation, "edges", property(refuse))
-        assert run(capsys, "find-iso", str(iso_file), "--verify", "--oracle-check")[0] == 0
-        assert run(capsys, "find-iso", str(tmp_path / "g" / "chain-vs-v3.st"))[0] == 1
+        assert run(capsys, "find-iso", iso_file, "--verify", "--oracle-check")[0] == 0
+        assert run(capsys, "find-iso", str(gallery / "chain-vs-v3.st"))[0] == 1
+        assert run(capsys, "eval", iso_file, "--formula", "x in1 y | y in2 x", "--assign", "x=0,y=1")[0] == 0
+        assert run(capsys, "verify-lemmas", iso_file)[0] == 0
+        assert run(capsys, "verify-lemmas", "--corpus", "sizes=3 count=2")[0] == 0
+        for mode in ("battery", "bounded", "semantic"):
+            assert run(capsys, "check-axioms", iso_file, "--mode", mode)[0] == 0, mode
+        assert run(capsys, "collapse", iso_file, "--element", "5")[0] == 0
+        out = str(tmp_path / "out.st")
+        assert run(capsys, "gen", "v-universe", "--n", "4", "--out", out)[0] == 0
+        assert run(capsys, "gen", "scramble", "--in", iso_file, "--out", out)[0] == 0
+        assert run(capsys, "gen", "random-pair", "--size", "20", "--out", out)[0] == 0
+        assert run(capsys, "gen", "gallery", "--out", str(tmp_path / "g2"))[0] == 0
+        for kind in ("add-cycle", "break-extensionality", "remove-edge"):
+            assert run(capsys, "gen", "tamper", "--in", iso_file, "--tamper-kind", kind, "--out", out)[0] == 0, kind
 
     def test_never_builds_member_sets(self, capsys, tmp_path, monkeypatch, scrambled_v4):
         # Matching, verification, the oracle, the diagnostic and every axiom
@@ -238,6 +253,41 @@ class TestEval:
         code, _, err = run(capsys, "eval", v3_file, "--formula", "x in1 x", "--assign", "x=-1")
         assert code == 2
         assert "outside domain" in err
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "(" * 180 + "true" + ")" * 180,
+            " & ".join(["x = x"] * 3000),
+            " -> ".join(["x = x"] * 1000),
+            "!" * 3000 + "true",
+            "forall y " * 200 + "true",
+        ],
+        ids=["parentheses", "and-chain", "implies-chain", "negations", "quantifiers"],
+    )
+    def test_deep_formula_exit_two_without_traceback(self, v3_file, formula):
+        proc = run_process("eval", v3_file, "--assign", "x=0", "--formula", formula)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: at offset ")
+        assert f"nested deeper than {MAX_FORMULA_DEPTH} levels" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            "(" * MAX_FORMULA_DEPTH + "x = x" + ")" * MAX_FORMULA_DEPTH,
+            " & ".join(["x = x"] * MAX_FORMULA_DEPTH),
+            " -> ".join(["x = x"] * MAX_FORMULA_DEPTH),
+            "!" * (MAX_FORMULA_DEPTH - 1) + "x = x",
+            "exists y " * (MAX_FORMULA_DEPTH - 1) + "x = x",  # exists stops at the first value
+        ],
+        ids=["parentheses", "and-chain", "implies-chain", "negations", "quantifiers"],
+    )
+    def test_formula_at_depth_ceiling_evaluates(self, capsys, v3_file, formula):
+        expected = "false" if formula.startswith("!") else "true"  # an odd number of negations
+        code, out, err = run(capsys, "eval", v3_file, "--assign", "x=0", "--formula", formula)
+        assert (code, out, err) == ((0 if expected == "true" else 1), expected + "\n", "")
 
     def test_formula_file(self, capsys, tmp_path, v3_file):
         f = tmp_path / "f.formula"

@@ -20,6 +20,7 @@ from dualmem import (
     tamper,
 )
 from dualmem.formulas import (
+    MAX_FORMULA_DEPTH,
     And,
     Equality,
     Exists,
@@ -115,6 +116,22 @@ class TestParser:
     def test_dangling_quantifier(self):
         with pytest.raises(FormulaError):
             parse_formula("forall forall x x = x")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(" * (MAX_FORMULA_DEPTH + 1) + "true" + ")" * (MAX_FORMULA_DEPTH + 1), MAX_FORMULA_DEPTH),
+            ("!" * MAX_FORMULA_DEPTH + "true", 0),  # the outermost '!' makes the tree too deep
+            ("!" * (MAX_FORMULA_DEPTH + 1) + "true", MAX_FORMULA_DEPTH),  # the descent is refused first
+            (" & ".join(["x = x"] * (MAX_FORMULA_DEPTH + 1)), 8 * MAX_FORMULA_DEPTH - 2),  # the last '&'
+            (" | ".join(["x = x"] * (MAX_FORMULA_DEPTH + 5)), 8 * MAX_FORMULA_DEPTH - 2),
+        ],
+        ids=["parentheses", "negations-tree", "negations-descent", "and-chain", "or-chain"],
+    )
+    def test_depth_ceiling_position(self, text, position):
+        with pytest.raises(FormulaError, match=f"nested deeper than {MAX_FORMULA_DEPTH} levels") as exc:
+            parse_formula(text)
+        assert exc.value.position == position
 
     def test_keywords_not_variables(self):
         with pytest.raises(FormulaError):

@@ -115,14 +115,6 @@ class TestBuildPsi:
         with pytest.raises(DualMemError, match="outside domain of size 4"):
             build_witness(scrambled_v3, *pair)
 
-    def test_witness_maps_belong_to_the_structure(self):
-        s = scramble(build_v_universe(3), Permutation((0, 2, 1, 3)))
-        other = scramble(build_v_universe(3), Permutation((0, 2, 1, 3)))
-        build_witness(s, 3, 3)
-        assert s.witness_maps == {3: {0: 0, 1: 2, 3: 3}}
-        assert other.witness_maps == {}
-        assert s == other
-
     def test_witness_satisfies_all_conditions(self, scrambled_v4):
         for x in range(16):
             for y in range(16):

@@ -80,26 +80,65 @@ def reference_toposort(rel):
     return tuple(order) if len(order) == rel.domain_size else None
 
 
-def break_outcome(tamperer, s, seed):
+def tamper_outcome(tamperer, s, kind, seed):
     try:
-        return tamperer(s, "break-extensionality", seed)
+        return tamperer(s, kind, seed)
     except DualMemError as exc:
         return str(exc)
 
 
-def reference_break_extensionality(s, kind, seed):
-    """tamper's break-extensionality draw over the full list of candidate pairs."""
-    assert kind == "break-extensionality"
+def reference_tamper(s, kind, seed):
+    """tamper as first written, on a set of (child, parent) pairs; break-extensionality
+    draws over the full list of candidate pairs."""
     rng = random.Random(seed)
     n = s.domain_size
-    mt = s.e1.member_tuples()
-    below = [transitive_closure(s.e1, a) for a in range(n)]
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b and mt[a] != mt[b] and b not in below[a]]
-    if not pairs:
-        raise DualMemError("no pair can be equalized without creating a cycle")
-    a, b = rng.choice(pairs)
-    edges = {(c, p) for c, p in s.e1.edges if p != b} | {(m, b) for m in mt[a]}
+    edges = set(s.e1.edges)
+    if kind == "add-cycle":
+        if n < 1:
+            raise DualMemError("add-cycle needs a nonempty domain")
+        candidates = [(b, a) for a, b in sorted(edges) if (b, a) not in edges]
+        if candidates:
+            edges.add(rng.choice(candidates))
+        else:
+            x = rng.randrange(n)
+            edges.add((x, x))
+    elif kind == "break-extensionality":
+        if n < 2:
+            raise DualMemError("break-extensionality needs at least two elements")
+        mt = s.e1.member_tuples()
+        below = [transitive_closure(s.e1, a) for a in range(n)]
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b and mt[a] != mt[b] and b not in below[a]]
+        if not pairs:
+            raise DualMemError("no pair can be equalized without creating a cycle")
+        a, b = rng.choice(pairs)
+        edges = {(c, p) for c, p in edges if p != b} | {(m, b) for m in mt[a]}
+    else:
+        assert kind == "remove-edge"
+        if not edges:
+            raise DualMemError("remove-edge needs at least one e1 edge")
+        edges.remove(rng.choice(sorted(edges)))
     return DualStructure(n, relation_from_edges(n, edges), s.e2)
+
+
+def tamper_bases(seed):
+    """Random pairs of 2-60 elements and scrambled V1-V4, each also with an
+    add-cycle tamper, so that cyclic inputs are covered; V1 has no edges."""
+    bases = [random_dual_structure(size, seed) for size in (2, 3, 7, 20, 60)]
+    bases += [scramble(build_v_universe(n), Permutation.random(v_universe_size(n), seed)) for n in (1, 2, 3, 4)]
+    return [t for s in bases for t in (s, reference_tamper(s, "add-cycle", seed))]
+
+
+def reference_v_universe(n):
+    """build_v_universe as first written: one edge per set bit, found by a Python bit loop."""
+    size = v_universe_size(n)
+    edges = []
+    for b in range(size):
+        m = b
+        while m:
+            a = (m & -m).bit_length() - 1
+            edges.append((a, b))
+            m &= m - 1
+    return relation_from_edges(size, edges)
 
 
 class TestParse:
@@ -315,6 +354,16 @@ class TestVUniverse:
         with pytest.raises(DualMemError):
             build_v_universe(6)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_matches_bit_loop(self, n):
+        s = build_v_universe(n)
+        reference = reference_v_universe(n)
+        assert np.array_equal(s.e1.child, reference.child)
+        assert np.array_equal(s.e1.parent, reference.parent)
+        assert serialize_structure(s) == serialize_structure(DualStructure(reference.domain_size, reference, reference))
+        if n == 5:
+            assert s.e1.child.size == 524_288
+
 
 class TestScramble:
     def test_identity(self, v3):
@@ -419,12 +468,19 @@ class TestTamper:
     def test_break_extensionality_matches_pair_list(self, seed):
         # The candidate pairs are counted per element; the draw must still
         # pick the pair that rng.choice over the full list would pick.
-        for size in (2, 3, 7, 20, 60):
-            s = random_dual_structure(size, seed)
-            for base in (s, tamper(s, "add-cycle", seed)):
+        for base in tamper_bases(seed):
+            for draw in range(3):
+                expected = tamper_outcome(reference_tamper, base, "break-extensionality", draw)
+                assert tamper_outcome(tamper, base, "break-extensionality", draw) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_add_cycle_and_remove_edge_match_set_reference(self, seed):
+        # tamper edits the arrays; it must write what the set-based reference writes.
+        for base in tamper_bases(seed):
+            for kind in ("add-cycle", "remove-edge"):
                 for draw in range(3):
-                    expected = break_outcome(reference_break_extensionality, base, draw)
-                    assert break_outcome(tamper, base, draw) == expected
+                    expected = tamper_outcome(reference_tamper, base, kind, draw)
+                    assert tamper_outcome(tamper, base, kind, draw) == expected, (base.domain_size, kind, draw)
 
     @given(seed=st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
