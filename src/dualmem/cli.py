@@ -16,7 +16,7 @@ from . import axioms as axioms_mod
 from . import hf
 from . import iso as iso_mod
 from . import lemmas as lemmas_mod
-from .errors import CycleError, DualMemError, NonExtensionalError
+from .errors import CycleError, DualMemError, NonExtensionalError, StructureFormatError
 from .formulas import evaluate, free_vars, parse_formula
 from .structure import (
     TAMPER_KINDS,
@@ -33,8 +33,17 @@ from .structure import (
 PASS, NEGATIVE, USAGE = 0, 1, 2
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 is a StructureFormatError naming its line."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len(exc.object[:exc.start + 1].splitlines())  # up to the bad byte, at read_text's line ends
+        raise StructureFormatError(f"byte {exc.object[exc.start]:#04x} is not valid UTF-8", line_no) from None
+
+
 def _read_structure(path: str):
-    return parse_structure(Path(path).read_text(encoding="utf-8"))
+    return parse_structure(_read_text(path))
 
 
 def _write_structure(path: Path, s) -> None:
@@ -117,7 +126,7 @@ def cmd_find_iso(args) -> int:
         c1 = hf.collapse_domain(s.e1, 1)
         c2 = hf.collapse_domain(s.e2, 2)
         for x, y in enumerate(result.mapping):
-            if c1.codes[x] is not c2.codes[y]:
+            if c1.uids[x] != c2.uids[y]:
                 print(f"fail oracle-mismatch x={x} y={y}")
                 return NEGATIVE
     sys.stdout.write(iso_mod.render_certificate(result))
@@ -141,7 +150,7 @@ def cmd_eval(args) -> int:
     if args.formula is not None:
         text = args.formula
     elif args.formula_file is not None:
-        text = Path(args.formula_file).read_text(encoding="utf-8")
+        text = _read_text(args.formula_file)
     else:
         raise DualMemError("eval needs --formula or --formula-file")
     sentence = parse_formula(text)
@@ -196,11 +205,8 @@ def _corpus_int(key: str, value: str) -> int:
 
 def cmd_collapse(args) -> int:
     s = _read_structure(args.infile)
-    rel = s.relation(args.relation)
-    if not (0 <= args.element < s.domain_size):
-        raise DualMemError(f"element {args.element} outside domain of size {s.domain_size}")
     try:
-        code = hf.collapse(rel, args.element, args.relation)
+        code = hf.collapse(s.relation(args.relation), args.element, args.relation)
     except CycleError as exc:
         print(f"fail ill-founded e{args.relation} cycle={'>'.join(map(str, exc.cycle))}")
         return NEGATIVE

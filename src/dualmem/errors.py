@@ -6,7 +6,7 @@ class DualMemError(Exception):
 
 
 class StructureFormatError(DualMemError):
-    """Malformed structure or certificate text. Carries the 1-based offending line number."""
+    """Malformed structure or certificate text, or a non-UTF-8 file. Carries the 1-based offending line number."""
 
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no

@@ -1,14 +1,14 @@
 """Canonical hereditarily finite sets: the independent collapse oracle.
 
-Identity is by interning: two codes are the same set iff they are the same
-object, so equality is constant-time even where the binary-sum numeral would
-be astronomically large. A code is interned under the ascending uids of its
-members, and ``_BY_UID`` lists the codes by uid, so the collapse works on
-integer uids and makes an ``HfCode`` only for a member set not met before.
-Numerals are computed only on demand. Comparison, rendering, numerals and
-ranks walk with loops and explicit stacks, so a deep chain does not exhaust
-the interpreter's recursion limit. The intern tables are process-global and
-single-threaded by contract; every operation is deterministic.
+A set is an integer uid, interned under its key, the ascending uids of its
+members (``_INTERN`` maps keys to uids, ``_KEYS`` uids to keys), so two sets
+are equal iff their uids are. The collapse works on uids only. An ``HfCode``
+is made once per uid, when a code is asked for, so codes compare by identity
+even where the binary-sum numeral would be astronomically large. Numerals are
+computed only on demand. Comparison, rendering, numerals and ranks walk with
+loops and explicit stacks, so a deep chain does not exhaust the interpreter's
+recursion limit. The intern tables are process-global and single-threaded by
+contract; every operation is deterministic.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from functools import cmp_to_key
 from .errors import CycleError, DualMemError
 from .structure import MembershipRelation
 
-_INTERN: dict[tuple[int, ...], "HfCode"] = {}  # ascending member uids -> code
-_BY_UID: list["HfCode"] = []  # _BY_UID[uid] is the code with that uid
+_INTERN: dict[tuple[int, ...], int] = {}  # ascending member uids -> uid
+_KEYS: list[tuple[int, ...]] = []  # _KEYS[uid] is the key interned under uid
+_CODES: dict[int, "HfCode"] = {}  # uid -> its code object, for the uids asked for so far
 _ACK_MEMO: dict[int, int] = {}
 _RANK_MEMO: dict[int, int] = {}
 _CMP_MEMO: dict[tuple[int, int], int] = {}
@@ -29,13 +30,23 @@ _DECODE_MEMO: dict[int, "HfCode"] = {}
 
 
 class HfCode:
-    """A canonical HF set: a uid plus member codes sorted strictly by uid."""
+    """A canonical HF set: HfCode(uid) is the one object of an interned uid.
+    Its member codes, sorted strictly by uid, are made from its key on first read."""
 
-    __slots__ = ("members", "uid")
+    __slots__ = ("_members", "uid")
 
-    def __init__(self, members: tuple["HfCode", ...], uid: int):
-        self.members = members
-        self.uid = uid
+    def __new__(cls, uid: int):
+        code = _CODES.get(uid)
+        if code is None:
+            code = _CODES[uid] = super().__new__(cls)
+            code._members, code.uid = None, uid
+        return code
+
+    @property
+    def members(self) -> tuple["HfCode", ...]:
+        if self._members is None:
+            self._members = tuple(map(HfCode, _KEYS[self.uid]))
+        return self._members
 
     def __repr__(self):
         return f"HfCode({render_hf(self)})"
@@ -44,7 +55,7 @@ class HfCode:
         return self.uid
 
     def __len__(self):
-        return len(self.members)
+        return len(_KEYS[self.uid])
 
     def __iter__(self):
         return iter(self.members)
@@ -52,17 +63,15 @@ class HfCode:
 
 def intern_hf(members) -> HfCode:
     """The unique code whose member collection is the given codes (deduplicated)."""
-    return _intern_uids(tuple(sorted({m.uid for m in members})))
+    return HfCode(_intern_uids(tuple(sorted({m.uid for m in members}))))
 
 
-def _intern_uids(key: tuple[int, ...]) -> HfCode:
-    """The unique code whose members have exactly the uids in key (ascending, no repeats)."""
-    code = _INTERN.get(key)
-    if code is None:
-        code = HfCode(tuple(map(_BY_UID.__getitem__, key)), len(_BY_UID))
-        _INTERN[key] = code
-        _BY_UID.append(code)
-    return code
+def _intern_uids(key: tuple[int, ...]) -> int:
+    """The uid of the set whose members have exactly the uids in key (ascending, no repeats)."""
+    uid = _INTERN.setdefault(key, len(_KEYS))
+    if uid == len(_KEYS):
+        _KEYS.append(key)
+    return uid
 
 
 EMPTY: HfCode = intern_hf(())
@@ -237,14 +246,15 @@ def collapse(rel: MembershipRelation, x: int, tag: int | None = None) -> HfCode:
     order, cycle = rel.members_first((x,))
     if cycle is not None:
         raise CycleError(cycle, tag)
-    return _BY_UID[_collapse_uids(rel.member_tuples(), order, {})[x]]
+    return HfCode(_collapse_uids(rel.member_tuples(), order, {})[x])
 
 
 @dataclass(frozen=True)
 class DomainCollapse:
-    """Collapse values for every element of a relation's domain."""
+    """Collapse values for every element of a relation's domain: uids[x] is
+    the uid of x's collapse, and HfCode(uids[x]) its code, made when asked for."""
 
-    codes: tuple[HfCode, ...]
+    uids: tuple[int, ...]
     duplicate_groups: tuple[tuple[int, ...], ...]
 
     @property
@@ -252,7 +262,7 @@ class DomainCollapse:
         return not self.duplicate_groups
 
     def image(self) -> frozenset[HfCode]:
-        return frozenset(self.codes)
+        return frozenset(map(HfCode, set(self.uids)))
 
 
 def collapse_domain(rel: MembershipRelation, tag: int | None = None) -> DomainCollapse:
@@ -260,22 +270,22 @@ def collapse_domain(rel: MembershipRelation, tag: int | None = None) -> DomainCo
     order = rel.toposort()
     if order is None:
         raise CycleError(rel.find_cycle(), tag)
-    uid = _collapse_uids(rel.member_tuples(), order, [0] * rel.domain_size)
-    codes = tuple(map(_BY_UID.__getitem__, uid))
-    return DomainCollapse(codes, _duplicate_groups(uid))
+    uids = _collapse_uids(rel.member_tuples(), order, [0] * rel.domain_size)
+    return DomainCollapse(tuple(uids), _duplicate_groups(uids))
 
 
 def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid):
     """Fill uid[x] with the uid of x's collapse for each x of a members-first
-    order; an HfCode is made only for a member-uid set not met before."""
+    order, interning each member-uid key not met before; no code is made."""
     uid_of = uid.__getitem__
     for x in order:
-        uid[x] = _intern_uids(tuple(sorted(set(map(uid_of, members[x]))))).uid
+        ms = members[x]  # a key of at most one member needs no set or sort
+        uid[x] = _intern_uids(tuple(sorted(set(map(uid_of, ms)))) if len(ms) > 1 else tuple(map(uid_of, ms)))
     return uid
 
 
 def _duplicate_groups(uids: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Groups of elements sharing a code, given uids[x], the uid of element x's code."""
+    """Groups of elements sharing a collapse, given uids[x], the uid of element x's collapse."""
     if len(set(uids)) == len(uids):
         return ()
     by_code: dict[int, list[int]] = {}

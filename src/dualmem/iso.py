@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import hf
 from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError, StructureFormatError
 from .structure import (
     DualStructure,
     MembershipRelation,
-    Permutation,
-    apply_permutation,
     is_id_token,
     numbered_lines,
     transitive_closure,
@@ -315,7 +315,8 @@ def verify_certificate(s: DualStructure, cert: IsoCertificate) -> bool:
     n = s.domain_size
     if len(h) != n or sorted(h) != list(range(n)):
         return False
-    return apply_permutation(s.e1, Permutation(h)) == s.e2
+    images = np.array(h, dtype=np.int64)
+    return MembershipRelation(n, images[s.e1.child], images[s.e1.parent]) == s.e2
 
 
 # -- text formats ------------------------------------------------------------------
@@ -366,6 +367,6 @@ def render_diagnostic(s: DualStructure, diag: FailureDiagnostic) -> str:
     lines = [f"fail {diag.case}"]
     for tag, unmatched in ((1, diag.unmatched_e1), (2, diag.unmatched_e2)):
         if unmatched:
-            codes = hf.collapse_domain(s.relation(tag), tag).codes
-            lines.extend(f"unmatched e{tag} {x} collapse {hf.render_hf(codes[x])}" for x in unmatched)
+            uids = hf.collapse_domain(s.relation(tag), tag).uids
+            lines.extend(f"unmatched e{tag} {x} collapse {hf.render_hf(hf.HfCode(uids[x]))}" for x in unmatched)
     return "\n".join(lines) + "\n"

@@ -6,9 +6,18 @@ from pathlib import Path
 import pytest
 
 import dualmem
-from dualmem import MembershipRelation, build_v_universe, dual_structure, parse_structure, serialize_structure
+from dualmem import (
+    MembershipRelation,
+    Permutation,
+    build_v_universe,
+    dual_structure,
+    iso,
+    parse_structure,
+    serialize_structure,
+)
 from dualmem.cli import main
 from dualmem.formulas import MAX_FORMULA_DEPTH
+from dualmem.iso import IsoCertificate
 from dualmem.lemmas import EXPECTED_SUMMARIES
 
 
@@ -31,6 +40,26 @@ def v3_file(tmp_path):
     path = tmp_path / "v3.st"
     path.write_text(serialize_structure(build_v_universe(3)))
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-iso", "{st}"],
+        ["check-axioms", "{st}"],
+        ["eval", "{st}", "--formula", "x = x", "--assign", "x=0"],
+        ["verify-lemmas", "{st}"],
+        ["collapse", "{st}", "--element", "0"],
+        ["gen", "scramble", "--in", "{st}", "--out", "{out}"],
+    ],
+)
+def test_structure_not_utf8_exit_two_with_line(tmp_path, argv):
+    bad = tmp_path / "bad.st"
+    bad.write_bytes(b"n 2\r\ne1 0 1\r\n# caf\xff\r\n")
+    proc = run_process(*(arg.format(st=bad, out=tmp_path / "out.st") for arg in argv))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 3: byte 0xff is not valid UTF-8\n"
 
 
 class TestGen:
@@ -142,6 +171,24 @@ class TestFindIso:
         code, out, _ = run(capsys, "find-iso", str(directory / "membership-cycle.st"))
         assert code == 1
         assert out.startswith("fail ill-founded e1")
+
+    @pytest.mark.parametrize(
+        ("flags", "verdict"),
+        [
+            (["--verify"], "fail certificate-rejected\n"),
+            (["--oracle-check"], "fail oracle-mismatch x=3 y={y}\n"),
+            (["--verify", "--oracle-check"], "fail certificate-rejected\n"),
+        ],
+    )
+    def test_wrong_certificate_is_caught(self, capsys, monkeypatch, tmp_path, scrambled_v4, flags, verdict):
+        # The true certificate with the images of 3 and 9 swapped: both checks
+        # must refuse it, the oracle at its first wrong x.
+        images = list(Permutation.random(16, 7).images)
+        images[3], images[9] = images[9], images[3]
+        monkeypatch.setattr(iso, "global_isomorphism", lambda s: IsoCertificate(tuple(images)))
+        path = tmp_path / "s.st"
+        path.write_text(serialize_structure(scrambled_v4))
+        assert run(capsys, "find-iso", str(path), *flags) == (1, verdict.format(y=images[3]), "")
 
     def test_parse_error_exit_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.st"
@@ -294,6 +341,14 @@ class TestEval:
         f.write_text("forall x forall y ((forall z (z in1 x <-> z in1 y)) -> x = y)\n")
         code, out, _ = run(capsys, "eval", v3_file, "--formula-file", str(f))
         assert code == 0 and out.strip() == "true"
+
+    def test_formula_file_not_utf8_exit_two(self, tmp_path, v3_file):
+        f = tmp_path / "f.formula"
+        f.write_bytes(b"forall x\n(x = x) \xfe\n")
+        proc = run_process("eval", v3_file, "--formula-file", str(f))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 2: byte 0xfe is not valid UTF-8\n"
 
 
 class TestVerifyLemmas:

@@ -20,7 +20,7 @@ from dualmem import (
     v_level_codes,
 )
 from dualmem import hf
-from dualmem.hf import ackermann_code_if_below, hf_compare, intern_hf
+from dualmem.hf import HfCode, ackermann_code_if_below, hf_compare, intern_hf
 from dualmem.structure import apply_permutation, relation_from_edges, transitive_closure
 
 
@@ -254,13 +254,28 @@ class TestInterning:
     def test_by_uid_lists_every_interned_code(self, v4):
         collapse_domain(v4.e1)
         decode_ackermann(12345)
-        assert len(hf._BY_UID) == len(hf._INTERN)
-        for key, code in hf._INTERN.items():
-            assert hf._BY_UID[code.uid] is code
+        assert len(hf._KEYS) == len(hf._INTERN)
+        for uid, key in enumerate(hf._KEYS):
+            assert hf._INTERN[key] == uid  # each key maps to its uid, and back
+            code = HfCode(uid)
+            assert HfCode(uid) is code  # one code object per uid
             assert tuple(m.uid for m in code.members) == key
+        for uid, code in hf._CODES.items():
+            assert code.uid == uid
 
     def test_collapse_reuses_interned_codes(self, scrambled_v4):
-        codes = collapse_domain(scrambled_v4.e1).codes
-        assert [intern_hf(c.members) for c in codes] == list(codes)
+        dc = collapse_domain(scrambled_v4.e1)
+        codes = [HfCode(u) for u in dc.uids]
+        assert [intern_hf(c.members) for c in codes] == codes
         inverse = Permutation.random(16, 7).inverse()
-        assert collapse_domain(scrambled_v4.e2).codes == tuple(codes[x] for x in inverse.images)
+        assert collapse_domain(scrambled_v4.e2).uids == tuple(dc.uids[x] for x in inverse.images)
+
+    def test_collapse_makes_no_code_until_one_is_read(self, v4, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the collapse made an HfCode")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HfCode, "__new__", refuse)
+            dc = collapse_domain(v4.e1)
+        assert [ackermann_code(HfCode(u)) for u in dc.uids] == list(range(16))
+        assert len(dc.image()) == 16

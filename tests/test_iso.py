@@ -250,10 +250,16 @@ class TestGlobalIsomorphism:
         )
 
     def test_diagnostic_is_read_without_the_oracle(self, monkeypatch):
-        def refuse(key):
-            raise AssertionError("the matching interned an hf code")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matching consulted the hf oracle")
 
-        monkeypatch.setattr(hf, "_intern_uids", refuse)
+        class Refusing:  # stands in for the intern tables, so interning inline is caught too
+            __getattr__ = __getitem__ = __contains__ = __len__ = __iter__ = refuse
+
+        for name in ("collapse", "collapse_domain", "_collapse_uids", "intern_hf", "_intern_uids", "HfCode"):
+            monkeypatch.setattr(hf, name, refuse)
+        for name in ("_INTERN", "_KEYS", "_CODES"):
+            monkeypatch.setattr(hf, name, Refusing())
         assert global_isomorphism(_chain_vs_v3()) == FailureDiagnostic("both-directions-fail", (3,), (2,))
 
     def test_ill_founded_is_error(self):

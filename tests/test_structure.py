@@ -21,6 +21,7 @@ from dualmem import (
     tamper,
 )
 from dualmem.structure import (
+    _KEYED_SORT_MAX,
     DualStructure,
     _parse_canonical,
     _scan_structure,
@@ -316,6 +317,45 @@ class TestRelationArrays:
         for x in range(8):
             groups.setdefault(frozenset(a for a, b in edges if b == x), []).append(x)
         assert rel.duplicate_extensions() == tuple(sorted(tuple(g) for g in groups.values() if len(g) > 1))
+
+
+def reference_sorted_edges(child, parent):
+    """Reference: the (parent, child) order without repeats, by np.lexsort and a neighbour mask."""
+    order = np.lexsort((child, parent))
+    child, parent = child[order], parent[order]
+    fresh = np.ones(child.size, dtype=bool)
+    fresh[1:] = (child[1:] != child[:-1]) | (parent[1:] != parent[:-1])
+    return child[fresh], parent[fresh]
+
+
+class TestKeyedSort:
+    def test_limit_is_the_largest_n_whose_keys_fit_in_int64(self):
+        assert _KEYED_SORT_MAX == 3_037_000_499
+        assert _KEYED_SORT_MAX**2 - 1 <= np.iinfo(np.int64).max < (_KEYED_SORT_MAX + 1) ** 2 - 1
+
+    @given(
+        n=st.integers(1, 9),
+        pairs=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_lexsort_reference(self, n, pairs):
+        child = np.array([a % n for a, _ in pairs], dtype=np.int64)
+        parent = np.array([b % n for _, b in pairs], dtype=np.int64)
+        rel = MembershipRelation(n, child, parent)
+        expected = reference_sorted_edges(child, parent)
+        assert rel.child.tolist() == expected[0].tolist()
+        assert rel.parent.tolist() == expected[1].tolist()
+
+    @pytest.mark.parametrize("n", [3_037_000_498, 3_037_000_499, 3_037_000_500, 2**62])
+    def test_ids_near_the_top_on_both_sides_of_the_limit(self, n):
+        top = n - 1
+        child = np.array([top, top - 1, top, 0, top, top - 1, 5], dtype=np.int64)
+        parent = np.array([top, top, top - 1, top, top, 0, top - 1], dtype=np.int64)
+        rel = MembershipRelation(n, child, parent)
+        expected = reference_sorted_edges(child, parent)
+        assert rel.child.tolist() == expected[0].tolist()
+        assert rel.parent.tolist() == expected[1].tolist()
+        assert rel.child.size == 6  # the repeated (top, top) is dropped
 
 
 class TestSerialize:
