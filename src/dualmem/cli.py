@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / all-pass, 1 semantic negative (axiom failure, no
 isomorphism, false sentence, lemma failure, ill-founded input), 2 usage or
-input errors. Reports go to stdout; usage diagnostics to stderr. Every
-command is deterministic given its flags and seeds.
+input errors, input too large for memory included. Reports go to stdout;
+usage diagnostics to stderr. Every command is deterministic given its flags
+and seeds.
 """
 
 from __future__ import annotations
@@ -277,6 +278,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DualMemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE
 
 

@@ -34,7 +34,6 @@ import numpy as np
 from .errors import EvalError, FormulaError
 from .structure import DualStructure
 
-IDENT_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 KEYWORDS = {"true", "false", "forall", "exists", "in1", "in2"}
 
 

@@ -5,28 +5,27 @@ members (``_INTERN`` maps keys to uids, ``_KEYS`` uids to keys), so two sets
 are equal iff their uids are. The collapse works on uids only. An ``HfCode``
 is made once per uid, when a code is asked for, so codes compare by identity
 even where the binary-sum numeral would be astronomically large. Numerals are
-computed only on demand. Comparison, rendering, numerals and ranks walk with
-loops and explicit stacks, so a deep chain does not exhaust the interpreter's
-recursion limit. The intern tables are process-global and single-threaded by
-contract; every operation is deterministic.
+computed only on demand. Rendering, numerals and ranks walk the member uids
+in ``_KEYS`` with loops and explicit stacks: a deep chain does not exhaust the
+recursion limit, and no member code is made. Five tables are process-global
+and single-threaded by contract: ``_INTERN``, ``_KEYS``, ``_CODES`` and the
+numeral memos ``_ACK_MEMO`` and ``_DECODE_MEMO``. Ranks and the numeral order
+rendering sorts by are computed per call. Every operation is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from itertools import groupby
 
 from .errors import CycleError, DualMemError
-from .structure import MembershipRelation
+from .structure import V_UNIVERSE_MAX, MembershipRelation
 
 _INTERN: dict[tuple[int, ...], int] = {}  # ascending member uids -> uid
 _KEYS: list[tuple[int, ...]] = []  # _KEYS[uid] is the key interned under uid
 _CODES: dict[int, "HfCode"] = {}  # uid -> its code object, for the uids asked for so far
-_ACK_MEMO: dict[int, int] = {}
-_RANK_MEMO: dict[int, int] = {}
-_CMP_MEMO: dict[tuple[int, int], int] = {}
-_SORTED_MEMO: dict[int, tuple["HfCode", ...]] = {}
-_DECODE_MEMO: dict[int, "HfCode"] = {}
+_ACK_MEMO: dict[int, int] = {}  # uid -> its numeral, for the uids asked for so far
+_DECODE_MEMO: dict[int, "HfCode"] = {}  # numeral -> its code
 
 
 class HfCode:
@@ -77,96 +76,79 @@ def _intern_uids(key: tuple[int, ...]) -> int:
 EMPTY: HfCode = intern_hf(())
 
 
-def hf_compare(x: HfCode, y: HfCode) -> int:
-    """Order by binary-sum numeral without materializing it.
-
-    Two distinct sets differ at their largest non-shared member (highest
-    differing bit): whichever set contains it is the larger. That member pair
-    is compared the same way, so the walk goes down one pair per rank until a
-    memoized pair or a pair whose shared prefix decides by length; every pair
-    on the way gets the same result.
-    """
-    if x is y:
-        return 0
-    path: list[tuple[HfCode, HfCode]] = []
-    while True:
-        cached = _CMP_MEMO.get((x.uid, y.uid))
-        if cached is not None:
-            result = cached
-            break
-        path.append((x, y))
-        xs, ys = _members_descending(x), _members_descending(y)
-        first = next(((mx, my) for mx, my in zip(xs, ys) if mx is not my), None)
-        if first is None:
-            result = (len(xs) > len(ys)) - (len(xs) < len(ys))
-            break
-        x, y = first
-    for a, b in path:
-        _CMP_MEMO[(a.uid, b.uid)] = result
-        _CMP_MEMO[(b.uid, a.uid)] = -result
-    return result
-
-
-def _members_descending(x: HfCode) -> tuple[HfCode, ...]:
-    """x's members in descending numeral order.
-
-    The codes below x are sorted members first, so each sort compares codes
-    whose own members are already sorted, and hf_compare's walk never starts
-    another sort: the call depth stays constant however deep x is.
-    """
-    got = _SORTED_MEMO.get(x.uid)
-    if got is None:
-        key = cmp_to_key(hf_compare)
-        for code in _unmemoized_below(x, _SORTED_MEMO):
-            _SORTED_MEMO[code.uid] = tuple(sorted(code.members, key=key, reverse=True))
-        got = _SORTED_MEMO[x.uid]
-    return got
-
-
 def render_hf(x: HfCode) -> str:
     """Nested braces, members in ascending numeral order: the report format."""
+    place = _numeral_places(x.uid)
+    # What a uid's "{" pushes: "}", then its members descending with commas
+    # between, so that they are popped ascending.
+    pushed: dict[int, list[int | str]] = {}
+    for u in place:
+        members = sorted(_KEYS[u], key=place.__getitem__, reverse=True)
+        pushed[u] = ["}", *[t for m in members for t in (m, ",")][:-1]]
     parts: list[str] = []
-    todo: list[HfCode | str] = [x]  # a stack of codes still to render and literal tokens
+    todo: list[int | str] = [x.uid]  # a stack of uids still to render and literal tokens
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             parts.append(item)
-            continue
-        parts.append("{")
-        todo.append("}")
-        members = _members_descending(item)
-        for i, m in enumerate(members, start=1):  # pushed descending, so popped ascending
-            todo.append(m)
-            if i < len(members):
-                todo.append(",")
+        else:
+            parts.append("{")
+            todo.extend(pushed[item])
     return "".join(parts)
 
 
-def _unmemoized_below(x: HfCode, memo: dict[int, int]) -> list[HfCode]:
-    """The codes reachable from x (x included) whose uid is not in memo,
-    members first, each once."""
-    if x.uid in memo:
+def _numeral_places(uid: int) -> dict[int, int]:
+    """Each uid below uid (itself included) mapped to its place in ascending
+    numeral order among them.
+
+    A set of higher rank has the larger numeral. Two sets of one rank differ
+    at their largest non-shared member (highest differing bit), and the set
+    holding it is the larger: they compare as the descending lists of their
+    members' places. Members have lower ranks, so sorting the rank layers
+    upwards places every member before the sets that hold it.
+    """
+    rank = _ranks(uid)
+    place: dict[int, int] = {}
+    for _, layer in groupby(sorted(rank, key=rank.__getitem__), key=rank.__getitem__):
+        for u in sorted(layer, key=lambda v: sorted(map(place.__getitem__, _KEYS[v]), reverse=True)):
+            place[u] = len(place)
+    return place
+
+
+def _below(uid: int, memo: dict[int, int]) -> list[int]:
+    """The uids reachable from uid (uid included) that are not in memo,
+    members first, each once; no code is made."""
+    if uid in memo:
         return []
-    seen = {x.uid}
-    order: list[HfCode] = []
-    stack = [(x, iter(x.members))]
+    seen = {uid}
+    order: list[int] = []
+    stack = [(uid, iter(_KEYS[uid]))]
     while stack:
-        code, members = stack[-1]
+        u, members = stack[-1]
         for m in members:
-            if m.uid not in memo and m.uid not in seen:
-                seen.add(m.uid)
-                stack.append((m, iter(m.members)))
+            if m not in memo and m not in seen:
+                seen.add(m)
+                stack.append((m, iter(_KEYS[m])))
                 break
         else:
             stack.pop()
-            order.append(code)
+            order.append(u)
     return order
+
+
+def _ranks(uid: int) -> dict[int, int]:
+    """The rank of each uid below uid (itself included), members first."""
+    rank: dict[int, int] = {}
+    for u in _below(uid, rank):
+        key = _KEYS[u]
+        rank[u] = 1 + max(map(rank.__getitem__, key)) if key else 0
+    return rank
 
 
 def ackermann_code(x: HfCode) -> int:
     """code({}) = 0; code(x) = sum over members m of 2**code(m)."""
-    for code in _unmemoized_below(x, _ACK_MEMO):
-        _ACK_MEMO[code.uid] = sum(1 << _ACK_MEMO[m.uid] for m in code.members)
+    for u in _below(x.uid, _ACK_MEMO):
+        _ACK_MEMO[u] = sum(1 << _ACK_MEMO[m] for m in _KEYS[u])
     return _ACK_MEMO[x.uid]
 
 
@@ -184,8 +166,8 @@ def ackermann_code_if_below(x: HfCode, bound: int) -> int | None:
         return None
     cap = bound.bit_length()
     sat: dict[int, int] = {}
-    for code in _unmemoized_below(x, sat):
-        sat[code.uid] = min(sum(1 << min(sat[m.uid], cap) for m in code.members), bound)
+    for u in _below(x.uid, sat):
+        sat[u] = min(sum(1 << min(sat[m], cap) for m in _KEYS[u]), bound)
     return sat[x.uid] if sat[x.uid] < bound else None
 
 
@@ -209,23 +191,18 @@ def decode_ackermann(n: int) -> HfCode:
 
 def hf_rank(x: HfCode) -> int:
     """0 for the empty set, else 1 + max member rank."""
-    for code in _unmemoized_below(x, _RANK_MEMO):
-        _RANK_MEMO[code.uid] = 1 + max(_RANK_MEMO[m.uid] for m in code.members) if code.members else 0
-    return _RANK_MEMO[x.uid]
-
-
-V_LEVEL_MAX = 5
+    return _ranks(x.uid)[x.uid]
 
 
 def v_level_codes(n: int) -> frozenset[HfCode]:
     """All HF sets of rank < n; the n-th cumulative level as a set of codes."""
     if n < 0:
         raise DualMemError("level index must be >= 0")
-    if n > V_LEVEL_MAX:
-        raise DualMemError(f"level {n} exceeds the supported bound {V_LEVEL_MAX}")
+    if n > V_UNIVERSE_MAX:
+        raise DualMemError(f"level {n} exceeds the supported bound {V_UNIVERSE_MAX}")
     level: frozenset[HfCode] = frozenset()
     for _ in range(n):
-        codes = sorted(level, key=cmp_to_key(hf_compare))
+        codes = list(level)  # the subsets do not depend on the order
         level = frozenset(
             intern_hf([codes[i] for i in range(len(codes)) if mask >> i & 1])
             for mask in range(1 << len(codes))

@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +28,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(*argv):
+def run_process(*argv, **options):
     """The CLI in a child interpreter, so that a traceback would show on its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "dualmem.cli", *argv], capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "dualmem.cli", *argv], capture_output=True, text=True, env=env, **options,
     )
 
 
@@ -60,6 +61,29 @@ def test_structure_not_utf8_exit_two_with_line(tmp_path, argv):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: line 3: byte 0xff is not valid UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["find-iso", "{st}"],
+        ["collapse", "{st}", "--element", "0"],
+        ["check-axioms", "{st}", "--mode", "semantic"],
+        ["verify-lemmas", "{st}"],
+    ],
+)
+def test_out_of_memory_exit_two(tmp_path, argv):
+    huge = tmp_path / "huge.st"
+    huge.write_text("n 300000000\ne1 0 1\n")  # the CSR offsets alone take 2.4 GB
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (2_000_000_000, 2_000_000_000))
+
+    proc = run_process(*(arg.format(st=huge) for arg in argv), preexec_fn=limit_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestGen:

@@ -1,5 +1,5 @@
 import itertools
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +20,7 @@ from dualmem import (
     v_level_codes,
 )
 from dualmem import hf
-from dualmem.hf import HfCode, ackermann_code_if_below, hf_compare, intern_hf
+from dualmem.hf import HfCode, ackermann_code_if_below, intern_hf
 from dualmem.structure import apply_permutation, relation_from_edges, transitive_closure
 
 
@@ -182,6 +182,13 @@ class TestRendering:
     def test_members_sorted_by_numeral_order(self):
         assert render_hf(decode_ackermann(11)) == "{{},{{}},{{},{{}}}}"
 
+    def test_numerals_below_4096_render_their_bits(self):
+        def from_bits(k):  # the members of k are its set bits, ascending
+            return "{" + ",".join(from_bits(i) for i in range(k.bit_length()) if k >> i & 1) + "}"
+
+        for k in range(4096):
+            assert render_hf(decode_ackermann(k)) == from_bits(k), k
+
     def test_empty(self):
         assert render_hf(EMPTY) == "{}"
 
@@ -193,8 +200,18 @@ class TestRendering:
 
 
 # The recursive definitions the iterative forms replace, kept as references.
+@cache
+def reference_compare(x, y):
+    """Sets differ at their largest non-shared member, and the larger set holds it."""
+    differing = set(x.members) ^ set(y.members)
+    if not differing:
+        return 0
+    largest = max(differing, key=cmp_to_key(reference_compare))
+    return 1 if largest in x.members else -1
+
+
 def reference_render(x):
-    return "{" + ",".join(reference_render(m) for m in sorted(x.members, key=cmp_to_key(hf_compare))) + "}"
+    return "{" + ",".join(reference_render(m) for m in sorted(x.members, key=cmp_to_key(reference_compare))) + "}"
 
 
 def reference_code(x):
@@ -243,9 +260,6 @@ class TestIterativeForms:
         low, high = EMPTY, intern_hf([EMPTY])
         for _ in range(5000):
             low, high = intern_hf([low]), intern_hf([high])
-        assert hf_compare(low, high) == -1
-        assert hf_compare(high, low) == 1
-        assert hf._CMP_MEMO[(low.uid, high.uid)] == -1
         top = intern_hf([low, high])
         assert render_hf(top) == "{" + "{" * 5001 + "}" * 5001 + "," + "{" * 5002 + "}" * 5002 + "}"
 
@@ -279,3 +293,14 @@ class TestInterning:
             dc = collapse_domain(v4.e1)
         assert [ackermann_code(HfCode(u)) for u in dc.uids] == list(range(16))
         assert len(dc.image()) == 16
+
+    def test_walks_make_no_member_code(self, monkeypatch):
+        code = collapse(random_extensional_relation(40, 2025), 39)  # its members never read
+
+        def refuse(*args):
+            raise AssertionError("a walk made an HfCode")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(HfCode, "__new__", refuse)
+            got = render_hf(code), hf_rank(code), ackermann_code_if_below(code, 1 << 64)
+        assert got == (reference_render(code), reference_rank(code), reference_code_if_below(code, 1 << 64))
