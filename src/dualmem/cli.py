@@ -77,8 +77,6 @@ def cmd_gen(args) -> int:
     elif args.kind == "tamper":
         if not args.infile:
             raise DualMemError("tamper needs --in")
-        if args.tamper_kind not in TAMPER_KINDS:
-            raise DualMemError(f"--tamper-kind must be one of {', '.join(TAMPER_KINDS)}")
         s = tamper(_read_structure(args.infile), args.tamper_kind, args.seed)
         path = Path(args.out or f"{Path(args.infile).stem}-{args.tamper_kind}-{args.seed}.st")
         _write_structure(path, s)
@@ -93,8 +91,6 @@ def cmd_gen(args) -> int:
             expected_path.write_text(item.expected_summary, encoding="utf-8")
             print(st_path, file=out)
             print(expected_path, file=out)
-    else:
-        raise DualMemError(f"unknown gen kind {args.kind!r}")
     return PASS
 
 

@@ -115,9 +115,11 @@ def _numeral_places(uid: int) -> dict[int, int]:
     return place
 
 
-def _below(uid: int, memo: dict[int, int]) -> list[int]:
+def _below(uid: int, memo: dict[int, int], depth: int | None = None) -> list[int] | None:
     """The uids reachable from uid (uid included) that are not in memo,
-    members first, each once; no code is made."""
+    members first, each once; no code is made. With depth given, None as
+    soon as the walk meets a chain of depth + 1 uids from uid down, each a
+    member of the one before: uid's rank is then at least depth."""
     if uid in memo:
         return []
     seen = {uid}
@@ -129,6 +131,8 @@ def _below(uid: int, memo: dict[int, int]) -> list[int]:
             if m not in memo and m not in seen:
                 seen.add(m)
                 stack.append((m, iter(_KEYS[m])))
+                if depth is not None and len(stack) > depth:
+                    return None
                 break
         else:
             stack.pop()
@@ -161,12 +165,22 @@ def ackermann_code_if_below(x: HfCode, bound: int) -> int | None:
     sat(c) = min(sum of 2**min(sat(m), cap), bound) with cap the bit length
     of bound. A member numeral e >= cap puts 2**e over bound, so sat(c) is
     the exact numeral whenever it is below bound.
+
+    The walk stops early at a rank that forces the numeral past bound: a set
+    of rank r + 1 has a member of rank r, so its numeral is at least
+    low(r + 1) = 2**low(r), with low(0) = 0 (rank 6: at least 2**65536).
     """
     if bound <= 0:
         return None
     cap = bound.bit_length()
+    depth, low = 1, 0  # low = low(depth - 1); once low >= cap, low(depth) >= 2**cap > bound
+    while low < cap:
+        depth, low = depth + 1, 1 << low
     sat: dict[int, int] = {}
-    for u in _below(x.uid, sat):
+    order = _below(x.uid, sat, depth)
+    if order is None:
+        return None
+    for u in order:
         sat[u] = min(sum(1 << min(sat[m], cap) for m in _KEYS[u]), bound)
     return sat[x.uid] if sat[x.uid] < bound else None
 

@@ -266,15 +266,16 @@ def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
 
     The ordinal and level stages of the proof are not run here; the
     level-extension lemma checks them. Requires both relations acyclic and
-    extensional (typed errors otherwise).
+    extensional (typed errors otherwise). Extensionality is tested without an
+    extension index; e2's is built once, by the sweep that reads it.
     """
     for tag in (1, 2):
         rel = s.relation(tag)
         cycle = rel.find_cycle()
         if cycle is not None:
             raise CycleError(cycle, tag)
-        dupes = rel.duplicate_extensions()
-        if dupes:
+        if not rel.is_extensional():
+            dupes = rel.duplicate_extensions()  # builds the index only to name the pair
             raise NonExtensionalError((dupes[0][0], dupes[0][1]), tag)
     return read_off(s, partners(s))
 
@@ -321,10 +322,16 @@ def verify_certificate(s: DualStructure, cert: IsoCertificate) -> bool:
 
 # -- text formats ------------------------------------------------------------------
 
+_CERT_BLOCK = 4096  # map lines joined at a time: no list of every line is held
+
+
 def render_certificate(cert: IsoCertificate) -> str:
-    lines = [f"iso {len(cert.mapping)}"]
-    lines.extend(f"map {x} {y}" for x, y in enumerate(cert.mapping))
-    return "\n".join(lines) + "\n"
+    """An 'iso <N>' header line, then 'map <x> <y>' for each x ascending."""
+    h = cert.mapping
+    blocks = [f"iso {len(h)}\n"]
+    for start in range(0, len(h), _CERT_BLOCK):
+        blocks.append("".join(f"map {x} {y}\n" for x, y in enumerate(h[start:start + _CERT_BLOCK], start)))
+    return "".join(blocks)
 
 
 def parse_certificate(text: str) -> IsoCertificate:

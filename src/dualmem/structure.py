@@ -240,7 +240,9 @@ class MembershipRelation:
         return tuple(sorted(groups))
 
     def is_extensional(self) -> bool:
-        return not self.duplicate_extensions()
+        """No two elements share a member-set: decided from a transient set of
+        the member tuples, so no extension index is built or cached."""
+        return len(set(self.member_tuples())) == self.domain_size
 
 
 def _canonical_order(child: np.ndarray, parent: np.ndarray) -> bool:

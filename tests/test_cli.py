@@ -125,6 +125,13 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    def test_unknown_tamper_kind_exit_two(self, capsys, tmp_path, v3_file):
+        out_path = tmp_path / "t.st"
+        code, out, err = run(capsys, "gen", "tamper", "--in", v3_file, "--tamper-kind", "bogus", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert "argument --tamper-kind: invalid choice: 'bogus'" in err
+        assert not out_path.exists()
+
 
 class TestCheckAxioms:
     def test_universe_passes(self, capsys, v3_file):
@@ -287,6 +294,22 @@ class TestFindIso:
         path = tmp_path / "c.st"
         path.write_text(serialize_structure(two_cycles))
         assert run(capsys, "find-iso", str(path)) == (1, "fail ill-founded e1 cycle=3>4>5>3\n", "")
+
+    @pytest.mark.parametrize(
+        ("text", "verdict"),
+        [
+            ("n 3\ne1 0 2\ne1 1 2\ne2 0 1\ne2 1 2\n", "e1 x=0 y=1"),
+            ("n 3\ne1 0 2\ne1 1 2\ne2 0 1\n", "e1 x=0 y=1"),  # e2 is non-extensional too
+            ("n 3\ne1 0 2\ne1 1 2\ne2 0 1\ne2 1 0\n", "e1 x=0 y=1"),  # e1 is checked before e2's cycle
+            ("n 3\ne1 0 1\ne1 1 2\ne2 0 2\ne2 1 2\n", "e2 x=0 y=1"),
+            ("n 4\ne1 0 1\ne1 1 2\ne1 2 3\ne2 0 1\ne2 0 2\ne2 1 3\ne2 2 3\n", "e2 x=1 y=2"),
+        ],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--verify", "--oracle-check"]])
+    def test_non_extensional_names_a_pair(self, capsys, tmp_path, text, verdict, flags):
+        path = tmp_path / "d.st"
+        path.write_text(text)
+        assert run(capsys, "find-iso", str(path), *flags) == (1, f"fail non-extensional {verdict}\n", "")
 
     def test_empty_domain(self, capsys, tmp_path):
         empty = tmp_path / "v0.st"

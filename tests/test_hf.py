@@ -135,12 +135,26 @@ class TestAckermann:
     def test_bounded_code_small(self):
         assert ackermann_code_if_below(decode_ackermann(11), 1 << 64) == 11
 
-    def test_bounded_code_overflows(self):
-        # a 70-deep chain's numeral is a power tower; the bounded form refuses it
-        deep = EMPTY
-        for _ in range(70):
-            deep = intern_hf([deep])
-        assert ackermann_code_if_below(deep, 1 << 64) is None
+    def test_bounded_code_overflows(self, monkeypatch):
+        # A 5,000-deep chain's numeral is a power tower; the bounded form
+        # refuses it. A set of rank 6 has a numeral of at least 2**65536 >
+        # 2**64, so the walk down the chain stops seven uids in.
+        chain = [EMPTY]
+        for _ in range(5000):
+            chain.append(intern_hf([chain[-1]]))
+        reads = []
+
+        class CountingKeys(list):
+            def __getitem__(self, uid):
+                reads.append(uid)
+                return super().__getitem__(uid)
+
+        monkeypatch.setattr(hf, "_KEYS", CountingKeys(hf._KEYS))
+        assert ackermann_code_if_below(chain[-1], 1 << 64) is None
+        assert len(reads) <= 8
+        assert [ackermann_code_if_below(c, 1 << 64) for c in chain[:7]] == [0, 1, 2, 4, 16, 65536, None]
+        assert ackermann_code_if_below(chain[5], 65536) is None
+        assert ackermann_code_if_below(chain[5], 65537) == 65536
 
 
 class TestRank:

@@ -27,6 +27,7 @@ from dualmem import (
 )
 from dualmem import hf
 from dualmem.iso import (
+    _CERT_BLOCK,
     FailureDiagnostic,
     IsoCertificate,
     is_witness,
@@ -272,6 +273,15 @@ class TestGlobalIsomorphism:
         with pytest.raises(NonExtensionalError):
             global_isomorphism(s)
 
+    def test_extensionality_builds_no_e1_index(self):
+        # e1 is only tested for extensionality; e2's index is read by the sweep
+        n = 300
+        p = Permutation.random(n, 5)
+        s = scramble(dual_structure(n, [(x, x + 1) for x in range(n - 1)], []), p)
+        assert global_isomorphism(s).mapping == p.images
+        assert "ext_index" not in s.e1._derived
+        assert "ext_index" in s.e2._derived
+
     def test_bit_identical_across_fresh_structures(self):
         texts = []
         for _ in range(2):
@@ -321,12 +331,26 @@ class TestVerifyCertificate:
                     assert not accepted
 
 
+def reference_certificate_text(cert):
+    """render_certificate's text as one join over a list of every line."""
+    lines = [f"iso {len(cert.mapping)}"]
+    lines.extend(f"map {x} {y}" for x, y in enumerate(cert.mapping))
+    return "\n".join(lines) + "\n"
+
+
 class TestCertificateText:
     def test_render_and_parse(self, scrambled_v3):
         cert = global_isomorphism(scrambled_v3)
         text = render_certificate(cert)
         assert text.splitlines()[0] == "iso 4"
         assert parse_certificate(text).mapping == cert.mapping
+
+    @pytest.mark.parametrize("n", [0, 1, _CERT_BLOCK - 1, _CERT_BLOCK, _CERT_BLOCK + 1, 10_000])
+    def test_blocks_join_to_the_reference_text(self, n):
+        cert = IsoCertificate(Permutation.random(n, n).images)
+        text = render_certificate(cert)
+        assert text == reference_certificate_text(cert)
+        assert parse_certificate(text) == cert
 
     @pytest.mark.parametrize(
         "text, line_no",

@@ -318,6 +318,20 @@ class TestRelationArrays:
             groups.setdefault(frozenset(a for a, b in edges if b == x), []).append(x)
         assert rel.duplicate_extensions() == tuple(sorted(tuple(g) for g in groups.values() if len(g) > 1))
 
+    @given(
+        size=st.integers(0, 8),
+        edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24),
+        seed=st.integers(0, 100),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_is_extensional_iff_no_duplicate_extensions(self, size, edges, seed):
+        # drawn edges (cycles and shared member-sets included), and extensional relations
+        drawn = relation_from_edges(size, [(a, b) for a, b in edges if a < size and b < size])
+        for rel in (drawn, random_extensional_relation(size + 1, seed)):
+            extensional = rel.is_extensional()
+            assert "ext_index" not in rel._derived  # decided without building the index
+            assert extensional == (not rel.duplicate_extensions())
+
 
 def reference_sorted_edges(child, parent):
     """Reference: the (parent, child) order without repeats, by np.lexsort and a neighbour mask."""
