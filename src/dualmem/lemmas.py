@@ -13,7 +13,6 @@ halting with the reproducing seed on any unexpected verdict.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import axioms as axioms_mod
@@ -141,17 +140,16 @@ def _first_semantic_failure(report: axioms_mod.FullReport) -> Witness:
 
 def _check_uniqueness(s: DualStructure, partner: list[int | None]) -> LemmaVerdict:
     """Brute-force witness counting on pairs with small closures on both sides:
-    one witness where the partners(s) list sends x to y, none elsewhere."""
-    tc1 = [transitive_closure(s.e1, x, include_self=True) for x in range(s.domain_size)]
-    tc2 = [transitive_closure(s.e2, y, include_self=True) for y in range(s.domain_size)]
+    one witness where the partners(s) list sends x to y, none elsewhere. One
+    search per small x counts its witnesses for every small y at once; only
+    the small closures are kept."""
+    tc2 = (transitive_closure(s.e2, y, include_self=True) for y in range(s.domain_size))
+    small2 = {y: c for y, c in enumerate(tc2) if len(c) <= UNIQUENESS_CLOSURE_BOUND}
     for x in range(s.domain_size):
-        if len(tc1[x]) > UNIQUENESS_CLOSURE_BOUND:
+        if len(transitive_closure(s.e1, x, include_self=True)) > UNIQUENESS_CLOSURE_BOUND:
             continue
-        for y in range(s.domain_size):
-            if len(tc2[y]) > UNIQUENESS_CLOSURE_BOUND:
-                continue
+        for y, count in count_witnesses_brute(s, x, small2).items():
             expected = 1 if partner[x] == y else 0
-            count = count_witnesses_brute(s, x, y, tc1[x], tc2[y])
             if count != expected:
                 return LemmaVerdict(
                     "fail",
@@ -160,32 +158,39 @@ def _check_uniqueness(s: DualStructure, partner: list[int | None]) -> LemmaVerdi
     return LemmaVerdict("pass")
 
 
-def count_witnesses_brute(
-    s: DualStructure, x: int, y: int, tc1: frozenset[int] | None = None, tc2: frozenset[int] | None = None
-) -> int:
-    """Count all maps from the e1 closure of x into the e2 closure of y
-    satisfying the witness conditions, checked from the definitions.
+def count_witnesses_brute(s: DualStructure, x: int, tc2: dict[int, frozenset[int]]) -> dict[int, int]:
+    """For each y of tc2, the number of maps from the e1 closure of x into the
+    e2 closure of y satisfying the witness conditions, checked from the
+    definitions. tc2 maps each candidate y to its e2 closure, y included.
 
-    An exhaustive depth-first search that never calls the construction: x is
-    bound to y first, then the other elements of the e1 closure in ascending
-    id, each to every element of the e2 closure in turn. A partial map is
-    dropped as soon as two bound elements t, w (t = w included) disagree on
-    membership, read from the member sets: t in w in e1 but not f[t] in f[w]
-    in e2 or the other way round, since every completion of it fails
-    preserves-membership. A complete map counts only when _witness_conditions
-    accepts all of its conditions. The count is that of all maps with f[x] = y that pass the
-    conditions, on any relation, cyclic or non-extensional included.
-    tc1 and tc2, the closures of x in e1 and of y in e2 with x and y
-    included, are computed when not given.
+    One exhaustive depth-first search that never calls the construction. The
+    e1 closure of x is ordered top-down: breadth-first from x, members in
+    ascending id. x takes every y of tc2 in turn, and every other element a
+    value only among the e2 members of the value of the element it was reached
+    from: any other value breaks preserves-membership on that edge. A partial
+    map is dropped as soon as two bound elements t, w (t = w included)
+    disagree on membership, read from the member sets: t in w in e1 but not
+    f[t] in f[w] in e2 or the other way round, since every completion of it
+    fails preserves-membership. The values of a complete map lie in the
+    closure of y; the map counts only when they cover it (else it is not
+    onto) and _witness_conditions accepts all of its conditions. The count is
+    that of all maps with f[x] = y that pass the conditions, on any relation,
+    cyclic or non-extensional included.
     """
-    tc1 = tc1 or transitive_closure(s.e1, x, include_self=True)
-    tc2 = tc2 or transitive_closure(s.e2, y, include_self=True)
-    order = [x, *sorted(tc1 - {x})]
-    cod = sorted(tc2)
+    mt1, mt2 = s.e1.member_tuples(), s.e2.member_tuples()
     ms1, ms2 = s.e1.member_sets(), s.e2.member_sets()
+    order, above = [x], [0]  # above[i]: the position order[i] was reached from
+    seen = {x}
+    for i, t in enumerate(order):  # order grows while it is walked: breadth-first
+        for m in mt1[t]:
+            if m not in seen:
+                seen.add(m)
+                order.append(m)
+                above.append(i)
+    tc1 = frozenset(order)
     f: dict[int, int] = {}
-    count = 0
-    choices = [iter((y,))]  # choices[i]: the values still to try for order[i]
+    counts = dict.fromkeys(tc2, 0)
+    choices = [iter(tc2)]  # choices[i]: the values still to try for order[i]
     while choices:
         i = len(choices) - 1
         t = order[i]
@@ -201,10 +206,14 @@ def count_witnesses_brute(
             continue
         f[t] = v
         if i + 1 < len(order):
-            choices.append(iter(cod))
-        elif all(iso_mod._witness_conditions(s, x, y, f, tc1, tc2).values()):
-            count += 1
-    return count
+            choices.append(iter(mt2[f[order[above[i + 1]]]]))
+        else:
+            y = f[x]
+            if len(set(f.values())) == len(tc2[y]) and all(
+                iso_mod._witness_conditions(s, x, y, f, tc1, tc2[y]).values()
+            ):
+                counts[y] += 1
+    return counts
 
 
 def _check_restriction(s: DualStructure, matched) -> LemmaVerdict:
@@ -240,10 +249,29 @@ def _check_functionality(s: DualStructure, matched) -> LemmaVerdict:
 
 
 def _check_membership_preservation(s: DualStructure, matched) -> LemmaVerdict:
-    for (x, y), (x2, y2) in itertools.product(matched, repeat=2):
-        if s.contains(1, x, x2) != s.contains(2, y, y2):
-            return LemmaVerdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
-    return LemmaVerdict("pass")
+    """x in x2 in e1 iff y in y2 in e2 for all matched (x, y) and (x2, y2); a
+    failure names the first failing pair of pairs in list order. For each
+    (x2, y2), the failing (x, y) are the symmetric difference of those whose x
+    is an e1 member of x2 and those whose y is an e2 member of y2, so each
+    edge is read once per matched end instead of testing every pair of pairs.
+    """
+    at_x: dict[int, list[int]] = {}  # positions in matched, by first and by second entry
+    at_y: dict[int, list[int]] = {}
+    for i, (x, y) in enumerate(matched):
+        at_x.setdefault(x, []).append(i)
+        at_y.setdefault(y, []).append(i)
+    mt1, mt2 = s.e1.member_tuples(), s.e2.member_tuples()
+    failing = []  # (the least failing i, j) for each j that fails
+    for j, (x2, y2) in enumerate(matched):
+        in1 = {i for m in mt1[x2] for i in at_x.get(m, ())}
+        in2 = {i for m in mt2[y2] for i in at_y.get(m, ())}
+        if in1 != in2:
+            failing.append((min(in1 ^ in2), j))
+    if not failing:
+        return LemmaVerdict("pass")
+    i, j = min(failing)
+    (x, y), (x2, y2) = matched[i], matched[j]
+    return LemmaVerdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
 
 
 def _check_ordinal_preservation(s: DualStructure, matched) -> LemmaVerdict:

@@ -22,6 +22,9 @@ from dualmem.lemmas import (
     LEMMA_NAMES,
     _chain_vs_v3,
     LemmaVerdict,
+    SuiteReport,
+    _check_membership_preservation,
+    _check_uniqueness,
     count_witnesses_brute,
     gallery_summary,
     render_suite,
@@ -220,12 +223,16 @@ COUNT_INPUTS = st.one_of(
 )
 
 
+def closures2(s, ys):
+    return {y: iso_mod.transitive_closure(s.e2, y, include_self=True) for y in ys}
+
+
 class TestWitnessCounting:
     def test_exactly_one_when_matched(self, scrambled_v3):
-        assert count_witnesses_brute(scrambled_v3, 1, 2) == 1
+        assert count_witnesses_brute(scrambled_v3, 1, closures2(scrambled_v3, [2])) == {2: 1}
 
     def test_zero_when_unmatched(self, scrambled_v3):
-        assert count_witnesses_brute(scrambled_v3, 1, 1) == 0
+        assert count_witnesses_brute(scrambled_v3, 1, closures2(scrambled_v3, [1])) == {1: 0}
 
     @given(s=COUNT_INPUTS)
     @settings(max_examples=60, deadline=None)
@@ -234,23 +241,92 @@ class TestWitnessCounting:
             return len(iso_mod.transitive_closure(rel, x, include_self=True)) <= 4
 
         xs = [x for x in range(s.domain_size) if small(s.e1, x)]
-        ys = [y for y in range(s.domain_size) if small(s.e2, y)]
+        tc2 = closures2(s, [y for y in range(s.domain_size) if small(s.e2, y)])
         for x in xs:
-            for y in ys:
-                assert count_witnesses_brute(s, x, y) == reference_count(s, x, y), (x, y)
+            expected = {y: reference_count(s, x, y) for y in tc2}
+            assert count_witnesses_brute(s, x, tc2) == expected, x
 
     def test_counts_above_one(self):
         # Without extensionality a pair can have several witnesses: 0 and 1
         # are both empty, so the map on {0, 1, 2} may swap them.
         s = dual_structure(3, [(0, 2), (1, 2)], [(0, 2), (1, 2)])
-        assert count_witnesses_brute(s, 2, 2) == reference_count(s, 2, 2) == 2
+        assert count_witnesses_brute(s, 2, closures2(s, [2]))[2] == reference_count(s, 2, 2) == 2
 
     def test_self_loops(self):
         s = dual_structure(2, [(0, 0), (0, 1)], [(1, 1), (1, 0)])
         for x in range(2):
-            for y in range(2):
-                assert count_witnesses_brute(s, x, y) == reference_count(s, x, y)
-        assert count_witnesses_brute(s, 1, 0) == 1
+            assert count_witnesses_brute(s, x, closures2(s, range(2))) == {
+                y: reference_count(s, x, y) for y in range(2)
+            }
+        assert count_witnesses_brute(s, 1, closures2(s, [0]))[0] == 1
+
+
+class TestUniquenessFailure:
+    """No structure the suite accepts has a wrong partner list, so the fail
+    path is reached by swapping two entries of the partners(s) list that
+    run_suite hands to the check. (run_suite itself cannot take the swapped
+    list: the restriction check builds a witness for every listed pair.)"""
+
+    @pytest.mark.parametrize(
+        "swap, line",
+        [
+            ((0, 1), "x=0 y=1 witnesses=0 expected=1"),
+            ((1, 2), "x=1 y=0 witnesses=0 expected=1"),
+            ((2, 3), "x=2 y=0 witnesses=1 expected=0"),
+            ((0, 3), "x=0 y=2 witnesses=0 expected=1"),
+        ],
+    )
+    def test_swapped_partners_fail_line(self, swap, line):
+        s = scramble(build_v_universe(3), Permutation.random(4, 7))
+        partner = iso_mod.partners(s)
+        assert partner == [3, 1, 0, 2]
+        a, b = swap
+        partner[a], partner[b] = partner[b], partner[a]
+        report = SuiteReport({"witness-uniqueness": _check_uniqueness(s, partner)})
+        assert render_suite(report) == f"lemma witness-uniqueness fail {line}\n"
+
+
+def reference_membership_preservation(s, matched):
+    """The definition, pair of pairs by pair of pairs in list order."""
+    for (x, y), (x2, y2) in itertools.product(matched, repeat=2):
+        if s.contains(1, x, x2) != s.contains(2, y, y2):
+            return LemmaVerdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
+    return LemmaVerdict("pass")
+
+
+class TestMembershipPreservation:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_quadratic_definition(self, data):
+        # Matched lists of any order and length: the partners list, pairs
+        # drawn from it (repeats and any order, so they still pass), and
+        # arbitrary pairs, wrong and non-injective ones included.
+        s = data.draw(COUNT_INPUTS)
+        ids = st.integers(0, s.domain_size - 1)
+        guide = []
+        if s.e1.is_acyclic():
+            guide = [(x, y) for x, y in enumerate(iso_mod.partners(s)) if y is not None]
+        pairs = st.one_of(st.sampled_from(guide), st.tuples(ids, ids)) if guide else st.tuples(ids, ids)
+        matched = data.draw(st.one_of(st.just(guide), st.lists(pairs, max_size=s.domain_size + 3)))
+        expected = reference_membership_preservation(s, matched)
+        assert _check_membership_preservation(s, matched) == expected
+        assert _check_membership_preservation(s, tuple(matched)) == expected
+
+    def test_long_chain(self):
+        # e1 is the chain 0 in 1 in .. in n-1, e2 the same chain scrambled, so
+        # the true pairs are (i, p(i)). A last pair (n-1, p(k)) is wrong: the
+        # first failing pair of pairs is (k-1, p(k-1)) with (n-1, p(k)), since
+        # p(k-1) in p(k) in e2 but k-1 is not in n-1 in e1.
+        n, k = 20_000, 5_000
+        chain = [(i, i + 1) for i in range(n - 1)]
+        p = Permutation.random(n, 3)
+        s = dual_structure(n, chain, [(p(a), p(b)) for a, b in chain])
+        matched = [(i, p(i)) for i in range(n)]
+        assert _check_membership_preservation(s, matched) == LemmaVerdict("pass")
+        matched[-1] = (n - 1, p(k))
+        assert _check_membership_preservation(s, matched) == LemmaVerdict(
+            "fail", (("x", str(k - 1)), ("x2", str(n - 1)), ("y", str(p(k - 1))), ("y2", str(p(k))))
+        )
 
 
 class TestRunCorpus:
