@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import CycleError, DualMemError
-from .structure import V_UNIVERSE_MAX, MembershipRelation
+from .structure import V_UNIVERSE_MAX, MembershipRelation, reachable_postorder
 
 _INTERN: dict[tuple[int, ...], int] = {}  # ascending member uids -> uid
 _KEYS: list[tuple[int, ...]] = []  # _KEYS[uid] is the key interned under uid
@@ -234,10 +234,7 @@ def collapse(rel: MembershipRelation, x: int, tag: int | None = None) -> HfCode:
     """
     if not (0 <= x < rel.domain_size):
         raise DualMemError(f"element {x} outside domain of size {rel.domain_size}")
-    order, cycle = rel.members_first((x,))
-    if cycle is not None:
-        raise CycleError(cycle, tag)
-    return HfCode(_collapse_uids(rel.member_tuples(), order, {})[x])
+    return HfCode(_collapse_uids(rel.member_tuples(), reachable_postorder(rel, x, tag), {})[x])
 
 
 @dataclass(frozen=True)

@@ -28,20 +28,9 @@ from .structure import (
     MembershipRelation,
     is_id_token,
     numbered_lines,
+    reachable_postorder,
     transitive_closure,
 )
-
-
-def reachable_postorder(rel: MembershipRelation, x: int, tag: int | None = None) -> list[int]:
-    """Members-first order of the part reachable from (and including) x.
-
-    Raises CycleError when that part has a membership cycle; cycles elsewhere
-    in the relation are not consulted.
-    """
-    order, cycle = rel.members_first((x,))
-    if cycle is not None:
-        raise CycleError(cycle, tag)
-    return order
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,13 @@ after construction. Derived data is built from the arrays on first use and
 cached per instance. The per-element view is ``member_tuples()``: each
 element's members as an ascending tuple, cut once from compressed sparse row
 (CSR) offsets in O(edges). Ranks, traversals and the extension index (keyed
-by those tuples) read it. ``member_sets()`` (frozensets, derived from the
-tuples) serves set algebra and membership tests, and the adjacency matrix the
-formula tables; find-iso builds neither. Generators and tamperers build and
-edit the arrays.
+by those tuples) read it. One members-first walk over the whole domain,
+cached per relation, gives both the members-first order (``toposort()``,
+which ``ranks()`` and the whole-domain sweeps read) and the first cycle met
+(``find_cycle()``, ``is_acyclic()``). ``member_sets()`` (frozensets, derived
+from the tuples) serves set algebra and membership tests, and the adjacency
+matrix the formula tables; find-iso builds neither. Generators and tamperers
+build and edit the arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DualMemError, StructureFormatError
+from .errors import CycleError, DualMemError, StructureFormatError
 
 Edge = tuple[int, int]
 _KEYED_SORT_MAX = 3_037_000_499  # isqrt(2**63 - 1): up to this n, parent * n + child < n * n fits in int64
@@ -115,15 +118,11 @@ class MembershipRelation:
     def parent_sets(self) -> tuple[frozenset[int], ...]:
         """parent_sets()[a] is the set of elements a is a member of."""
         if "parents" not in self._derived:
-            offsets, ids = self._parents_csr()
+            offsets = _offsets(self.child, self.domain_size)
+            ids = self.parent[np.argsort(self.child, kind="stable")].tolist()
             sets = tuple(frozenset(ids[offsets[a]:offsets[a + 1]]) for a in range(self.domain_size))
             self._derived["parents"] = sets
         return self._derived["parents"]
-
-    def _parents_csr(self) -> tuple[list[int], list[int]]:
-        """(offsets, ids): the parents of a are ids[offsets[a]:offsets[a + 1]], ascending."""
-        by_child = np.argsort(self.child, kind="stable")  # keeps parents ascending per child
-        return _offsets(self.child, self.domain_size), self.parent[by_child].tolist()
 
     def adjacency(self) -> np.ndarray:
         """The read-only n-by-n boolean matrix that is True exactly at [child, parent] of an edge."""
@@ -135,29 +134,24 @@ class MembershipRelation:
         return self._derived["adjacency"]
 
     def toposort(self) -> tuple[int, ...] | None:
-        """Children-first order covering the whole domain, or None if cyclic.
+        """Members-first order covering the whole domain, or None if cyclic.
 
-        Deterministic: Kahn's algorithm with a FIFO frontier that starts with
-        the memberless elements in ascending id and takes each element's
-        parents in ascending id.
+        Deterministic: the order of _walk(), a depth-first walk from each root
+        in ascending id, members in ascending id.
         """
-        if "topo" not in self._derived:
-            offsets, parents = self._parents_csr()
-            pending = np.bincount(self.parent, minlength=self.domain_size).tolist()
-            order = [x for x in range(self.domain_size) if pending[x] == 0]
-            for x in order:  # the order list is also the FIFO queue
-                for p in parents[offsets[x]:offsets[x + 1]]:
-                    pending[p] -= 1
-                    if pending[p] == 0:
-                        order.append(p)
-            self._derived["topo"] = tuple(order) if len(order) == self.domain_size else None
-        return self._derived["topo"]
+        return self._walk()[0]
 
     def find_cycle(self) -> tuple[int, ...] | None:
-        """Some directed membership cycle (first element repeated last), or None."""
-        if self.toposort() is not None:
-            return None
-        return self.members_first(range(self.domain_size))[1]
+        """The first membership cycle _walk() meets (first element repeated last), or None."""
+        return self._walk()[1]
+
+    def _walk(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+        """(order, None) from members_first over the whole domain, or (None,
+        cycle) when it meets a cycle; walked once and cached."""
+        if "walk" not in self._derived:
+            order, cycle = self.members_first(range(self.domain_size))
+            self._derived["walk"] = (tuple(order) if cycle is None else None, cycle)
+        return self._derived["walk"]
 
     def members_first(self, roots: Iterable[int]) -> tuple[list[int], tuple[int, ...] | None]:
         """Depth-first walk from each root in turn, members in ascending id.
@@ -191,7 +185,7 @@ class MembershipRelation:
         return order, None
 
     def is_acyclic(self) -> bool:
-        return self.toposort() is not None
+        return self.find_cycle() is None
 
     def ranks(self) -> tuple[int, ...]:
         """ranks()[x] = 0 for empty member-set, else 1 + max member rank.
@@ -336,6 +330,18 @@ def apply_permutation(rel: MembershipRelation, p: Permutation) -> MembershipRela
         raise DualMemError("permutation length does not match domain size")
     images = np.array(p.images, dtype=np.int64)
     return MembershipRelation(rel.domain_size, images[rel.child], images[rel.parent])
+
+
+def reachable_postorder(rel: MembershipRelation, x: int, tag: int | None = None) -> list[int]:
+    """Members-first order of the part reachable from (and including) x.
+
+    Raises CycleError when that part has a membership cycle; cycles elsewhere
+    in the relation are not consulted.
+    """
+    order, cycle = rel.members_first((x,))
+    if cycle is not None:
+        raise CycleError(cycle, tag)
+    return order
 
 
 def transitive_closure(rel: MembershipRelation, x: int, include_self: bool = False) -> frozenset[int]:

@@ -100,6 +100,7 @@ class TestBuildPsi:
 
     def test_acyclic_e2_is_not_walked(self, monkeypatch):
         s = scramble(build_v_universe(4), Permutation.random(16, 3))
+        assert s.e2.is_acyclic()  # its one whole-domain walk, cached before the patch
         walk = MembershipRelation.members_first
 
         def refuse_e2(rel, roots):

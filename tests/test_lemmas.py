@@ -24,6 +24,7 @@ from dualmem.lemmas import (
     LemmaVerdict,
     SuiteReport,
     _check_membership_preservation,
+    _check_restriction,
     _check_uniqueness,
     count_witnesses_brute,
     gallery_summary,
@@ -264,8 +265,7 @@ class TestWitnessCounting:
 class TestUniquenessFailure:
     """No structure the suite accepts has a wrong partner list, so the fail
     path is reached by swapping two entries of the partners(s) list that
-    run_suite hands to the check. (run_suite itself cannot take the swapped
-    list: the restriction check builds a witness for every listed pair.)"""
+    run_suite hands to the check, and the check is called directly."""
 
     @pytest.mark.parametrize(
         "swap, line",
@@ -284,6 +284,92 @@ class TestUniquenessFailure:
         partner[a], partner[b] = partner[b], partner[a]
         report = SuiteReport({"witness-uniqueness": _check_uniqueness(s, partner)})
         assert render_suite(report) == f"lemma witness-uniqueness fail {line}\n"
+
+
+class TestRestrictionFailure:
+    """A listed pair without a witness fails the check, naming the pair.
+    Swapping two entries of scrambled V3's partners list makes such pairs."""
+
+    @pytest.mark.parametrize(
+        "swap, line",
+        [
+            ((0, 1), "x=0 y=1 reason=no-witness"),
+            ((1, 2), "x=1 y=0 reason=no-witness"),
+            ((2, 3), "x=2 y=2 reason=no-witness"),
+        ],
+    )
+    def test_swapped_partners_fail_line(self, swap, line):
+        s = scramble(build_v_universe(3), Permutation.random(4, 7))
+        partner = iso_mod.partners(s)
+        a, b = swap
+        partner[a], partner[b] = partner[b], partner[a]
+        report = SuiteReport({"witness-restriction": _check_restriction(s, list(enumerate(partner)))})
+        assert render_suite(report) == f"lemma witness-restriction fail {line}\n"
+
+
+def reference_restriction(s, matched):
+    """The restriction check as first written: a witness for each matched
+    pair, then one for each e1 member c of x, compared with the outer witness
+    restricted to c's closure. It has no verdict (AttributeError) when a
+    listed pair has no witness."""
+    for x, y in matched:
+        f = iso_mod.build_witness(s, x, y).as_dict()
+        for child in sorted(s.e1.members(x)):
+            sub = iso_mod.build_witness(s, child, f[child])
+            if sub is None:
+                return LemmaVerdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "no-witness")))
+            expected = {t: f[t] for t in iso_mod.transitive_closure(s.e1, child, include_self=True)}
+            if sub.as_dict() != expected:
+                return LemmaVerdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "not-restriction")))
+    return LemmaVerdict("pass")
+
+
+RESTRICTION_INPUTS = st.one_of(
+    st.builds(_scrambled, st.sampled_from((3, 4)), st.integers(0, 10_000)),
+    st.builds(random_dual_structure, st.integers(2, 12), st.integers(0, 10_000)),
+    st.builds(
+        _tampered, st.sampled_from((3, 4)), st.sampled_from(("break-extensionality", "remove-edge")),
+        st.integers(0, 10_000),
+    ),
+)
+
+
+class TestRestriction:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_per_member_reference(self, data):
+        # The partners list, lists drawn from it with pairs missing (and in
+        # any order), and lists mixing in arbitrary pairs. Where the
+        # reference gives a verdict the check gives the same one; where it
+        # has none, the check fails the first pair without a witness.
+        s = data.draw(RESTRICTION_INPUTS)
+        ids = st.integers(0, s.domain_size - 1)
+        guide = [(x, y) for x, y in enumerate(iso_mod.partners(s)) if y is not None]
+        drawn = st.sampled_from(guide) if guide else st.tuples(ids, ids)
+        matched = data.draw(st.one_of(
+            st.just(guide),
+            st.lists(drawn, max_size=len(guide)),
+            st.lists(st.one_of(drawn, st.tuples(ids, ids)), min_size=1, max_size=s.domain_size + 3),
+        ))
+        try:
+            expected = reference_restriction(s, matched)
+        except AttributeError:
+            x, y = next((x, y) for x, y in matched if iso_mod.build_witness(s, x, y) is None)
+            expected = LemmaVerdict("fail", (("x", str(x)), ("y", str(y)), ("reason", "no-witness")))
+        assert _check_restriction(s, matched) == expected
+
+    def test_one_witness_per_matched_pair(self, monkeypatch, scrambled_v4):
+        calls = []
+        build = iso_mod.build_witness
+
+        def counted(s, x, y):
+            calls.append((x, y))
+            return build(s, x, y)
+
+        monkeypatch.setattr(iso_mod, "build_witness", counted)
+        matched = list(enumerate(iso_mod.partners(scrambled_v4)))
+        assert _check_restriction(scrambled_v4, matched) == LemmaVerdict("pass")
+        assert calls == matched
 
 
 def reference_membership_preservation(s, matched):

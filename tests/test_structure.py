@@ -66,7 +66,8 @@ def outcome(parse, text):
 
 
 def reference_toposort(rel):
-    # Kahn's algorithm as first written: FIFO queue over member-set sizes, parents in ascending id.
+    # Kahn's algorithm: FIFO queue over member-set sizes, parents in ascending
+    # id. It covers the domain exactly when the relation is acyclic.
     ms, ps = rel.member_sets(), rel.parent_sets()
     pending = [len(ms[x]) for x in range(rel.domain_size)]
     frontier = deque(x for x in range(rel.domain_size) if pending[x] == 0)
@@ -289,7 +290,14 @@ class TestRelationArrays:
         for x in range(8):
             assert rel.members(x) == {a for a, b in edges if b == x}
             assert rel.parent_sets()[x] == {b for a, b in edges if a == x}
-        assert rel.toposort() == reference_toposort(rel)
+        order = rel.toposort()
+        if reference_toposort(rel) is None:
+            assert order is None
+        else:
+            assert sorted(order) == list(range(8))
+            place = {x: i for i, x in enumerate(order)}
+            assert all(place[a] < place[b] for a, b in edges)  # every member before its parent
+            assert order == tuple(rel.members_first(range(8))[0])
 
     @given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
     @settings(max_examples=150, deadline=None)
@@ -549,6 +557,33 @@ class TestFindCycle:
         # 3>4>5>3 before 6>7>6, and the non-cycle prefix 0 is sliced off.
         assert two_cycles.e1.find_cycle() == (3, 4, 5, 3)
         assert two_cycles.e2.find_cycle() is None
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("name", ["scrambled_v4", "two_cycles"])
+    def test_one_whole_domain_walk_per_relation(self, monkeypatch, request, name):
+        # A fresh copy, so that no walk cached by another test carries over.
+        given_s = request.getfixturevalue(name)
+        s = dual_structure(given_s.domain_size, given_s.e1.edges, given_s.e2.edges)
+        walked = []
+        walk = MembershipRelation.members_first
+
+        def counted(rel, roots):
+            if roots == range(rel.domain_size):
+                walked.append(rel)
+            return walk(rel, roots)
+
+        monkeypatch.setattr(MembershipRelation, "members_first", counted)
+        for _ in range(2):
+            for rel in (s.e1, s.e2):
+                rel.find_cycle(), rel.toposort(), rel.is_acyclic()
+                if rel.is_acyclic():
+                    rel.ranks()
+                else:
+                    with pytest.raises(DualMemError):
+                        rel.ranks()
+        assert len(walked) == 2 and {id(rel) for rel in walked} == {id(s.e1), id(s.e2)}
+        assert (s.e1.find_cycle() is None) == (name == "scrambled_v4")
 
 
 class TestPermutation:
