@@ -111,11 +111,12 @@ def _witness_conditions(
     s: DualStructure, x: int, y: int, f: dict[int, int], tc1: frozenset[int], tc2: frozenset[int]
 ) -> dict[str, bool]:
     """witness_conditions given tc1 and tc2, the closures below-and-including
-    x in e1 and y in e2, so that many candidate maps can share them."""
+    x in e1 and y in e2, so that many candidate maps can share them. A value
+    outside the domain fails preserves-membership, which reads membership."""
     domain_ok = set(f) == set(tc1)
     into = domain_ok and all(f[t] in tc2 for t in tc1)
     onto = domain_ok and {f[t] for t in tc1} == set(tc2)
-    preserves = domain_ok and all(
+    preserves = domain_ok and all(f[t] in range(s.domain_size) for t in tc1) and all(
         s.contains(1, t, w) == s.contains(2, f[t], f[w]) for t in tc1 for w in tc1
     )
     return {
@@ -134,14 +135,14 @@ def is_witness(s: DualStructure, x: int, y: int, f: dict[int, int]) -> bool:
 # -- ordinals and levels ---------------------------------------------------------
 
 def _is_transitive_set(rel: MembershipRelation, x: int) -> bool:
-    ms = rel.member_sets()
-    return all(ms[t] <= ms[x] for t in ms[x])
+    mt = rel.member_tuples()
+    members = frozenset(mt[x])
+    return all(members.issuperset(mt[t]) for t in mt[x])
 
 
 def is_ordinal(rel: MembershipRelation, x: int) -> bool:
     """A transitive element all of whose members are transitive."""
-    ms = rel.member_sets()
-    return _is_transitive_set(rel, x) and all(_is_transitive_set(rel, t) for t in ms[x])
+    return _is_transitive_set(rel, x) and all(_is_transitive_set(rel, t) for t in rel.member_tuples()[x])
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,10 @@ def internal_level(s: DualStructure, tag: int, alpha: int) -> InternalLevel:
     rel = s.relation(tag)
     if not is_ordinal(rel, alpha):
         raise DualMemError(f"element {alpha} is not an ordinal of e{tag}")
-    ms = rel.member_sets()
+    mt = rel.member_tuples()
     extension: frozenset[int] = frozenset()
-    for _ in range(len(ms[alpha])):
-        extension = frozenset(x for x in range(rel.domain_size) if ms[x] <= extension)
+    for _ in range(len(mt[alpha])):
+        extension = frozenset(x for x in range(rel.domain_size) if extension.issuperset(mt[x]))
     element = rel.realizer(extension)
     return InternalLevel(tag, alpha, element, extension)
 

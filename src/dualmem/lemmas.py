@@ -102,9 +102,8 @@ def run_suite(s: DualStructure) -> SuiteReport:
             witness = (("tag", str(tag)), ("cycle", ">".join(map(str, cycle))))
             return SuiteReport(_all_na("ill-founded", *witness))
     for tag in (1, 2):
-        dc = hf.collapse_domain(s.relation(tag), tag)
-        if dc.duplicate_groups:
-            group = ",".join(map(str, dc.duplicate_groups[0]))
+        if not s.relation(tag).is_extensional():  # acyclic: shared member tuples iff shared collapses
+            group = ",".join(map(str, hf.collapse_domain(s.relation(tag), tag).duplicate_groups[0]))
             witness = (("tag", str(tag)), ("collapse-duplicates", group))
             return SuiteReport(_all_na("non-extensional", *witness))
 
@@ -169,7 +168,7 @@ def count_witnesses_brute(s: DualStructure, x: int, tc2: dict[int, frozenset[int
     value only among the e2 members of the value of the element it was reached
     from: any other value breaks preserves-membership on that edge. A partial
     map is dropped as soon as two bound elements t, w (t = w included)
-    disagree on membership, read from the member sets: t in w in e1 but not
+    disagree on membership, read from the member tuples: t in w in e1 but not
     f[t] in f[w] in e2 or the other way round, since every completion of it
     fails preserves-membership. The values of a complete map lie in the
     closure of y; the map counts only when they cover it (else it is not
@@ -178,7 +177,6 @@ def count_witnesses_brute(s: DualStructure, x: int, tc2: dict[int, frozenset[int
     cyclic or non-extensional included.
     """
     mt1, mt2 = s.e1.member_tuples(), s.e2.member_tuples()
-    ms1, ms2 = s.e1.member_sets(), s.e2.member_sets()
     order, above = [x], [0]  # above[i]: the position order[i] was reached from
     seen = {x}
     for i, t in enumerate(order):  # order grows while it is walked: breadth-first
@@ -194,10 +192,10 @@ def count_witnesses_brute(s: DualStructure, x: int, tc2: dict[int, frozenset[int
     while choices:
         i = len(choices) - 1
         t = order[i]
-        loop = t in ms1[t]
+        loop = t in mt1[t]
         for v in choices[-1]:
-            if loop == (v in ms2[v]) and all(
-                (t in ms1[w]) == (v in ms2[f[w]]) and (w in ms1[t]) == (f[w] in ms2[v])
+            if loop == (v in mt2[v]) and all(
+                (t in mt1[w]) == (v in mt2[f[w]]) and (w in mt1[t]) == (f[w] in mt2[v])
                 for w in order[:i]
             ):
                 break
@@ -351,6 +349,9 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
     pairs must pass the conditional lemmas, and their isomorphism verdict must
     coincide with collapse-image equality (both outcomes are counted).
     """
+    for kind in config.kinds:
+        if kind not in ("scrambled", "random-pair"):
+            raise DualMemError(f"unknown corpus kind {kind!r}")
     combined: dict[str, LemmaVerdict] = {}
     items = 0
     iso_pass = 0
@@ -362,10 +363,8 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
                 if kind == "scrambled":
                     base = build_v_universe(size_index)
                     s = scramble(base, Permutation.random(base.domain_size, seed))
-                elif kind == "random-pair":
-                    s = random_dual_structure(size_index, seed)
                 else:
-                    raise DualMemError(f"unknown corpus kind {kind!r}")
+                    s = random_dual_structure(size_index, seed)
                 report = run_suite(s)
                 items += 1
                 repro = (("kind", kind), ("size", str(size_index)), ("seed", str(seed)))

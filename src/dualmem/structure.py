@@ -11,10 +11,11 @@ element's members as an ascending tuple, cut once from compressed sparse row
 by those tuples) read it. One members-first walk over the whole domain,
 cached per relation, gives both the members-first order (``toposort()``,
 which ``ranks()`` and the whole-domain sweeps read) and the first cycle met
-(``find_cycle()``, ``is_acyclic()``). ``member_sets()`` (frozensets, derived
-from the tuples) serves set algebra and membership tests, and the adjacency
-matrix the formula tables; find-iso builds neither. Generators and tamperers
-build and edit the arrays.
+(``find_cycle()``, ``is_acyclic()``). Membership tests read the tuples too;
+the formula tables read the adjacency matrix, which find-iso never builds.
+``member_sets()`` and ``parent_sets()`` build frozensets afresh on each call,
+for tests and the benchmark replay; no command calls them. Generators and
+tamperers build and edit the arrays.
 """
 
 from __future__ import annotations
@@ -49,9 +50,8 @@ class MembershipRelation:
     # Derived data, filled on first use. Every cache is an attribute set at
     # construction: functools.cached_property would write the instance
     # __dict__ instead, which slows every later attribute read on the
-    # object, and the lemma suite reads _member_sets millions of times.
+    # object, and the lemma suite reads _member_tuples millions of times.
     _member_tuples: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
-    _member_sets: tuple[frozenset[int], ...] | None = field(default=None, init=False, repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -107,22 +107,14 @@ class MembershipRelation:
         return self._member_tuples
 
     def member_sets(self) -> tuple[frozenset[int], ...]:
-        """member_sets()[b] is the set of members of b, for set algebra."""
-        if self._member_sets is None:
-            object.__setattr__(self, "_member_sets", tuple(map(frozenset, self.member_tuples())))
-        return self._member_sets
-
-    def members(self, b: int) -> frozenset[int]:
-        return self.member_sets()[b]
+        """member_sets()[b] is the set of members of b, built afresh on each call."""
+        return tuple(map(frozenset, self.member_tuples()))
 
     def parent_sets(self) -> tuple[frozenset[int], ...]:
-        """parent_sets()[a] is the set of elements a is a member of."""
-        if "parents" not in self._derived:
-            offsets = _offsets(self.child, self.domain_size)
-            ids = self.parent[np.argsort(self.child, kind="stable")].tolist()
-            sets = tuple(frozenset(ids[offsets[a]:offsets[a + 1]]) for a in range(self.domain_size))
-            self._derived["parents"] = sets
-        return self._derived["parents"]
+        """parent_sets()[a] is the set of elements a is a member of, built afresh on each call."""
+        offsets = _offsets(self.child, self.domain_size)
+        ids = self.parent[np.argsort(self.child, kind="stable")].tolist()
+        return tuple(frozenset(ids[offsets[a]:offsets[a + 1]]) for a in range(self.domain_size))
 
     def adjacency(self) -> np.ndarray:
         """The read-only n-by-n boolean matrix that is True exactly at [child, parent] of an edge."""
@@ -270,8 +262,8 @@ class DualStructure:
         raise DualMemError(f"relation tag must be 1 or 2, got {tag}")
 
     def contains(self, tag: int, a: int, b: int) -> bool:
-        """Whether a is a member of b in relation tag, read from its member sets."""
-        return a in self.relation(tag).member_sets()[b]
+        """Whether a is a member of b in relation tag, read from b's member tuple."""
+        return a in self.relation(tag).member_tuples()[b]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@ import pytest
 from dualmem import Permutation, build_v_universe, dual_structure, scramble
 
 
+def members(rel, x):
+    """The members of x in rel as a set, built from its member tuples."""
+    return frozenset(rel.member_tuples()[x])
+
+
 @pytest.fixture(scope="session")
 def v3():
     return build_v_universe(3)

@@ -13,6 +13,7 @@ from dualmem import (
     build_v_universe,
     dual_structure,
     iso,
+    lemmas,
     parse_structure,
     serialize_structure,
 )
@@ -84,6 +85,30 @@ def test_out_of_memory_exit_two(tmp_path, argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory: ")
     assert "Traceback" not in proc.stderr
+
+
+def run_every_subcommand(capsys, tmp_path, s):
+    """Run each subcommand once, on s (an isomorphic pair), a gallery item or
+    generated input, and check its exit code."""
+    iso_file = str(tmp_path / "s.st")
+    Path(iso_file).write_text(serialize_structure(s))
+    gallery = tmp_path / "g"
+    run(capsys, "gen", "gallery", "--out", str(gallery))
+    assert run(capsys, "find-iso", iso_file, "--verify", "--oracle-check")[0] == 0
+    assert run(capsys, "find-iso", str(gallery / "chain-vs-v3.st"))[0] == 1
+    assert run(capsys, "eval", iso_file, "--formula", "x in1 y | y in2 x", "--assign", "x=0,y=1")[0] == 0
+    assert run(capsys, "verify-lemmas", iso_file)[0] == 0
+    assert run(capsys, "verify-lemmas", "--corpus", "sizes=3 count=2 kinds=scrambled,random-pair")[0] == 0
+    for mode in ("battery", "bounded", "semantic"):
+        assert run(capsys, "check-axioms", iso_file, "--mode", mode)[0] == 0, mode
+    assert run(capsys, "collapse", iso_file, "--element", "5")[0] == 0
+    out = str(tmp_path / "out.st")
+    assert run(capsys, "gen", "v-universe", "--n", "4", "--out", out)[0] == 0
+    assert run(capsys, "gen", "scramble", "--in", iso_file, "--out", out)[0] == 0
+    assert run(capsys, "gen", "random-pair", "--size", "20", "--out", out)[0] == 0
+    assert run(capsys, "gen", "gallery", "--out", str(tmp_path / "g2"))[0] == 0
+    for kind in ("add-cycle", "break-extensionality", "remove-edge"):
+        assert run(capsys, "gen", "tamper", "--in", iso_file, "--tamper-kind", kind, "--out", out)[0] == 0, kind
 
 
 class TestGen:
@@ -248,47 +273,23 @@ class TestFindIso:
         assert "Traceback" not in proc.stderr
 
     def test_never_builds_edge_set(self, capsys, tmp_path, monkeypatch, scrambled_v4):
-        # Every subcommand works on the arrays, member tuples and member sets only.
-        iso_file = str(tmp_path / "s.st")
-        Path(iso_file).write_text(serialize_structure(scrambled_v4))
-        gallery = tmp_path / "g"
-        run(capsys, "gen", "gallery", "--out", str(gallery))
-
+        # Every subcommand works on the arrays and member tuples only.
         def refuse(rel):
             raise AssertionError("a command built the edge set")
 
         monkeypatch.setattr(MembershipRelation, "edges", property(refuse))
-        assert run(capsys, "find-iso", iso_file, "--verify", "--oracle-check")[0] == 0
-        assert run(capsys, "find-iso", str(gallery / "chain-vs-v3.st"))[0] == 1
-        assert run(capsys, "eval", iso_file, "--formula", "x in1 y | y in2 x", "--assign", "x=0,y=1")[0] == 0
-        assert run(capsys, "verify-lemmas", iso_file)[0] == 0
-        assert run(capsys, "verify-lemmas", "--corpus", "sizes=3 count=2")[0] == 0
-        for mode in ("battery", "bounded", "semantic"):
-            assert run(capsys, "check-axioms", iso_file, "--mode", mode)[0] == 0, mode
-        assert run(capsys, "collapse", iso_file, "--element", "5")[0] == 0
-        out = str(tmp_path / "out.st")
-        assert run(capsys, "gen", "v-universe", "--n", "4", "--out", out)[0] == 0
-        assert run(capsys, "gen", "scramble", "--in", iso_file, "--out", out)[0] == 0
-        assert run(capsys, "gen", "random-pair", "--size", "20", "--out", out)[0] == 0
-        assert run(capsys, "gen", "gallery", "--out", str(tmp_path / "g2"))[0] == 0
-        for kind in ("add-cycle", "break-extensionality", "remove-edge"):
-            assert run(capsys, "gen", "tamper", "--in", iso_file, "--tamper-kind", kind, "--out", out)[0] == 0, kind
+        run_every_subcommand(capsys, tmp_path, scrambled_v4)
 
     def test_never_builds_member_sets(self, capsys, tmp_path, monkeypatch, scrambled_v4):
-        # Matching, verification, the oracle, the diagnostic and every axiom
-        # check read the ascending member tuples only.
-        iso_file = tmp_path / "s.st"
-        iso_file.write_text(serialize_structure(scrambled_v4))
-        run(capsys, "gen", "gallery", "--out", str(tmp_path / "g"))
-
+        # Matching, verification, the oracle, the diagnostic, the lemma suite,
+        # evaluation and every axiom check read the ascending member tuples
+        # only: no command builds a frozenset per element.
         def refuse(rel):
-            raise AssertionError("a command built the member sets")
+            raise AssertionError("a command built the member or parent sets")
 
         monkeypatch.setattr(MembershipRelation, "member_sets", refuse)
-        assert run(capsys, "find-iso", str(iso_file), "--verify", "--oracle-check")[0] == 0
-        assert run(capsys, "find-iso", str(tmp_path / "g" / "chain-vs-v3.st"))[0] == 1
-        for mode in ("battery", "bounded", "semantic"):
-            assert run(capsys, "check-axioms", str(iso_file), "--mode", mode)[0] == 0, mode
+        monkeypatch.setattr(MembershipRelation, "parent_sets", refuse)
+        run_every_subcommand(capsys, tmp_path, scrambled_v4)
 
     def test_cycle_witness_pinned(self, capsys, tmp_path, two_cycles):
         path = tmp_path / "c.st"
@@ -434,6 +435,15 @@ class TestVerifyLemmas:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: corpus setting count")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("setting", ["count=0 kinds=bogus", "count=1 kinds=scrambled,bogus"])
+    def test_unknown_corpus_kind_exit_two_before_any_item(self, capsys, monkeypatch, setting):
+        calls = []
+        monkeypatch.setattr(lemmas, "run_suite", calls.append)
+        assert run(capsys, "verify-lemmas", "--corpus", f"sizes=3 {setting}") == (
+            2, "", "error: unknown corpus kind 'bogus'\n"
+        )
+        assert calls == []
 
     def test_zero_count_is_empty_corpus(self, capsys):
         code, out, _ = run(capsys, "verify-lemmas", "--corpus", "count=0")

@@ -37,6 +37,7 @@ from dualmem.iso import (
     render_certificate,
     render_diagnostic,
     restriction_agrees,
+    witness_conditions,
 )
 from dualmem.lemmas import _chain_vs_v3
 from dualmem.structure import random_dual_structure, random_extensional_relation
@@ -123,6 +124,18 @@ class TestBuildPsi:
                 w = build_witness(scrambled_v4, x, y)
                 if w is not None:
                     assert is_witness(scrambled_v4, x, y, w.as_dict())
+
+    @pytest.mark.parametrize("value", [99, 4, -1])
+    def test_value_outside_domain_fails_only_the_conditions_it_breaks(self, v3, value):
+        assert witness_conditions(v3, 0, 0, {0: value}) == {
+            "domain": True,
+            "into-closure": False,
+            "onto-closure": False,
+            "preserves-membership": False,
+            "maps-top": False,
+        }
+        assert witness_conditions(v3, 1, 1, {0: 0, 1: value})["preserves-membership"] is False
+        assert witness_conditions(v3, 1, 1, {0: 0, 1: 1})["preserves-membership"] is True
 
 
 class TestPhi:

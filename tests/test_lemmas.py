@@ -21,6 +21,7 @@ from dualmem import iso as iso_mod
 from dualmem.lemmas import (
     LEMMA_NAMES,
     _chain_vs_v3,
+    _equal_extensions,
     LemmaVerdict,
     SuiteReport,
     _check_membership_preservation,
@@ -31,6 +32,8 @@ from dualmem.lemmas import (
     render_suite,
 )
 from dualmem.structure import TAMPER_KINDS, apply_permutation, random_dual_structure
+
+from conftest import members
 
 
 def _v3_plus_ordinal():
@@ -175,6 +178,27 @@ class TestRunSuite:
         run_suite(build())
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        ("build", "collapses"),
+        [(_chain_vs_v3, 0), (lambda: build_v_universe(4), 0), (_equal_extensions, 1)],
+        ids=["chain-vs-v3", "v4", "equal-extensions"],
+    )
+    def test_collapses_only_a_non_extensional_relation(self, monkeypatch, build, collapses):
+        calls = []
+        collapse_domain = hf.collapse_domain
+
+        def counted(rel, tag=None):
+            calls.append(tag)
+            return collapse_domain(rel, tag)
+
+        monkeypatch.setattr(hf, "collapse_domain", counted)
+        report = run_suite(build())
+        assert len(calls) == collapses
+        if collapses:
+            assert report.lemmas["isomorphism"].witness == (
+                ("reason", "non-extensional"), ("tag", "2"), ("collapse-duplicates", "2,3")
+            )
+
     @given(seed=st.integers(0, 60))
     @settings(max_examples=15, deadline=None)
     def test_verdicts_permutation_invariant(self, seed):
@@ -314,7 +338,7 @@ def reference_restriction(s, matched):
     listed pair has no witness."""
     for x, y in matched:
         f = iso_mod.build_witness(s, x, y).as_dict()
-        for child in sorted(s.e1.members(x)):
+        for child in sorted(members(s.e1, x)):
             sub = iso_mod.build_witness(s, child, f[child])
             if sub is None:
                 return LemmaVerdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "no-witness")))
@@ -324,7 +348,7 @@ def reference_restriction(s, matched):
     return LemmaVerdict("pass")
 
 
-RESTRICTION_INPUTS = st.one_of(
+ACYCLIC_INPUTS = st.one_of(
     st.builds(_scrambled, st.sampled_from((3, 4)), st.integers(0, 10_000)),
     st.builds(random_dual_structure, st.integers(2, 12), st.integers(0, 10_000)),
     st.builds(
@@ -342,7 +366,7 @@ class TestRestriction:
         # any order), and lists mixing in arbitrary pairs. Where the
         # reference gives a verdict the check gives the same one; where it
         # has none, the check fails the first pair without a witness.
-        s = data.draw(RESTRICTION_INPUTS)
+        s = data.draw(ACYCLIC_INPUTS)
         ids = st.integers(0, s.domain_size - 1)
         guide = [(x, y) for x, y in enumerate(iso_mod.partners(s)) if y is not None]
         drawn = st.sampled_from(guide) if guide else st.tuples(ids, ids)
@@ -370,6 +394,16 @@ class TestRestriction:
         matched = list(enumerate(iso_mod.partners(scrambled_v4)))
         assert _check_restriction(scrambled_v4, matched) == LemmaVerdict("pass")
         assert calls == matched
+
+
+class TestCollapseGate:
+    @given(s=ACYCLIC_INPUTS)
+    @settings(max_examples=80, deadline=None)
+    def test_extensional_iff_no_collapse_duplicates(self, s):
+        # On an acyclic relation, two elements share a collapse exactly when
+        # some two share a member tuple (Mostowski): run_suite's gate rests on it.
+        for rel in (s.e1, s.e2):
+            assert rel.is_extensional() == hf.collapse_domain(rel).extensional
 
 
 def reference_membership_preservation(s, matched):
