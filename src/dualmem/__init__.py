@@ -39,7 +39,6 @@ from .hf import (
 from .iso import (
     FailureDiagnostic,
     IsoCertificate,
-    MatchWitness,
     build_witness,
     extend_to_level,
     global_isomorphism,

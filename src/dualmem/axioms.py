@@ -58,6 +58,10 @@ class SchemaBudget:
     bounded_depth: int = 12
     bounded_cap: int = battery_mod.DEFAULT_BOUNDED_CAP
 
+    def __post_init__(self):
+        if self.bounded_depth < 1:  # no filter has size below 1: the schema row would pass vacuously
+            raise DualMemError(f"bounded depth must be >= 1, got {self.bounded_depth}")
+
 
 @dataclass(frozen=True)
 class Verdict:

@@ -173,24 +173,22 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def _parse_corpus(text: str, seed: int) -> lemmas_mod.CorpusConfig:
-    sizes: tuple[int, ...] = (3, 4)
-    count = 100
-    kinds: tuple[str, ...] = ("scrambled",)
+    settings: dict = {"seed": seed}  # the other defaults are CorpusConfig's
     for chunk in text.replace(";", " ").split():
         key, _, value = chunk.partition("=")
         if key == "sizes":
-            sizes = tuple(_corpus_int(key, v) for v in value.split(",") if v)
+            settings[key] = tuple(_corpus_int(key, v) for v in value.split(",") if v)
         elif key == "count":
-            count = _corpus_int(key, value)
-            if count < 0:
-                raise DualMemError(f"corpus setting count must be >= 0, got {count}")
+            settings[key] = _corpus_int(key, value)
+            if settings[key] < 0:
+                raise DualMemError(f"corpus setting count must be >= 0, got {settings[key]}")
         elif key == "kinds":
-            kinds = tuple(v for v in value.split(",") if v)
+            settings[key] = tuple(v for v in value.split(",") if v)
         elif key == "seed":
-            seed = _corpus_int(key, value)
+            settings[key] = _corpus_int(key, value)
         else:
             raise DualMemError(f"unknown corpus setting {key!r}")
-    return lemmas_mod.CorpusConfig(sizes=sizes, count=count, seed=seed, kinds=kinds)
+    return lemmas_mod.CorpusConfig(**settings)
 
 
 def _corpus_int(key: str, value: str) -> int:

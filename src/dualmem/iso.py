@@ -33,27 +33,6 @@ from .structure import (
 )
 
 
-@dataclass(frozen=True)
-class MatchWitness:
-    """The witness map for a matched pair.
-
-    Its domain is exactly the e1 closure below-and-including x, it maps onto
-    the e2 closure below-and-including y, it preserves membership in both
-    directions, and it sends x to y. Each condition is independently
-    checkable via witness_conditions.
-    """
-
-    x: int
-    y: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.pairs)
-
-    def __call__(self, t: int) -> int:
-        return self.as_dict()[t]
-
-
 def _match(s: DualStructure, order) -> dict[int, int | None]:
     """The partner of each element of a members-first e1 order, in that order:
     the unique e2 element whose members are exactly its members' partners (by
@@ -71,14 +50,16 @@ def _match(s: DualStructure, order) -> dict[int, int | None]:
     return partner
 
 
-def build_witness(s: DualStructure, x: int, y: int) -> MatchWitness | None:
+def build_witness(s: DualStructure, x: int, y: int) -> dict[int, int] | None:
     """The unique witness for (x, y) when one exists; None when matching fails.
 
-    Each call runs the matching sweep below x, which also fails on a
-    non-injective map (impossible on an extensional e1). Cycles below x (in
-    e1) or below y (in e2) are errors, distinct from absence: the witness
-    predicate presupposes well-founded closures. The walk below y runs only
-    when e2 has a cycle somewhere, to find out whether one lies below y.
+    The witness is the matching sweep's own map on the e1 closure of x, in
+    members-first order with x last. Each call runs the sweep below x, which
+    also fails on a non-injective map (impossible on an extensional e1).
+    Cycles below x (in e1) or below y (in e2) are errors, distinct from
+    absence: the witness predicate presupposes well-founded closures. The walk
+    below y runs only when e2 has a cycle somewhere, to find out whether one
+    lies below y.
     """
     for t in (x, y):
         if not (0 <= t < s.domain_size):
@@ -88,7 +69,7 @@ def build_witness(s: DualStructure, x: int, y: int) -> MatchWitness | None:
     f = _match(s, reachable_postorder(s.e1, x, tag=1))
     if f[x] != y or len(set(f.values())) < len(f):
         return None
-    return MatchWitness(x, y, tuple(sorted(f.items())))
+    return f  # f[x] == y, so no value is None: a None would have reached x
 
 
 def matches(s: DualStructure, x: int, y: int) -> bool:
@@ -171,48 +152,41 @@ def internal_level(s: DualStructure, tag: int, alpha: int) -> InternalLevel:
     return InternalLevel(tag, alpha, element, extension)
 
 
-def extend_to_level(s: DualStructure, w: MatchWitness) -> MatchWitness:
-    """Extend an ordinal-pair witness to the witness for the matching level pair.
+def extend_to_level(s: DualStructure, x: int, y: int) -> dict[int, int]:
+    """Extend the matched ordinal pair (x, y) to the witness for its level pair:
+    the sweep's map on the e1 level of x, in members-first order with the
+    level element last.
 
     Mirrors the successor construction: each element of the level maps to the
     e2 element collecting exactly the images of its members. Raises
-    LevelExtensionError naming the ordinal whose level is missing, the element
-    whose image set is unrealized, or a top-level mismatch; the caller checks
-    containment against the original witness.
+    DualMemError when x (then y) is not an ordinal, and LevelExtensionError
+    naming the ordinal whose level is missing (e1 first), the element whose
+    image set is unrealized, or a top-level mismatch; the caller checks
+    containment against the witness for (x, y).
     """
-    if not is_ordinal(s.e1, w.x):
-        raise DualMemError(f"element {w.x} is not an ordinal of e1")
-    if not is_ordinal(s.e2, w.y):
-        raise DualMemError(f"element {w.y} is not an ordinal of e2")
-    lev1 = internal_level(s, 1, w.x)
+    lev1, lev2 = internal_level(s, 1, x), internal_level(s, 2, y)
     if lev1.element is None:
-        raise LevelExtensionError("missing-level", w.x, 1)
-    lev2 = internal_level(s, 2, w.y)
+        raise LevelExtensionError("missing-level", x, 1)
     if lev2.element is None:
-        raise LevelExtensionError("missing-level", w.y, 2)
+        raise LevelExtensionError("missing-level", y, 2)
     extended = _match(s, reachable_postorder(s.e1, lev1.element, tag=1))
     for u, v in extended.items():  # members first: the first None has all its members matched
         if v is None:
             raise LevelExtensionError("unrealized-image", u, 2)
     if extended[lev1.element] != lev2.element:
         raise LevelExtensionError("level-mismatch", lev1.element, 2)
-    return MatchWitness(lev1.element, lev2.element, tuple(sorted(extended.items())))
+    return extended
 
 
-def restriction_agrees(w: MatchWitness, wider: MatchWitness) -> bool:
-    """Containment of the ordinal witness in the level witness, below its top.
+def restriction_agrees(x: int, w: dict[int, int], wider: dict[int, int]) -> bool:
+    """Containment of w, the witness for an ordinal pair with top x, in wider,
+    the witness for its level pair, below x.
 
     The top point itself outranks the level for positions >= 3 (its rank
     equals the level index), so literal containment is checked only where the
     domains can overlap.
     """
-    extended = wider.as_dict()
-    for t, ft in w.pairs:
-        if t == w.x and t not in extended:
-            continue
-        if extended.get(t) != ft:
-            return False
-    return True
+    return all(wider.get(t) == ft for t, ft in w.items() if t != x or t in wider)
 
 
 # -- the global map ----------------------------------------------------------------

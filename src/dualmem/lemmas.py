@@ -283,15 +283,18 @@ def _check_ordinal_preservation(s: DualStructure, matched) -> LemmaVerdict:
 
 def _check_level_extension(s: DualStructure, matched) -> LemmaVerdict:
     """Extend each matched ordinal pair whose levels exist (extend_to_level
-    raises missing-level for the others); check agreement."""
+    raises missing-level for the others); check agreement. A listed pair
+    without a witness fails before it is extended."""
     partner = dict(matched)
     eligible = 0
     for x, y in matched:
         if not (iso_mod.is_ordinal(s.e1, x) and iso_mod.is_ordinal(s.e2, y)):
             continue
         w = iso_mod.build_witness(s, x, y)
+        if w is None:
+            return LemmaVerdict("fail", (("ordinal", str(x)), ("kind", "no-witness")))
         try:
-            wider = iso_mod.extend_to_level(s, w)
+            wider = iso_mod.extend_to_level(s, x, y)
         except LevelExtensionError as exc:
             if exc.kind == "missing-level":
                 continue
@@ -299,9 +302,9 @@ def _check_level_extension(s: DualStructure, matched) -> LemmaVerdict:
                 "fail", (("ordinal", str(x)), ("kind", exc.kind), ("witness", str(exc.witness)))
             )
         eligible += 1
-        if not iso_mod.restriction_agrees(w, wider):
+        if not iso_mod.restriction_agrees(x, w, wider):
             return LemmaVerdict("fail", (("ordinal", str(x)), ("kind", "restriction-disagrees")))
-        for u, v in wider.pairs:
+        for u, v in sorted(wider.items()):
             if partner.get(u) != v:
                 return LemmaVerdict(
                     "fail", (("ordinal", str(x)), ("kind", "global-disagrees"), ("witness", str(u)))

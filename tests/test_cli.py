@@ -181,6 +181,17 @@ class TestCheckAxioms:
         assert code == 0
         assert "battery+bounded" in out
 
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_bounded_depth_below_one_exit_two(self, v3_file, depth):
+        proc = run_process("check-axioms", v3_file, "--mode", "bounded", "--depth", depth)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: bounded depth must be >= 1, got {depth}\n"
+
+    def test_bounded_depth_one_runs(self, capsys, v3_file):
+        code, out, _ = run(capsys, "check-axioms", v3_file, "--mode", "bounded", "--depth", "1")
+        assert code == 0
+        assert "separation-schema pass mode=battery+bounded" in out
+
     def test_v5_semantic_mode_is_exact(self, capsys, tmp_path):
         v5 = tmp_path / "v5.st"
         assert run(capsys, "gen", "v-universe", "--n", "5", "--out", str(v5))[0] == 0

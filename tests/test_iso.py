@@ -60,12 +60,11 @@ class TestBuildPsi:
     def test_empty_to_empty(self, scrambled_v3):
         # e2-empty element is p(0) = 0 for the (0 2 1 3) swap
         w = build_witness(scrambled_v3, 0, 0)
-        assert w is not None and w.pairs == ((0, 0),)
+        assert w == {0: 0}
 
     def test_swap_example(self, scrambled_v3):
         w = build_witness(scrambled_v3, 1, 2)
-        assert w is not None
-        assert w.as_dict() == {0: 0, 1: 2}
+        assert w == {0: 0, 1: 2}
 
     def test_absence_on_mismatched_collapse(self):
         s = _chain_vs_v3()
@@ -123,7 +122,7 @@ class TestBuildPsi:
             for y in range(16):
                 w = build_witness(scrambled_v4, x, y)
                 if w is not None:
-                    assert is_witness(scrambled_v4, x, y, w.as_dict())
+                    assert is_witness(scrambled_v4, x, y, w)
 
     @pytest.mark.parametrize("value", [99, 4, -1])
     def test_value_outside_domain_fails_only_the_conditions_it_breaks(self, v3, value):
@@ -198,18 +197,17 @@ class TestInternalLevel:
 
 class TestExtendToLevel:
     def test_trivial_bottom(self, v3):
-        w = build_witness(v3, 0, 0)
-        wider = extend_to_level(v3, w)
-        assert wider.pairs == ((0, 0),)
+        wider = extend_to_level(v3, 0, 0)
+        assert wider == {0: 0}
 
     def test_scrambled_level_matches_permutation(self):
         p = Permutation.random(16, 3)
         s = scramble(build_v_universe(4), p)
         w = build_witness(s, 11, p(11))
-        wider = extend_to_level(s, w)
-        assert wider.x == 15 and wider.y == p(15)
-        assert all(v == p(u) for u, v in wider.pairs)
-        assert restriction_agrees(w, wider)
+        wider = extend_to_level(s, 11, p(11))
+        assert list(wider.items())[-1] == (15, p(15))
+        assert all(v == p(u) for u, v in wider.items())
+        assert restriction_agrees(11, w, wider)
 
     def test_unrealized_image_reported(self):
         # e2 is the fourth level except {{{}}} (id 2) now holds {8}; the level
@@ -221,7 +219,7 @@ class TestExtendToLevel:
         w = build_witness(s, 11, 11)
         assert w is not None
         with pytest.raises(LevelExtensionError) as exc:
-            extend_to_level(s, w)
+            extend_to_level(s, 11, 11)
         assert exc.value.kind == "unrealized-image"
         assert exc.value.witness == 2
 

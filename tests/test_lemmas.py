@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dualmem import (
     CorpusConfig,
+    DualMemError,
     LevelExtensionError,
     Permutation,
     build_v_universe,
@@ -24,6 +25,7 @@ from dualmem.lemmas import (
     _equal_extensions,
     LemmaVerdict,
     SuiteReport,
+    _check_level_extension,
     _check_membership_preservation,
     _check_restriction,
     _check_uniqueness,
@@ -135,9 +137,8 @@ class TestRunSuite:
         # V3 plus the ordinal {0, 1, 3}, whose internal level {0, 1, 2, 3} has
         # no element: its pair is skipped and the other ordinal pairs pass.
         s = _v3_plus_ordinal()
-        w = iso_mod.build_witness(s, 4, iso_mod.partners(s)[4])
         with pytest.raises(LevelExtensionError) as info:
-            iso_mod.extend_to_level(s, w)
+            iso_mod.extend_to_level(s, 4, iso_mod.partners(s)[4])
         assert (info.value.kind, info.value.witness, info.value.tag) == ("missing-level", 4, 1)
         assert run_suite(s).lemmas["level-extension"] == LemmaVerdict("pass")
 
@@ -146,7 +147,7 @@ class TestRunSuite:
         assert verdict == LemmaVerdict("n/a", (("reason", "no-level-pairs"),))
 
     def test_level_extension_failure_tokens(self, monkeypatch):
-        def unrealized(s, w):
+        def unrealized(s, x, y):
             raise LevelExtensionError("unrealized-image", 3, 2)
 
         monkeypatch.setattr(iso_mod, "extend_to_level", unrealized)
@@ -331,19 +332,81 @@ class TestRestrictionFailure:
         assert render_suite(report) == f"lemma witness-restriction fail {line}\n"
 
 
+class TestExtendToLevelErrors:
+    """The errors extend_to_level raises for a pair that is not an extendable
+    ordinal pair, and in which order: a non-ordinal on e1, then on e2, then a
+    missing level on e1, then on e2."""
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (2, 0, "element 2 is not an ordinal of e1"),
+            (0, 2, "element 2 is not an ordinal of e2"),
+            (2, 2, "element 2 is not an ordinal of e1"),
+        ],
+    )
+    def test_non_ordinal_on_v4(self, v4, x, y, message):
+        with pytest.raises(DualMemError, match=f"^{message}$") as exc:
+            iso_mod.extend_to_level(v4, x, y)
+        assert not isinstance(exc.value, LevelExtensionError)
+
+    def test_level_mismatch_on_v4(self, v4):
+        with pytest.raises(LevelExtensionError) as exc:
+            iso_mod.extend_to_level(v4, 3, 11)
+        assert exc.value.kind == "level-mismatch"
+
+    def test_non_ordinal_y_beside_a_missing_e1_level(self):
+        s = _v3_plus_ordinal()
+        with pytest.raises(DualMemError, match="^element 3 is not an ordinal of e2$") as exc:
+            iso_mod.extend_to_level(s, 4, 3)
+        assert not isinstance(exc.value, LevelExtensionError)
+
+    def test_missing_e1_level(self):
+        with pytest.raises(LevelExtensionError) as exc:
+            iso_mod.extend_to_level(_v3_plus_ordinal(), 4, 0)
+        assert (exc.value.kind, exc.value.witness, exc.value.tag) == ("missing-level", 4, 1)
+
+
+class TestLevelExtensionFailure:
+    """A listed ordinal pair without a witness fails the check, naming the
+    ordinal. Swapping two entries of scrambled V3's partners list makes such
+    pairs; a swap that pairs a non-ordinal is skipped by the check."""
+
+    @pytest.mark.parametrize(
+        "swap, line",
+        [
+            ((0, 1), "fail ordinal=0 kind=no-witness"),
+            ((0, 3), "fail ordinal=0 kind=no-witness"),
+            ((1, 3), "fail ordinal=1 kind=no-witness"),
+            ((1, 2), "fail ordinal=3 kind=global-disagrees witness=1"),
+            ((2, 3), "pass"),
+        ],
+    )
+    def test_swapped_partners_line(self, swap, line):
+        s = scramble(build_v_universe(3), Permutation.random(4, 7))
+        partner = iso_mod.partners(s)
+        assert partner == [3, 1, 0, 2]
+        a, b = swap
+        partner[a], partner[b] = partner[b], partner[a]
+        report = SuiteReport({"level-extension": _check_level_extension(s, list(enumerate(partner)))})
+        assert render_suite(report) == f"lemma level-extension {line}\n"
+
+
 def reference_restriction(s, matched):
     """The restriction check as first written: a witness for each matched
     pair, then one for each e1 member c of x, compared with the outer witness
-    restricted to c's closure. It has no verdict (AttributeError) when a
-    listed pair has no witness."""
+    restricted to c's closure. It has no verdict (None) when a listed pair
+    has no witness."""
     for x, y in matched:
-        f = iso_mod.build_witness(s, x, y).as_dict()
+        f = iso_mod.build_witness(s, x, y)
+        if f is None:
+            return None
         for child in sorted(members(s.e1, x)):
             sub = iso_mod.build_witness(s, child, f[child])
             if sub is None:
                 return LemmaVerdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "no-witness")))
             expected = {t: f[t] for t in iso_mod.transitive_closure(s.e1, child, include_self=True)}
-            if sub.as_dict() != expected:
+            if sub != expected:
                 return LemmaVerdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "not-restriction")))
     return LemmaVerdict("pass")
 
@@ -375,9 +438,8 @@ class TestRestriction:
             st.lists(drawn, max_size=len(guide)),
             st.lists(st.one_of(drawn, st.tuples(ids, ids)), min_size=1, max_size=s.domain_size + 3),
         ))
-        try:
-            expected = reference_restriction(s, matched)
-        except AttributeError:
+        expected = reference_restriction(s, matched)
+        if expected is None:
             x, y = next((x, y) for x, y in matched if iso_mod.build_witness(s, x, y) is None)
             expected = LemmaVerdict("fail", (("x", str(x)), ("y", str(y)), ("reason", "no-witness")))
         assert _check_restriction(s, matched) == expected
@@ -394,6 +456,20 @@ class TestRestriction:
         matched = list(enumerate(iso_mod.partners(scrambled_v4)))
         assert _check_restriction(scrambled_v4, matched) == LemmaVerdict("pass")
         assert calls == matched
+
+    @given(s=ACYCLIC_INPUTS)
+    @settings(max_examples=150, deadline=None)
+    def test_witness_is_partners_on_the_closure(self, s):
+        # The fact _check_restriction rests on: a witness, when there is one,
+        # is the partners list read along x's members-first closure.
+        partner = iso_mod.partners(s)
+        for x, y in enumerate(partner):
+            if y is None:
+                continue
+            w = iso_mod.build_witness(s, x, y)
+            if w is not None:
+                expected = [(t, partner[t]) for t in iso_mod.reachable_postorder(s.e1, x)]
+                assert list(w.items()) == expected
 
 
 class TestCollapseGate:
