@@ -18,7 +18,7 @@ from . import hf
 from . import iso as iso_mod
 from . import lemmas as lemmas_mod
 from .errors import CycleError, DualMemError, NonExtensionalError, StructureFormatError
-from .formulas import evaluate, free_vars, parse_formula
+from .formulas import evaluate_table, free_vars, parse_formula
 from .structure import (
     TAMPER_KINDS,
     Permutation,
@@ -155,7 +155,7 @@ def cmd_eval(args) -> int:
     missing = free_vars(sentence) - assignment.keys()
     if missing:
         raise DualMemError(f"assignment misses free variables: {', '.join(sorted(missing))}")
-    value = evaluate(s, sentence, assignment)
+    value = evaluate_table(s, sentence, assignment)
     print("true" if value else "false")
     return PASS if value else NEGATIVE
 

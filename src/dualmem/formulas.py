@@ -12,16 +12,29 @@ canonical printer fully parenthesizes binary operations, so parse(render(f))
 is the identity while the printed text nests within MAX_FORMULA_DEPTH.
 
 Two evaluation routes are provided: ``evaluate`` is the naive recursive
-oracle (quantifiers loop over the domain in ascending id order), and
-``evaluate_table`` computes satisfying-assignment tables with numpy, which is
-what makes deep schema instances feasible at desk scale. They implement the
-same semantics and are cross-checked in the test suite.
+oracle (quantifiers loop over the domain in ascending id order), kept for the
+tests to check against, and ``evaluate_table`` computes satisfying-assignment
+tables with numpy, which is what makes deep schema instances feasible at desk
+scale; ``dualmem eval``, the schema checks and ``falsifying_assignment`` use
+the tables. The two implement the same semantics and are cross-checked in the
+test suite.
 
 A table is a uint8 array of 0s and 1s with one axis of length n per free
-variable. The axes always follow one order: by the depth of each variable's
-nearest binder, innermost first, with the variables of an assignment or a
+variable bound to an axis. The axes always follow one order: by the depth of
+each variable's nearest binder, innermost first, with the variables of a
 peeled forall-prefix below every binder. So quantifiers reduce axis 0 and
 connectives align their operands by reshape, writing into a fresh operand.
+A variable bound to a value (an assignment's, or a split quantifier's) is
+no axis: a membership atom reads one member tuple, the elements one element
+belongs to, or one edge, and an equality atom gives a one-hot vector.
+
+Tables have at most TABLE_CELL_LIMIT cells. One walk before evaluating finds
+the free variables and the widest table; when that fits, evaluation builds
+every table whole. Otherwise, before a wider table is built, the nearest
+quantifier above it whose variable is one of its axes evaluates its body
+once per value of that variable, with the variable bound, and folds the
+slices with and (forall) or or (exists); the parts of the body that do not
+read the variable are computed once.
 """
 
 from __future__ import annotations
@@ -148,9 +161,10 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
 
 
 # The most levels a parsed formula may nest, an atom being one. The parser
-# descends once per '(', quantifier, '!' and '->', and render, free_vars,
-# evaluate and the tables recurse once per tree level: the ceiling keeps both
-# well inside Python's recursion limit. The deepest battery sentence has 25.
+# descends once per '(', quantifier, '!' and '->', render, free_vars and
+# evaluate recurse once per tree level and the tables at most four times: the
+# ceiling keeps all of them well inside Python's recursion limit. The deepest
+# battery sentence has 25.
 MAX_FORMULA_DEPTH = 100
 
 
@@ -329,17 +343,7 @@ def render(f: Formula) -> str:
 # -- variables and substitution -------------------------------------------------
 
 def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (TrueF, FalseF)):
-        return frozenset()
-    if isinstance(f, (Membership, Equality)):
-        return frozenset((f.left, f.right))
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise EvalError(f"unknown node {f!r}")
+    return _scan(f, frozenset(), {})[0]
 
 
 def all_vars(f: Formula) -> frozenset[str]:
@@ -447,78 +451,271 @@ def _eval(s: DualStructure, f: Formula, env: Assignment) -> bool:
 
 # -- relational (table) evaluation ------------------------------------------------
 
-def _table(s: DualStructure, f: Formula, depth: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The satisfying-assignment table of f: its free variables and a uint8 0/1 array.
+# The most cells a table may have before a quantifier is split over its own
+# variable: 16**5, the widest table of every fixed battery sentence but the
+# two replacement-pointwise ones on the largest domain the schema checks take.
+TABLE_CELL_LIMIT = 1 << 20
 
-    depth[v] is the depth of v's nearest binder. The axes are the free
-    variables sorted by depth, deepest first, so a quantifier's variable is
-    always axis 0 and both operands of a connective align by reshape alone.
-    A writeable table is fresh and held by no one else, so a connective or
-    negation may write its result into it; adjacency() views are read-only.
+
+class _TooWide(Exception):
+    """A table over these axis names would pass TABLE_CELL_LIMIT cells."""
+
+    def __init__(self, names: frozenset[str]):
+        super().__init__()
+        self.names = names
+
+
+def _scan(f: Formula, bound: frozenset[str], fvs: dict[int, frozenset[str]]) -> tuple[frozenset[str], int]:
+    """f's free variables and the most axes any of its tables takes when the
+    names in bound hold values; records every node's free variables in fvs."""
+    kind = type(f)
+    if kind is Membership or kind is Equality:
+        fv = frozenset((f.left, f.right))
+        widest = len(fv - bound) if bound else len(fv)
+    elif kind is Not:
+        fv, widest = _scan(f.body, bound, fvs)
+    elif kind is And or kind is Or or kind is Implies or kind is Iff:
+        fv_left, wide_left = _scan(f.left, bound, fvs)
+        fv_right, wide_right = _scan(f.right, bound, fvs)
+        fv = fv_left | fv_right
+        widest = max(wide_left, wide_right, len(fv - bound) if bound else len(fv))
+    elif kind is ForAll or kind is Exists:
+        fv, widest = _scan(f.body, bound - {f.var} if f.var in bound else bound, fvs)
+        fv = fv - {f.var}
+    elif kind is TrueF or kind is FalseF:
+        fv, widest = frozenset(), 0
+    else:
+        raise EvalError(f"unknown node {f!r}")
+    fvs[id(f)] = fv
+    return fv, widest
+
+
+class _Tables:
+    """The satisfying-assignment tables of one evaluation.
+
+    A table is a uint8 0/1 array with one axis of length n per name bound to
+    an axis, and a name is bound either to an axis (depth[v], the depth of
+    its nearest binder) or to a value (env[v]), never both. The axes are
+    sorted by depth, deepest first, so a quantifier's variable is always
+    axis 0 and both operands of a connective align by reshape alone. A
+    writeable table is fresh and held by no one else, so a connective or
+    negation may write its result into it; adjacency() views and hoisted
+    tables are read-only.
+
+    max_axes is None when every table of the formula fits TABLE_CELL_LIMIT.
+    Otherwise a node whose table would take more axes raises _TooWide, and
+    the nearest quantifier whose variable is one of them evaluates its body
+    once per value of that variable. While it does, memo holds the tables
+    of the subformulas that do not read the variable, each computed once.
     """
-    n = s.domain_size
-    if isinstance(f, (TrueF, FalseF)):
-        return (), np.array(isinstance(f, TrueF), dtype=np.uint8)
-    if isinstance(f, Membership):
-        adj = s.relation(f.tag).adjacency().view(np.uint8)
-        if f.left == f.right:
-            return (f.left,), adj.diagonal()
-        if depth[f.left] > depth[f.right]:
-            return (f.left, f.right), adj
-        return (f.right, f.left), adj.T
-    if isinstance(f, Equality):
-        if f.left == f.right:
-            return (f.left,), np.ones(n, dtype=np.uint8)
-        deeper = depth[f.left] > depth[f.right]
-        return ((f.left, f.right) if deeper else (f.right, f.left)), np.eye(n, dtype=np.uint8)
-    if isinstance(f, Not):
-        vs, arr = _table(s, f.body, depth)
-        return vs, np.bitwise_xor(arr, 1, out=arr if arr.flags.writeable else None)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        va, xa = _table(s, f.left, depth)
-        vb, xb = _table(s, f.right, depth)
-        merged = tuple(sorted(set(va).union(vb), key=depth.__getitem__, reverse=True))
-        xa = xa.reshape([n if v in va else 1 for v in merged])
-        xb = xb.reshape([n if v in vb else 1 for v in merged])
-        full = (n,) * len(merged)
-        out = next((x for x in (xa, xb) if x.flags.writeable and x.shape == full), None)
-        if out is None:
-            out = np.empty(full, dtype=np.uint8)
-        if isinstance(f, And):
-            return merged, np.bitwise_and(xa, xb, out=out)
-        if isinstance(f, Or):
-            return merged, np.bitwise_or(xa, xb, out=out)
-        if isinstance(f, Implies):
-            return merged, np.bitwise_or(np.bitwise_xor(xa, 1, out=xa if xa.flags.writeable else None), xb, out=out)
-        return merged, np.bitwise_xor(np.bitwise_xor(xa, xb, out=out), 1, out=out)
-    if isinstance(f, (ForAll, Exists)):
-        outer = depth.get(f.var)
-        depth[f.var] = max(depth.values(), default=-1) + 1
-        vs, arr = _table(s, f.body, depth)
-        if outer is None:
-            del depth[f.var]
+
+    def __init__(self, s: DualStructure, env: Assignment, fvs: dict[int, frozenset[str]], widest: int):
+        self.s = s
+        self.n = n = s.domain_size
+        self.env = env
+        self.depth: dict[str, int] = {}
+        self.fvs = fvs
+        self.max_axes: int | None = None
+        self.memo: dict | None = None
+        self.split_var: str | None = None
+        self.by_child: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        if n ** widest > TABLE_CELL_LIMIT:
+            self.max_axes = 0
+            while n ** (self.max_axes + 1) <= TABLE_CELL_LIMIT:
+                self.max_axes += 1
         else:
-            depth[f.var] = outer
-        if vs[:1] != (f.var,):  # vacuous, unless the empty domain leaves nothing to range over
-            return vs, arr if n else np.full(arr.shape, isinstance(f, ForAll), dtype=np.uint8)
-        reduced = arr.all(axis=0) if isinstance(f, ForAll) else arr.any(axis=0)
+            self.table = self.build  # every table fits: no width checks
+
+    def table(self, f: Formula) -> tuple[tuple[str, ...], np.ndarray]:
+        """f's axis names, deepest binder first, and its table, within max_axes."""
+        fv = self.fvs[id(f)]
+        axes = fv.difference(self.env)
+        if len(axes) > self.max_axes:
+            raise _TooWide(axes)
+        memo = self.memo
+        if memo is None or (self.split_var in fv and self.split_var in self.env):
+            return self.build(f)
+        # One node may sit at two places in a formula under other bindings.
+        key = (id(f), *[(self.depth.get(v), self.env.get(v)) for v in fv])
+        hit = memo.get(key)
+        if hit is None:
+            self.memo = None  # keep this table, not its operands'
+            try:
+                vs, arr = self.build(f)
+            finally:
+                self.memo = memo
+            arr.flags.writeable = False
+            hit = memo[key] = (vs, arr)
+        return hit
+
+    def build(self, f: Formula) -> tuple[tuple[str, ...], np.ndarray]:
+        n, env, depth = self.n, self.env, self.depth
+        kind = type(f)
+        if kind is Membership:
+            rel = self.s.relation(f.tag)
+            a, b = env.get(f.left), env.get(f.right)
+            if b is not None:  # read b's member tuple
+                if a is not None:
+                    return (), np.array(a in rel.member_tuples()[b], dtype=np.uint8)
+                column = np.zeros(n, dtype=np.uint8)
+                column[list(rel.member_tuples()[b])] = 1
+                return (f.left,), column
+            if a is not None:  # the elements a is a member of
+                row = np.zeros(n, dtype=np.uint8)
+                row[self.parents(f.tag, a)] = 1
+                return (f.right,), row
+            adj = rel.adjacency().view(np.uint8)
+            if f.left == f.right:
+                return (f.left,), adj.diagonal()
+            if depth[f.left] > depth[f.right]:
+                return (f.left, f.right), adj
+            return (f.right, f.left), adj.T
+        if kind is ForAll or kind is Exists:
+            return self.quantifier(f)
+        if kind is Not:
+            vs, arr = self.table(f.body)
+            return vs, np.bitwise_xor(arr, 1, out=arr if arr.flags.writeable else None)
+        if kind is Equality:
+            a, b = env.get(f.left), env.get(f.right)
+            if a is not None and b is not None:
+                return (), np.array(a == b, dtype=np.uint8)
+            if f.left == f.right:
+                return (f.left,), np.ones(n, dtype=np.uint8)
+            if a is not None or b is not None:
+                hot = np.zeros(n, dtype=np.uint8)
+                hot[b if a is None else a] = 1
+                return (f.left if a is None else f.right,), hot
+            deeper = depth[f.left] > depth[f.right]
+            return ((f.left, f.right) if deeper else (f.right, f.left)), np.eye(n, dtype=np.uint8)
+        if kind is And or kind is Or or kind is Implies or kind is Iff:
+            va, xa = self.table(f.left)
+            vb, xb = self.table(f.right)
+            merged = tuple(sorted(set(va).union(vb), key=depth.__getitem__, reverse=True))
+            xa = xa.reshape([n if v in va else 1 for v in merged])
+            xb = xb.reshape([n if v in vb else 1 for v in merged])
+            full = (n,) * len(merged)
+            out = next((x for x in (xa, xb) if x.flags.writeable and x.shape == full), None)
+            if out is None:
+                out = np.empty(full, dtype=np.uint8)
+            if kind is And:
+                return merged, np.bitwise_and(xa, xb, out=out)
+            if kind is Or:
+                return merged, np.bitwise_or(xa, xb, out=out)
+            if kind is Implies:
+                return merged, np.bitwise_or(np.bitwise_xor(xa, 1, out=xa if xa.flags.writeable else None), xb, out=out)
+            return merged, np.bitwise_xor(np.bitwise_xor(xa, xb, out=out), 1, out=out)
+        if kind is TrueF or kind is FalseF:
+            return (), np.array(kind is TrueF, dtype=np.uint8)
+        raise EvalError(f"unknown node {f!r}")
+
+    def parents(self, tag: int, a: int) -> np.ndarray:
+        """The elements a is a member of in relation tag, by two binary
+        searches in its edges sorted by child once per evaluation."""
+        if tag not in self.by_child:
+            rel = self.s.relation(tag)
+            order = np.argsort(rel.child, kind="stable")
+            self.by_child[tag] = rel.child[order], rel.parent[order]
+        child, parent = self.by_child[tag]
+        return parent[np.searchsorted(child, a):np.searchsorted(child, a, side="right")]
+
+    def quantifier(self, f: ForAll | Exists) -> tuple[tuple[str, ...], np.ndarray]:
+        var, env, depth = f.var, self.env, self.depth
+        value = env.pop(var, None)  # the binder shadows an outer value or axis
+        outer = depth.get(var)
+        depth[var] = max(depth.values(), default=-1) + 1
+        try:
+            try:
+                vs, arr = self.table(f.body)
+            except _TooWide as wide:
+                if var not in wide.names:
+                    raise
+                vs = None  # split outside the handler, whose traceback holds the attempt's tables
+            if vs is None:
+                del depth[var]
+                return self.split(f)
+        finally:
+            if outer is None:
+                depth.pop(var, None)
+            else:
+                depth[var] = outer
+            if value is not None:
+                env[var] = value
+        if vs[:1] != (var,):  # vacuous, unless the empty domain leaves nothing to range over
+            return vs, arr if self.n else np.full(arr.shape, type(f) is ForAll, dtype=np.uint8)
+        reduced = arr.all(axis=0) if type(f) is ForAll else arr.any(axis=0)
         return vs[1:], reduced.view(np.uint8)
-    raise EvalError(f"unknown node {f!r}")
+
+    def split(self, f: ForAll | Exists) -> tuple[tuple[str, ...], np.ndarray]:
+        """f's table as the and (forall) or or (exists) of its body's tables
+        with f's variable bound to each value in turn; a 0-d one stops at the
+        first value that decides it."""
+        var, want_all = f.var, type(f) is ForAll
+        fold = np.bitwise_and if want_all else np.bitwise_or
+        saved = self.memo, self.split_var
+        self.memo, self.split_var = {}, var
+        acc = None
+        try:
+            for value in range(self.n):
+                self.env[var] = value
+                vs, arr = self.table(f.body)
+                if acc is None:
+                    acc = arr if arr.flags.writeable else arr.copy()
+                else:
+                    fold(acc, arr, out=acc)
+                del arr  # free this slice before the next one is built
+                if acc.ndim == 0 and acc != want_all:
+                    break
+        finally:
+            del self.env[var]
+            self.memo, self.split_var = saved
+        return vs, acc
+
+    def least_failure(self, body: Formula, names: list[str]) -> Assignment | None:
+        """The least values, in the order of names (the axis names, outermost
+        binder first), at which body fails, for the names free in it; None
+        when it holds everywhere. Too wide a body is split over the first
+        name in that order that the wide table reads."""
+        try:
+            vs, arr = self.table(body)
+        except _TooWide as wide:
+            var = next(v for v in names if v in wide.names)
+        else:
+            failing = np.argwhere(arr.transpose() == 0)  # axes outermost first: rows in lexicographic order
+            return dict(zip(reversed(vs), failing[0].tolist())) if len(failing) else None
+        rest = [v for v in names if v != var]
+        at = self.depth.pop(var)
+        best: Assignment | None = None
+        try:
+            for value in range(self.n):
+                self.env[var] = value
+                got = self.least_failure(body, rest)
+                if got is None:
+                    continue
+                got[var] = value
+                if best is None or [got.get(v, 0) for v in names] < [best.get(v, 0) for v in names]:
+                    best = got
+                if var == names[0]:  # the first failing value is the least
+                    break
+        finally:
+            del self.env[var]
+            self.depth[var] = at
+        return best
 
 
 def evaluate_table(s: DualStructure, f: Formula, assignment: Assignment | None = None) -> bool:
     """Same semantics as evaluate, via f's uint8 satisfying-assignment table
-    (see _table), whose axis order puts the assignment's variables below
-    every binder."""
+    (see _Tables), with the assignment's names bound to values."""
     env = dict(assignment) if assignment else {}
-    missing = free_vars(f) - env.keys()
+    fvs: dict[int, frozenset[str]] = {}
+    free, widest = _scan(f, frozenset(env), fvs)
+    missing = free - env.keys()
     if missing:
         raise EvalError(f"unbound free variables: {', '.join(sorted(missing))}")
     for var, val in env.items():
         if not (0 <= val < s.domain_size):
             raise EvalError(f"assignment {var}={val} outside domain of size {s.domain_size}")
-    vs, arr = _table(s, f, {v: i for i, v in enumerate(env)})
-    return bool(arr[tuple(env[v] for v in vs)])
+    _, arr = _Tables(s, env, fvs, widest).table(f)
+    return bool(arr)
 
 
 def falsifying_assignment(s: DualStructure, sentence: Formula) -> Assignment | None:
@@ -531,18 +728,22 @@ def falsifying_assignment(s: DualStructure, sentence: Formula) -> Assignment | N
     the names free in the body appear once, in order of first occurrence.
     None when the sentence is true.
     """
-    if free_vars(sentence):
+    fvs: dict[int, frozenset[str]] = {}
+    free, widest = _scan(sentence, frozenset(), fvs)
+    if free:
         raise EvalError("falsifying_assignment needs a closed sentence")
     prefix: list[str] = []
     body = sentence
     while isinstance(body, ForAll):
         prefix.append(body.var)
         body = body.body
-    vs, arr = _table(s, body, {v: i for i, v in enumerate(prefix)})  # an inner binder overrides
-    failing = np.argwhere(arr.transpose() == 0)  # axes outermost first: rows in lexicographic order
-    if not len(failing):
+    if prefix and not s.domain_size:  # no tuple of prefix values to fail at
         return None
-    least = dict(zip(reversed(vs), failing[0].tolist()))
+    tables = _Tables(s, {}, fvs, widest)
+    tables.depth.update((v, i) for i, v in enumerate(prefix))  # an inner binder overrides
+    least = tables.least_failure(body, sorted(tables.depth, key=tables.depth.__getitem__))
+    if least is None:
+        return None
     return {v: least[v] for v in dict.fromkeys(prefix) if v in least}
 
 

@@ -114,8 +114,9 @@ def run_suite(s: DualStructure) -> SuiteReport:
     lemmas["witness-restriction"] = _check_restriction(s, matched)
     lemmas["partner-functionality"] = _check_functionality(s, matched)
     lemmas["membership-preservation"] = _check_membership_preservation(s, matched)
-    lemmas["ordinal-preservation"] = _check_ordinal_preservation(s, matched)
-    lemmas["level-extension"] = _check_level_extension(s, matched)
+    ordinal = [(iso_mod.is_ordinal(s.e1, x), iso_mod.is_ordinal(s.e2, y)) for x, y in matched]
+    lemmas["ordinal-preservation"] = _check_ordinal_preservation(matched, ordinal)
+    lemmas["level-extension"] = _check_level_extension(s, matched, ordinal)
 
     gate = axioms_mod.full_report(s, schema_mode="semantic")
     result = iso_mod.read_off(s, partner)  # the gates above cover global_isomorphism's checks
@@ -274,21 +275,23 @@ def _check_membership_preservation(s: DualStructure, matched) -> LemmaVerdict:
     return LemmaVerdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
 
 
-def _check_ordinal_preservation(s: DualStructure, matched) -> LemmaVerdict:
-    for x, y in matched:
-        if iso_mod.is_ordinal(s.e1, x) != iso_mod.is_ordinal(s.e2, y):
+def _check_ordinal_preservation(matched, ordinal) -> LemmaVerdict:
+    """ordinal holds, per matched pair, whether x is an e1 ordinal and y an e2 one."""
+    for (x, y), (in1, in2) in zip(matched, ordinal):
+        if in1 != in2:
             return LemmaVerdict("fail", (("x", str(x)), ("y", str(y))))
     return LemmaVerdict("pass")
 
 
-def _check_level_extension(s: DualStructure, matched) -> LemmaVerdict:
-    """Extend each matched ordinal pair whose levels exist (extend_to_level
-    raises missing-level for the others); check agreement. A listed pair
-    without a witness fails before it is extended."""
+def _check_level_extension(s: DualStructure, matched, ordinal) -> LemmaVerdict:
+    """Extend each matched pair of ordinals (ordinal as in
+    _check_ordinal_preservation) whose levels exist (extend_to_level raises
+    missing-level for the others); check agreement. A listed pair without a
+    witness fails before it is extended."""
     partner = dict(matched)
     eligible = 0
-    for x, y in matched:
-        if not (iso_mod.is_ordinal(s.e1, x) and iso_mod.is_ordinal(s.e2, y)):
+    for (x, y), (in1, in2) in zip(matched, ordinal):
+        if not (in1 and in2):
             continue
         w = iso_mod.build_witness(s, x, y)
         if w is None:

@@ -395,6 +395,13 @@ class TestEval:
         code, out, err = run(capsys, "eval", v3_file, "--assign", "x=0", "--formula", formula)
         assert (code, out, err) == ((0 if expected == "true" else 1), expected + "\n", "")
 
+    def test_vacuous_binders_at_depth_ceiling_finish(self, v3_file):
+        # Each vacuous binder leaves its body's table as it is; a loop over
+        # the domain per binder would take 4**99 steps.
+        formula = "forall y " * (MAX_FORMULA_DEPTH - 1) + "x = x"
+        proc = run_process("eval", v3_file, "--assign", "x=0", "--formula", formula, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "true\n", "")
+
     def test_formula_file(self, capsys, tmp_path, v3_file):
         f = tmp_path / "f.formula"
         f.write_text("forall x forall y ((forall z (z in1 x <-> z in1 y)) -> x = y)\n")

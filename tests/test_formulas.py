@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,9 @@ from dualmem.formulas import (
     falsifying_assignment,
     rename_free,
 )
-from dualmem.structure import Permutation, apply_permutation
+from dualmem import formulas as formulas_mod
+from dualmem.battery import fixed_battery
+from dualmem.structure import Permutation, apply_permutation, random_dual_structure
 
 EXTENSIONALITY = "forall x forall y ((forall z (z in1 x <-> z in1 y)) -> x = y)"
 
@@ -245,6 +248,70 @@ class TestEvaluate:
             assert evaluate(base, sentence) == evaluate(moved, sentence)
 
 
+class TestBoundedTables:
+    """A quantifier whose body would pass TABLE_CELL_LIMIT is split over its
+    own variable; on structures of at most 4 elements the limits 1, 4 and 16
+    leave 0, 1 and 2 axes per table, so every non-vacuous quantifier, or
+    only the wider ones, or the falsifying prefix, splits."""
+
+    @given(f=formulas(), names=st.lists(st.sampled_from(VARS), max_size=3), s=structures(min_size=0),
+           limit=st.sampled_from((1, 4, 16)), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_split_tables_agree_with_unsplit_and_naive(self, f, names, s, limit, data):
+        assignment = None
+        if s.domain_size:
+            values = st.integers(0, s.domain_size - 1)
+            assignment = {v: data.draw(values, label=v) for v in sorted(free_vars(f))}
+        sentence = f
+        for v in reversed(sorted(free_vars(f) - set(names)) + names):
+            sentence = ForAll(v, sentence)
+        unsplit = [evaluate_table(s, sentence), falsifying_assignment(s, sentence)]
+        if assignment is not None:
+            unsplit.append(evaluate_table(s, f, assignment))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formulas_mod, "TABLE_CELL_LIMIT", limit)
+            split = [evaluate_table(s, sentence), falsifying_assignment(s, sentence)]
+            if assignment is not None:
+                split.append(evaluate_table(s, f, assignment))
+        naive = [evaluate(s, sentence), least_failing_assignment(s, sentence)]
+        if assignment is not None:
+            naive.append(evaluate(s, f, assignment))
+        assert split == unsplit == naive
+
+
+def traced_peak_mib(fn):
+    """fn's result and the most memory tracemalloc saw allocated during it, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestTableMemory:
+    """replacement-pointwise-1 has a six-variable clause: 16 MiB tables on a
+    16-element structure, unless the quantifiers over v' and v are split."""
+
+    def pointwise(self):
+        return next(item.sentence for item in fixed_battery() if item.name == "replacement-pointwise-1")
+
+    def test_evaluate_table_peak(self, v4):
+        for tag in (1, 2):
+            v4.relation(tag).adjacency()  # cached with the structure, not part of the evaluation
+        result, peak = traced_peak_mib(lambda: evaluate_table(v4, self.pointwise()))
+        assert result is True
+        assert peak < 4
+
+    def test_falsifying_assignment_peak(self):
+        s = random_dual_structure(16, 1)
+        for tag in (1, 2):
+            s.relation(tag).adjacency()
+        result, peak = traced_peak_mib(lambda: falsifying_assignment(s, self.pointwise()))
+        assert result == {"g": 7, "L": 0, "K": 0}
+        assert peak < 4
+
+
 class TestInstantiateSeparation:
     def test_template_example(self):
         inst = instantiate_separation(parse_formula("w in2 p"), 1, ["p"])
@@ -296,6 +363,12 @@ class TestFalsifyingAssignment:
         got = falsifying_assignment(v3, sentence)
         # least element with no parent: 2 = {{}} sits in 3 only; 3 is in nothing
         assert got == {"x": 2}
+
+    def test_empty_domain_has_no_prefix_tuple(self):
+        empty = build_v_universe(0)
+        assert evaluate(empty, parse_formula("forall x false")) is True
+        assert falsifying_assignment(empty, parse_formula("forall x false")) is None
+        assert falsifying_assignment(empty, parse_formula("false")) == {}
 
     def test_requires_closed_sentence(self, v3):
         with pytest.raises(EvalError):

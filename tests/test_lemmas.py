@@ -48,6 +48,17 @@ class TestRunSuite:
         report = run_suite(scrambled_v4)
         assert all(v.status == "pass" for v in report.lemmas.values())
 
+    def test_ordinal_verdicts_decided_once(self, monkeypatch, scrambled_v4):
+        # One verdict per side of each of the 16 matched pairs, shared by the
+        # ordinal-preservation and level-extension checks; the four ordinal
+        # pairs are then extended, and internal_level checks both sides again.
+        calls = []
+        real = iso_mod.is_ordinal
+        monkeypatch.setattr(iso_mod, "is_ordinal", lambda rel, x: calls.append(x) or real(rel, x))
+        report = run_suite(scrambled_v4)
+        assert all(v.status == "pass" for v in report.lemmas.values())
+        assert len(calls) == 2 * 16 + 2 * 4
+
     def test_chain_vs_v3_pattern(self):
         report = run_suite(_chain_vs_v3())
         lemmas = report.lemmas
@@ -388,7 +399,9 @@ class TestLevelExtensionFailure:
         assert partner == [3, 1, 0, 2]
         a, b = swap
         partner[a], partner[b] = partner[b], partner[a]
-        report = SuiteReport({"level-extension": _check_level_extension(s, list(enumerate(partner)))})
+        matched = list(enumerate(partner))
+        ordinal = [(iso_mod.is_ordinal(s.e1, x), iso_mod.is_ordinal(s.e2, y)) for x, y in matched]
+        report = SuiteReport({"level-extension": _check_level_extension(s, matched, ordinal)})
         assert render_suite(report) == f"lemma level-extension {line}\n"
 
 
