@@ -33,8 +33,11 @@ the free variables and the widest table; when that fits, evaluation builds
 every table whole. Otherwise, before a wider table is built, the nearest
 quantifier above it whose variable is one of its axes evaluates its body
 once per value of that variable, with the variable bound, and folds the
-slices with and (forall) or or (exists); the parts of the body that do not
-read the variable are computed once.
+slices with and (forall) or or (exists), stopping at the first value that
+decides a 0-d result; the parts of the body that do not read the variable
+are computed once. In a run of directly nested quantifiers over its axes,
+such as forall x exists y, the outermost one splits, so that one value of
+x can decide the run without every value of y being folded first.
 """
 
 from __future__ import annotations
@@ -504,9 +507,10 @@ class _Tables:
 
     max_axes is None when every table of the formula fits TABLE_CELL_LIMIT.
     Otherwise a node whose table would take more axes raises _TooWide, and
-    the nearest quantifier whose variable is one of them evaluates its body
-    once per value of that variable. While it does, memo holds the tables
-    of the subformulas that do not read the variable, each computed once.
+    the nearest quantifier whose variable is one of them, or the outermost
+    of a run of directly nested such quantifiers, evaluates its body once
+    per value of its variable. While it does, memo holds the tables of the
+    subformulas that do not read the variable, each computed once.
     """
 
     def __init__(self, s: DualStructure, env: Assignment, fvs: dict[int, frozenset[str]], widest: int):
@@ -533,7 +537,7 @@ class _Tables:
         if len(axes) > self.max_axes:
             raise _TooWide(axes)
         memo = self.memo
-        if memo is None or (self.split_var in fv and self.split_var in self.env):
+        if memo is None or self.split_var in fv:
             return self.build(f)
         # One node may sit at two places in a formula under other bindings.
         key = (id(f), *[(self.depth.get(v), self.env.get(v)) for v in fv])
@@ -544,6 +548,7 @@ class _Tables:
                 vs, arr = self.build(f)
             finally:
                 self.memo = memo
+            arr = np.asarray(arr)  # a reduction to 0-d gives a numpy scalar, which has no settable flags
             arr.flags.writeable = False
             hit = memo[key] = (vs, arr)
         return hit
@@ -564,9 +569,11 @@ class _Tables:
                 row = np.zeros(n, dtype=np.uint8)
                 row[self.parents(f.tag, a)] = 1
                 return (f.right,), row
+            if f.left == f.right:  # the elements that are members of themselves
+                loops = np.zeros(n, dtype=np.uint8)
+                loops[rel.child[rel.child == rel.parent]] = 1
+                return (f.left,), loops
             adj = rel.adjacency().view(np.uint8)
-            if f.left == f.right:
-                return (f.left,), adj.diagonal()
             if depth[f.left] > depth[f.right]:
                 return (f.left, f.right), adj
             return (f.right, f.left), adj.T
@@ -618,16 +625,21 @@ class _Tables:
         child, parent = self.by_child[tag]
         return parent[np.searchsorted(child, a):np.searchsorted(child, a, side="right")]
 
-    def quantifier(self, f: ForAll | Exists) -> tuple[tuple[str, ...], np.ndarray]:
-        var, env, depth = f.var, self.env, self.depth
+    def quantifier(self, f: ForAll | Exists, enclosing: str | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+        """f's table; enclosing is the variable of a quantifier directly
+        around f, which splits in f's stead when the wide table reads it."""
+        var, body, env, depth = f.var, f.body, self.env, self.depth
         value = env.pop(var, None)  # the binder shadows an outer value or axis
         outer = depth.get(var)
         depth[var] = max(depth.values(), default=-1) + 1
         try:
             try:
-                vs, arr = self.table(f.body)
+                if (type(body) is ForAll or type(body) is Exists) and body.var != var:
+                    vs, arr = self.quantifier(body, var)  # a run of quantifiers splits at its outermost
+                else:
+                    vs, arr = self.table(body)
             except _TooWide as wide:
-                if var not in wide.names:
+                if var not in wide.names or enclosing in wide.names:
                     raise
                 vs = None  # split outside the handler, whose traceback holds the attempt's tables
             if vs is None:
@@ -658,8 +670,8 @@ class _Tables:
             for value in range(self.n):
                 self.env[var] = value
                 vs, arr = self.table(f.body)
-                if acc is None:
-                    acc = arr if arr.flags.writeable else arr.copy()
+                if acc is None:  # a reduction to 0-d gives a read-only numpy scalar: np.array makes it an array
+                    acc = arr if arr.flags.writeable else np.array(arr)
                 else:
                     fold(acc, arr, out=acc)
                 del arr  # free this slice before the next one is built
@@ -673,33 +685,28 @@ class _Tables:
     def least_failure(self, body: Formula, names: list[str]) -> Assignment | None:
         """The least values, in the order of names (the axis names, outermost
         binder first), at which body fails, for the names free in it; None
-        when it holds everywhere. Too wide a body is split over the first
-        name in that order that the wide table reads."""
+        when it holds everywhere. Too wide a body is split over the first of
+        names free in it, so the first value at which it fails is the least."""
         try:
             vs, arr = self.table(body)
-        except _TooWide as wide:
-            var = next(v for v in names if v in wide.names)
+        except _TooWide:
+            var = next(v for v in names if v in self.fvs[id(body)])
         else:
             failing = np.argwhere(arr.transpose() == 0)  # axes outermost first: rows in lexicographic order
             return dict(zip(reversed(vs), failing[0].tolist())) if len(failing) else None
         rest = [v for v in names if v != var]
         at = self.depth.pop(var)
-        best: Assignment | None = None
         try:
             for value in range(self.n):
                 self.env[var] = value
                 got = self.least_failure(body, rest)
-                if got is None:
-                    continue
-                got[var] = value
-                if best is None or [got.get(v, 0) for v in names] < [best.get(v, 0) for v in names]:
-                    best = got
-                if var == names[0]:  # the first failing value is the least
-                    break
+                if got is not None:
+                    got[var] = value
+                    return got
         finally:
             del self.env[var]
             self.depth[var] = at
-        return best
+        return None
 
 
 def evaluate_table(s: DualStructure, f: Formula, assignment: Assignment | None = None) -> bool:

@@ -278,6 +278,51 @@ class TestBoundedTables:
             naive.append(evaluate(s, f, assignment))
         assert split == unsplit == naive
 
+    @pytest.mark.parametrize("text", [
+        "forall y forall w (y in1 w | exists x x = x)",
+        "forall y forall w (y in1 w | !exists x x = x)",
+        "exists y exists w (y in1 w & forall x exists z x in2 z)",
+    ])
+    def test_closed_part_of_a_split_body(self, v3, text):
+        # The part that does not read the split variable reduces to a numpy
+        # scalar; it is computed once and folded into the slices' tables.
+        f = parse_formula(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formulas_mod, "TABLE_CELL_LIMIT", 4)
+            assert evaluate_table(v3, f) == evaluate(v3, f)
+            assert falsifying_assignment(v3, f) == least_failing_assignment(v3, f)
+
+    @pytest.mark.parametrize("text, split_vars", [
+        ("forall x exists y x in1 y", ["x"]),
+        ("exists x exists y x in1 y", ["x"]),
+        ("forall y exists x x in1 y", ["y"]),
+        ("forall y (y = y & exists x x in1 y)", ["x"]),
+    ])
+    def test_run_of_quantifiers_splits_at_its_outermost(self, v3, text, split_vars):
+        # One value of the outer variable can decide the sentence; splitting
+        # the inner one would fold every value before the outer one reduces.
+        split = formulas_mod._Tables.split
+        seen = []
+
+        def spy(tables, f):
+            seen.append(f.var)
+            return split(tables, f)
+
+        f = parse_formula(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(formulas_mod, "TABLE_CELL_LIMIT", 4)
+            mp.setattr(formulas_mod._Tables, "split", spy)
+            assert evaluate_table(v3, f) == evaluate(v3, f)
+        assert seen == split_vars
+
+    def test_reflexive_atom_builds_no_square_table(self):
+        n = 4096  # adjacency() would be 16 MiB
+        s = dual_structure(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, n - 1)], [])
+        for text, expected in (("forall x !x in1 x", False), ("exists x x in1 x", True)):
+            result, peak = traced_peak_mib(lambda: evaluate_table(s, parse_formula(text)))
+            assert result is expected
+            assert peak < 1
+
 
 def traced_peak_mib(fn):
     """fn's result and the most memory tracemalloc saw allocated during it, numpy buffers included."""
@@ -290,8 +335,8 @@ def traced_peak_mib(fn):
 
 
 class TestTableMemory:
-    """replacement-pointwise-1 has a six-variable clause: 16 MiB tables on a
-    16-element structure, unless the quantifiers over v' and v are split."""
+    """replacement-pointwise-1 has six-variable clauses: 16 MiB tables on a
+    16-element structure, unless the quantifiers over u and a are split."""
 
     def pointwise(self):
         return next(item.sentence for item in fixed_battery() if item.name == "replacement-pointwise-1")
