@@ -2,14 +2,16 @@
 
 Exit codes: 0 success / all-pass, 1 semantic negative (axiom failure, no
 isomorphism, false sentence, lemma failure, ill-founded input), 2 usage or
-input errors, input too large for memory included. Reports go to stdout;
-usage diagnostics to stderr. Every command is deterministic given its flags
-and seeds.
+input errors, input too large for memory included. verify-lemmas exits 0 on
+ill-founded or non-extensional input: every lemma reads n/a. Reports go to
+stdout; usage diagnostics to stderr. Every command is deterministic given its
+flags and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -138,6 +140,8 @@ def _parse_assignment(text: str) -> dict[str, int]:
         name, _, value = chunk.strip().partition("=")
         if not name or not is_id_token(value.removeprefix("-")):
             raise DualMemError(f"bad assignment chunk {chunk!r}; expected var=id")
+        if name in assignment:
+            raise DualMemError(f"assignment repeats variable {name!r}")
         assignment[name] = int(value)
     return assignment
 
@@ -268,6 +272,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
+    # A command makes no reference cycles, so the cyclic collector would only
+    # re-scan live objects; reference counting frees everything it drops.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (DualMemError, OSError) as exc:
@@ -276,6 +284,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

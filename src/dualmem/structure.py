@@ -150,13 +150,18 @@ class MembershipRelation:
 
         Returns the members-first order of everything reached and None, or,
         at the first cycle met, the order so far and the cycle (first element
-        repeated last).
+        repeated last). A root whose members are all finished is finished at
+        once, without a step per member: the walk would only pass over them.
         """
         mt = self.member_tuples()
         done: dict[int, bool] = {}  # False while on the current path
         order: list[int] = []
         for root in roots:
             if root in done:
+                continue
+            if all(map(done.get, mt[root])):
+                done[root] = True
+                order.append(root)
                 continue
             done[root] = False
             path = [root]

@@ -260,6 +260,7 @@ class TestAcceptance:
                 ["check-axioms", str(tmp_path / "v4.st"), "--mode", "semantic"],
                 ["find-iso", str(tmp_path / "s.st"), "--verify", "--oracle-check"],
                 ["find-iso", str(gallery_dir / "chain-vs-v3.st")],
+                ["find-iso", str(gallery_dir / "membership-cycle.st")],
                 ["eval", str(v3), "--formula", "forall x exists y x in1 y"],
                 ["eval", str(v3), "--formula", "x in1 y", "--assign", "x=0,y=1"],
                 ["verify-lemmas", str(v3)],

@@ -1,3 +1,4 @@
+import gc
 import os
 import resource
 import subprocess
@@ -16,6 +17,8 @@ from dualmem import (
     lemmas,
     parse_structure,
     serialize_structure,
+    scramble,
+    tamper,
 )
 from dualmem.cli import main
 from dualmem.formulas import MAX_FORMULA_DEPTH
@@ -348,6 +351,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", v3_file, "--formula", "x in1 y", "--assign", "x=0")
         assert code == 2
 
+    def test_repeated_assignment_exit_two(self, capsys, v3_file):
+        code, out, err = run(capsys, "eval", v3_file, "--formula", "x in1 x", "--assign", "x=1,x=2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: assignment repeats variable 'x'\n"
+
     @pytest.mark.parametrize("value", ["²", "١", "--1", "1-"])
     def test_non_ascii_or_malformed_id_exit_two(self, v3_file, value):
         proc = run_process("eval", v3_file, "--formula", "x in1 x", "--assign", f"x={value}")
@@ -520,3 +529,80 @@ class TestCollapse:
     def test_out_of_range_exit_two(self, capsys, v3_file):
         code, _, _ = run(capsys, "collapse", v3_file, "--element", "9")
         assert code == 2
+
+
+class TestCollector:
+    """main pauses the cyclic collector for a command, which makes no reference
+    cycles, and leaves the collector as it found it."""
+
+    @staticmethod
+    def chain_files(directory, n):
+        """A scrambled n-chain (e2 the scrambled image of e1, rank n - 1) and a copy with a cycle added."""
+        s = scramble(dual_structure(n, [(k, k + 1) for k in range(n - 1)], []), Permutation.random(n, 7))
+        paths = {"iso": directory / f"chain-{n}.st", "cyclic": directory / f"chain-{n}-cycle.st"}
+        paths["iso"].write_text(serialize_structure(s))
+        paths["cyclic"].write_text(serialize_structure(tamper(s, "add-cycle", 1)))
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize(
+        "argv, sizes",
+        [
+            (["find-iso", "{iso}", "--verify", "--oracle-check"], (1000, 4000)),
+            (["find-iso", "{cyclic}"], (1000, 4000)),
+            # verify-lemmas is quadratic in a chain's length (about 14 s at 4,000 elements).
+            (["verify-lemmas", "{iso}"], (250, 1000)),
+            (["verify-lemmas", "--corpus", "sizes=3,4 count={count}"], (1000, 4000)),
+            (["check-axioms", "{iso}", "--mode", "semantic"], (1000, 4000)),
+            (["collapse", "{iso}", "--element", "{top}"], (1000, 4000)),
+            (["eval", "{iso}", "--formula", "exists x exists y exists z (x in1 y & y in1 z)"], (1000, 4000)),
+        ],
+    )
+    def test_garbage_does_not_grow_with_input(self, capsys, tmp_path, argv, sizes):
+        def run_then_collect(n):
+            files = self.chain_files(tmp_path, n)
+            collecting = gc.isenabled()
+            gc.collect()
+            gc.disable()  # else a collection when main resumes the collector could free the garbage first
+            try:
+                code = main([arg.format(**files, top=n - 1, count=n // 100) for arg in argv])
+                capsys.readouterr()
+                return code, gc.collect()
+            finally:
+                if collecting:
+                    gc.enable()
+
+        run_then_collect(sizes[0])  # warm-up: first-use caches and imports
+        assert run_then_collect(sizes[0]) == run_then_collect(sizes[1])
+
+    def test_paused_during_a_command(self, capsys, monkeypatch, v3_file):
+        seen = []
+
+        def recording(s):
+            seen.append(gc.isenabled())
+            return matching(s)
+
+        matching = iso.global_isomorphism
+        monkeypatch.setattr(iso, "global_isomorphism", recording)
+        assert run(capsys, "find-iso", v3_file)[0] == 0
+        assert seen == [False]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["collapse", "{st}", "--element", "3"], 0),
+            (["eval", "{st}", "--formula", "x in1 x", "--assign", "x=0"], 1),
+            (["eval", "{st}", "--formula", "x in1 y", "--assign", "x=0"], 2),  # a DualMemError
+            (["find-iso"], 2),  # an argparse usage error
+            (["find-iso", "--help"], 0),
+        ],
+    )
+    def test_state_restored(self, capsys, v3_file, enabled, argv, code):
+        before = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert main([arg.format(st=v3_file) for arg in argv]) == code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if before else gc.disable)()
+        capsys.readouterr()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualmem import (
+    CycleError,
     DualMemError,
     MembershipRelation,
     Permutation,
@@ -26,6 +27,7 @@ from dualmem.structure import (
     _parse_canonical,
     _scan_structure,
     random_dual_structure,
+    reachable_postorder,
     relation_from_edges,
     transitive_closure,
     v_universe_size,
@@ -586,6 +588,74 @@ class TestOneWalk:
                         rel.ranks()
         assert len(walked) == 2 and {id(rel) for rel in walked} == {id(s.e1), id(s.e2)}
         assert (s.e1.find_cycle() is None) == (name == "scrambled_v4")
+
+
+def reference_members_first(rel, roots):
+    """The members-first walk without the early finish of a root whose members
+    are done: every root walks its members one step each."""
+    mt = rel.member_tuples()
+    done = {}  # False while on the current path
+    order = []
+    for root in roots:
+        if root in done:
+            continue
+        done[root] = False
+        path = [root]
+        walks = [iter(mt[root])]
+        while walks:
+            child = next(walks[-1], None)
+            if child is None:
+                node = path.pop()
+                done[node] = True
+                order.append(node)
+                walks.pop()
+            elif child not in done:
+                done[child] = False
+                path.append(child)
+                walks.append(iter(mt[child]))
+            elif not done[child]:
+                return order, tuple(path[path.index(child):] + [child])
+    return order, None
+
+
+@st.composite
+def walk_relations(draw):
+    """A relation of up to 9 elements: arbitrary edges (cycles included), or a
+    scrambled acyclic relation (so that a root's members may come after it in
+    id order), with self-loops added to some roots."""
+    size = draw(st.integers(1, 9))
+    edges = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)), max_size=3 * size))
+    if draw(st.booleans()):
+        images = Permutation.random(size, draw(st.integers(0, 1_000))).images
+        edges = [(images[a], images[b]) for a, b in edges if a < b]
+    loops = draw(st.lists(st.integers(0, size - 1), max_size=2))
+    return relation_from_edges(size, edges + [(x, x) for x in loops])
+
+
+class TestWalkAgainstReference:
+    def check(self, rel):
+        order, cycle = reference_members_first(rel, range(rel.domain_size))
+        assert rel.toposort() == (tuple(order) if cycle is None else None)
+        assert rel.find_cycle() == cycle
+        for x in range(rel.domain_size):
+            below, cycle = reference_members_first(rel, (x,))
+            if cycle is None:
+                assert reachable_postorder(rel, x) == below
+            else:
+                with pytest.raises(CycleError) as exc:
+                    reachable_postorder(rel, x)
+                assert exc.value.cycle == cycle
+
+    @given(rel=walk_relations())
+    @settings(max_examples=300, deadline=None)
+    def test_walks_equal_the_reference(self, rel):
+        self.check(rel)
+
+    @pytest.mark.parametrize("name", ["scrambled_v3", "scrambled_v4", "two_cycles"])
+    def test_fixtures_equal_the_reference(self, request, name):
+        s = request.getfixturevalue(name)
+        for rel in (s.e1, s.e2):
+            self.check(rel)
 
 
 class TestPermutation:
