@@ -551,7 +551,7 @@ class TestCollector:
             (["find-iso", "{cyclic}"], (1000, 4000)),
             # verify-lemmas is quadratic in a chain's length (about 14 s at 4,000 elements).
             (["verify-lemmas", "{iso}"], (250, 1000)),
-            (["verify-lemmas", "--corpus", "sizes=3,4 count={count}"], (1000, 4000)),
+            (["verify-lemmas", "--corpus", "sizes=3,4 count={count}"], (1000, 4000)),  # n // 100 items
             (["check-axioms", "{iso}", "--mode", "semantic"], (1000, 4000)),
             (["collapse", "{iso}", "--element", "{top}"], (1000, 4000)),
             (["eval", "{iso}", "--formula", "exists x exists y exists z (x in1 y & y in1 z)"], (1000, 4000)),
