@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / all-pass, 1 semantic negative (axiom failure, no
 isomorphism, false sentence, lemma failure, ill-founded input), 2 usage or
-input errors, input too large for memory included. verify-lemmas exits 0 on
+input errors, input too large for memory included; 141 (128 + SIGPIPE) when
+the reader of stdout has gone, with nothing on stderr. verify-lemmas exits 0 on
 ill-founded or non-extensional input: every lemma reads n/a. Reports go to
 stdout; usage diagnostics to stderr. Every command is deterministic given its
 flags and seeds.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -165,6 +167,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    if args.corpus and args.infile:
+        raise DualMemError("verify-lemmas takes either a structure file or --corpus, not both")
     if args.corpus:
         settings = _parse_corpus(args.corpus, args.seed)
         report = lemmas_mod.run_corpus(settings)
@@ -277,7 +281,14 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # Quiet, as a writer killed by SIGPIPE; what is still buffered goes to
+        # os.devnull when the interpreter flushes stdout at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DualMemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

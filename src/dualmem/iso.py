@@ -93,12 +93,13 @@ def _witness_conditions(
 ) -> dict[str, bool]:
     """witness_conditions given tc1 and tc2, the closures below-and-including
     x in e1 and y in e2, so that many candidate maps can share them. A value
-    outside the domain fails preserves-membership, which reads membership."""
+    outside the domain fails preserves-membership, which reads the member tuples."""
     domain_ok = set(f) == set(tc1)
     into = domain_ok and all(f[t] in tc2 for t in tc1)
     onto = domain_ok and {f[t] for t in tc1} == set(tc2)
+    mt1, mt2 = s.e1.member_tuples(), s.e2.member_tuples()
     preserves = domain_ok and all(f[t] in range(s.domain_size) for t in tc1) and all(
-        s.contains(1, t, w) == s.contains(2, f[t], f[w]) for t in tc1 for w in tc1
+        (t in mt1[w]) == (f[t] in mt2[f[w]]) for t in tc1 for w in tc1
     )
     return {
         "domain": domain_ok,

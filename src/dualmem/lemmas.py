@@ -22,12 +22,12 @@ from .axioms import SchemaBudget
 from .errors import DualMemError, LevelExtensionError
 from .structure import (
     DualStructure,
+    MembershipRelation,
     Permutation,
     build_v_universe,
     dual_structure,
     random_dual_structure,
     scramble,
-    transitive_closure,
 )
 
 LEMMA_NAMES = (
@@ -141,12 +141,11 @@ def _first_semantic_failure(report: axioms_mod.FullReport) -> Witness:
 def _check_uniqueness(s: DualStructure, partner: list[int | None]) -> LemmaVerdict:
     """Brute-force witness counting on pairs with small closures on both sides:
     one witness where the partners(s) list sends x to y, none elsewhere. One
-    search per small x counts its witnesses for every small y at once; only
-    the small closures are kept."""
-    tc2 = (transitive_closure(s.e2, y, include_self=True) for y in range(s.domain_size))
-    small2 = {y: c for y, c in enumerate(tc2) if len(c) <= UNIQUENESS_CLOSURE_BOUND}
+    search per small x counts its witnesses for every small y at once; each
+    closure walk stops once the closure is too large to keep."""
+    small2 = {y: c for y in range(s.domain_size) if (c := _small_closure(s.e2, y)) is not None}
     for x in range(s.domain_size):
-        if len(transitive_closure(s.e1, x, include_self=True)) > UNIQUENESS_CLOSURE_BOUND:
+        if _small_closure(s.e1, x) is None:
             continue
         for y, count in count_witnesses_brute(s, x, small2).items():
             expected = 1 if partner[x] == y else 0
@@ -156,6 +155,23 @@ def _check_uniqueness(s: DualStructure, partner: list[int | None]) -> LemmaVerdi
                     (("x", str(x)), ("y", str(y)), ("witnesses", str(count)), ("expected", str(expected))),
                 )
     return LemmaVerdict("pass")
+
+
+def _small_closure(rel: MembershipRelation, x: int) -> frozenset[int] | None:
+    """transitive_closure(rel, x, include_self=True) when it has at most
+    UNIQUENESS_CLOSURE_BOUND elements, else None, found as soon as the walk
+    passes the bound."""
+    mt = rel.member_tuples()
+    seen = {x}
+    stack = [x]
+    while stack:
+        for m in mt[stack.pop()]:
+            if m not in seen:
+                seen.add(m)
+                if len(seen) > UNIQUENESS_CLOSURE_BOUND:
+                    return None
+                stack.append(m)
+    return frozenset(seen)
 
 
 def count_witnesses_brute(s: DualStructure, x: int, tc2: dict[int, frozenset[int]]) -> dict[int, int]:
@@ -171,11 +187,22 @@ def count_witnesses_brute(s: DualStructure, x: int, tc2: dict[int, frozenset[int
     map is dropped as soon as two bound elements t, w (t = w included)
     disagree on membership, read from the member tuples: t in w in e1 but not
     f[t] in f[w] in e2 or the other way round, since every completion of it
-    fails preserves-membership. The values of a complete map lie in the
-    closure of y; the map counts only when they cover it (else it is not
-    onto) and _witness_conditions accepts all of its conditions. The count is
-    that of all maps with f[x] = y that pass the conditions, on any relation,
-    cyclic or non-extensional included.
+    fails preserves-membership. The e1 side of these tests is read once per
+    position, before the search.
+
+    Two more prunes drop only what no witness f can hold. A witness maps the
+    members of each t of the closure onto the members of v = f[t]: into them
+    by preserves-membership, and over them since each member u of v lies in
+    the closure of y, so u = f[w] for some w by onto-closure, and w is in t by
+    preserves-membership. So v has at most as many members as t, and none
+    exactly when t has none; a y whose closure is larger than x's is skipped
+    outright, since no map from k elements covers more than k. Neither prune
+    needs foundation or extensionality.
+
+    The values of a complete map lie in the closure of y; the map counts only
+    when they cover it (else it is not onto) and _witness_conditions accepts
+    all of its conditions. The count is that of all maps with f[x] = y that
+    pass the conditions, on any relation, cyclic or non-extensional included.
     """
     mt1, mt2 = s.e1.member_tuples(), s.e2.member_tuples()
     order, above = [x], [0]  # above[i]: the position order[i] was reached from
@@ -187,23 +214,34 @@ def count_witnesses_brute(s: DualStructure, x: int, tc2: dict[int, frozenset[int
                 order.append(m)
                 above.append(i)
     tc1 = frozenset(order)
+    # Per position: t's self-loop, its member count and, for each earlier w,
+    # whether t is in w and w in t, all in e1.
+    loops = [t in mt1[t] for t in order]
+    sizes = [len(mt1[t]) for t in order]
+    pairs = [[(w, t in mt1[w], w in mt1[t]) for w in order[:i]] for i, t in enumerate(order)]
     f: dict[int, int] = {}
     counts = dict.fromkeys(tc2, 0)
-    choices = [iter(tc2)]  # choices[i]: the values still to try for order[i]
+    # choices[i]: the values still to try for order[i]
+    choices = [iter([y for y, c in tc2.items() if len(c) <= len(tc1)])]
     while choices:
         i = len(choices) - 1
-        t = order[i]
-        loop = t in mt1[t]
+        loop, size, tests = loops[i], sizes[i], pairs[i]
         for v in choices[-1]:
-            if loop == (v in mt2[v]) and all(
-                (t in mt1[w]) == (v in mt2[f[w]]) and (w in mt1[t]) == (f[w] in mt2[v])
-                for w in order[:i]
+            members = mt2[v]
+            if (
+                len(members) <= size
+                and bool(members) == bool(size)
+                and loop == (v in members)
+                and all(
+                    (v in mt2[f[w]]) == t_in_w and (f[w] in members) == w_in_t
+                    for w, t_in_w, w_in_t in tests
+                )
             ):
                 break
         else:
             choices.pop()
             continue
-        f[t] = v
+        f[order[i]] = v
         if i + 1 < len(order):
             choices.append(iter(mt2[f[order[above[i + 1]]]]))
         else:
@@ -359,6 +397,7 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
         if kind not in ("scrambled", "random-pair"):
             raise DualMemError(f"unknown corpus kind {kind!r}")
     combined: dict[str, LemmaVerdict] = {}
+    levels: dict[int, DualStructure] = {}  # built when an item first needs one; scramble keeps e1
     items = 0
     iso_pass = 0
     iso_fail = 0
@@ -367,7 +406,9 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
             for i in range(config.count):
                 seed = config.seed + i
                 if kind == "scrambled":
-                    base = build_v_universe(size_index)
+                    if size_index not in levels:
+                        levels[size_index] = build_v_universe(size_index)
+                    base = levels[size_index]
                     s = scramble(base, Permutation.random(base.domain_size, seed))
                 else:
                     s = random_dual_structure(size_index, seed)

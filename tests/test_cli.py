@@ -213,6 +213,24 @@ class TestCheckAxioms:
 
 
 class TestFindIso:
+    @pytest.mark.parametrize("n", [4, 20_000])
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, n):
+        # The reader closes the pipe before the child writes. The certificate
+        # of the 20,000-chain is larger than a pipe buffer, so a write fails;
+        # that of the 4-chain waits in the buffer until main flushes it.
+        chain = dual_structure(n, [(k, k + 1) for k in range(n - 1)], [])
+        path = tmp_path / "chain.st"
+        path.write_text(serialize_structure(scramble(chain, Permutation.random(n, 7))))
+        env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as a pipe's is by default
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dualmem.cli", "find-iso", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+
     def test_identity_certificate(self, capsys, v3_file):
         code, out, _ = run(capsys, "find-iso", v3_file, "--verify", "--oracle-check")
         assert code == 0
@@ -455,6 +473,29 @@ class TestVerifyLemmas:
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"error: corpus setting {setting.partition('=')[0]}")
         assert "Traceback" not in proc.stderr
+
+    def test_file_and_corpus_exit_two(self, v3_file):
+        proc = run_process("verify-lemmas", v3_file, "--corpus", "sizes=3 count=1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: verify-lemmas takes either a structure file or --corpus, not both\n"
+
+    @pytest.mark.parametrize(
+        "setting, code, last_line",
+        [
+            ("sizes=9 count=0", 0, "corpus seeds=- sizes=9 kinds=scrambled items=0 iso-pass=0 iso-fail=0\n"),
+            ("sizes=9 count=1", 2, "error: level 9 exceeds the supported bound 5 (size 2^65536)\n"),
+            ("sizes=3,9 count=1", 2, "error: level 9 exceeds the supported bound 5 (size 2^65536)\n"),
+        ],
+    )
+    def test_level_beyond_the_bound(self, capsys, setting, code, last_line):
+        # A level is built when the first item of its size needs it.
+        returned, out, err = run(capsys, "verify-lemmas", "--corpus", setting)
+        assert returned == code
+        if code == 0:
+            assert (out.splitlines(keepends=True)[-1], err) == (last_line, "")
+        else:
+            assert (out, err) == ("", last_line)
 
     def test_negative_count_exit_two(self):
         proc = run_process("verify-lemmas", "--corpus", "count=-1")

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from dualmem import (
 )
 from dualmem import hf
 from dualmem import iso as iso_mod
+from dualmem import lemmas as lemmas_mod
 from dualmem.lemmas import (
     LEMMA_NAMES,
     _chain_vs_v3,
@@ -260,6 +262,15 @@ COUNT_INPUTS = st.one_of(
 )
 
 
+@st.composite
+def edge_sets(draw):
+    """Both relations arbitrary edge sets on 1-6 elements: self-loops, longer
+    cycles and elements with the same members all come up."""
+    n = draw(st.integers(1, 6))
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
+    return dual_structure(n, draw(pairs), draw(pairs))
+
+
 def closures2(s, ys):
     return {y: iso_mod.transitive_closure(s.e2, y, include_self=True) for y in ys}
 
@@ -283,6 +294,26 @@ class TestWitnessCounting:
             expected = {y: reference_count(s, x, y) for y in tc2}
             assert count_witnesses_brute(s, x, tc2) == expected, x
 
+    @given(s=edge_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_product_and_filter_on_any_edge_set(self, s):
+        # Every y, whatever its closure size, so that both value prunes run.
+        tc2 = closures2(s, range(s.domain_size))
+        for x in range(s.domain_size):
+            if len(iso_mod.transitive_closure(s.e1, x, include_self=True)) <= 4:
+                expected = {y: reference_count(s, x, y) for y in tc2}
+                assert count_witnesses_brute(s, x, tc2) == expected, x
+
+    def test_empty_x_against_y_with_members(self):
+        # 0 is empty in e1 and its own only member in e2: closures of one element each.
+        s = dual_structure(1, [], [(0, 0)])
+        assert count_witnesses_brute(s, 0, closures2(s, [0])) == {0: 0} == {0: reference_count(s, 0, 0)}
+
+    def test_closure_of_y_larger_than_that_of_x(self):
+        # In e1 the closure of 1 is {0, 1}; in e2 that of 2 is {0, 1, 2}.
+        s = dual_structure(3, [(0, 1)], [(0, 1), (1, 2)])
+        assert count_witnesses_brute(s, 1, closures2(s, [2])) == {2: 0} == {2: reference_count(s, 1, 2)}
+
     def test_counts_above_one(self):
         # Without extensionality a pair can have several witnesses: 0 and 1
         # are both empty, so the map on {0, 1, 2} may swap them.
@@ -296,6 +327,17 @@ class TestWitnessCounting:
                 y: reference_count(s, x, y) for y in range(2)
             }
         assert count_witnesses_brute(s, 1, closures2(s, [0]))[0] == 1
+
+    def test_long_chain_walks_stop_at_the_bound(self):
+        # Only 4 of the 65,536 elements have small closures on each side; a
+        # walk of every whole closure would take minutes.
+        n = 65_536
+        chain = [(k, k + 1) for k in range(n - 1)]
+        s = scramble(dual_structure(n, chain, chain), Permutation.random(n, 7))
+        partner = iso_mod.partners(s)
+        start = time.process_time()
+        assert _check_uniqueness(s, partner) == LemmaVerdict("pass")
+        assert time.process_time() - start < 20
 
 
 class TestUniquenessFailure:
@@ -554,6 +596,14 @@ class TestRunCorpus:
         report = run_corpus(CorpusConfig(sizes=(), count=0))
         assert report.corpus == "corpus seeds=- sizes= kinds=scrambled items=0 iso-pass=0 iso-fail=0"
         assert all(v.status == "n/a" for v in report.lemmas.values())
+
+    def test_one_level_per_size(self, monkeypatch):
+        calls = []
+        real = lemmas_mod.build_v_universe
+        monkeypatch.setattr(lemmas_mod, "build_v_universe", lambda n: calls.append(n) or real(n))
+        report = run_corpus(CorpusConfig(sizes=(3, 4), count=100))
+        assert report.all_ok
+        assert calls == [3, 4]
 
     def test_timing_not_rendered(self):
         report = run_corpus(CorpusConfig(sizes=(3,), count=2))
