@@ -48,7 +48,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_structure(path: str):
-    return parse_structure(_read_text(path))
+    return parse_structure(Path(path).read_bytes())
 
 
 def _write_structure(path: Path, s) -> None:

@@ -33,20 +33,19 @@ from .structure import (
 )
 
 
-def _match(s: DualStructure, order) -> dict[int, int | None]:
+def _match(s: DualStructure, order, index: dict[tuple[int, ...], int | None]) -> dict[int, int | None]:
     """The partner of each element of a members-first e1 order, in that order:
     the unique e2 element whose members are exactly its members' partners (by
-    e2's extension index), or None when there is none, several, or a member
-    without one. The sweep goes on past a failure; a None propagates upward.
+    index, e2's extension index), or None when there is none, several, or a
+    member without one. The sweep goes on past a failure; a None propagates upward.
     """
     mt1 = s.e1.member_tuples()
-    lookup = s.e2.extension_index().get
+    lookup = index.get
     partner: dict[int, int | None] = {}
     image = partner.__getitem__
     for t in order:
         images = list(map(image, mt1[t]))
-        hits = None if None in images else lookup(tuple(sorted(images)))
-        partner[t] = hits[0] if hits is not None and len(hits) == 1 else None
+        partner[t] = None if None in images else lookup(tuple(sorted(images)))
     return partner
 
 
@@ -66,7 +65,7 @@ def build_witness(s: DualStructure, x: int, y: int) -> dict[int, int] | None:
             raise DualMemError(f"element {t} outside domain of size {s.domain_size}")
     if not s.e2.is_acyclic():
         reachable_postorder(s.e2, y, tag=2)  # for its CycleError only
-    f = _match(s, reachable_postorder(s.e1, x, tag=1))
+    f = _match(s, reachable_postorder(s.e1, x, tag=1), s.e2.extension_index())
     if f[x] != y or len(set(f.values())) < len(f):
         return None
     return f  # f[x] == y, so no value is None: a None would have reached x
@@ -170,7 +169,7 @@ def extend_to_level(s: DualStructure, x: int, y: int) -> dict[int, int]:
         raise LevelExtensionError("missing-level", x, 1)
     if lev2.element is None:
         raise LevelExtensionError("missing-level", y, 2)
-    extended = _match(s, reachable_postorder(s.e1, lev1.element, tag=1))
+    extended = _match(s, reachable_postorder(s.e1, lev1.element, tag=1), s.e2.extension_index())
     for u, v in extended.items():  # members first: the first None has all its members matched
         if v is None:
             raise LevelExtensionError("unrealized-image", u, 2)
@@ -218,10 +217,11 @@ class FailureDiagnostic:
 def partners(s: DualStructure) -> list[int | None]:
     """partners(s)[x] is the e2 element matched to x, or None when x has none.
 
-    The matching sweep over all of e1 in toposort order. On an extensional e1
-    these are exactly the pairs build_witness certifies. Requires e1 acyclic.
+    The matching sweep over all of e1 in toposort order, by a fresh e2 index
+    that it drops. On an extensional e1 these are exactly the pairs
+    build_witness certifies. Requires e1 acyclic.
     """
-    partner = _match(s, s.e1.toposort())
+    partner = _match(s, s.e1.toposort(), s.e2.fresh_extension_index())
     return list(map(partner.__getitem__, range(s.domain_size)))
 
 

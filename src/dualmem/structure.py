@@ -20,6 +20,7 @@ tamperers build and edit the arrays.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from collections.abc import Iterable, Iterator
@@ -100,8 +101,7 @@ class MembershipRelation:
         indexing, ranks, traversals and matching read."""
         if self._member_tuples is None:
             offsets = _offsets(self.parent, self.domain_size)
-            ints = list(range(self.domain_size))  # one object per id: ints above 256 are not shared
-            ids = tuple(map(ints.__getitem__, self.child.tolist()))
+            ids = tuple(map(_ids(self.domain_size).__getitem__, memoryview(self.child)))
             tuples = tuple(ids[offsets[b]:offsets[b + 1]] for b in range(self.domain_size))
             object.__setattr__(self, "_member_tuples", tuples)
         return self._member_tuples
@@ -141,7 +141,7 @@ class MembershipRelation:
         """(order, None) from members_first over the whole domain, or (None,
         cycle) when it meets a cycle; walked once and cached."""
         if "walk" not in self._derived:
-            order, cycle = self.members_first(range(self.domain_size))
+            order, cycle = self.members_first(_ids(self.domain_size))
             self._derived["walk"] = (tuple(order) if cycle is None else None, cycle)
         return self._derived["walk"]
 
@@ -204,31 +204,36 @@ class MembershipRelation:
     def max_rank(self) -> int:
         return max(self.ranks(), default=0)
 
-    def extension_index(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Map ascending member tuple -> ascending ids of the elements realizing it.
-
-        Look a set s up by tuple(sorted(s)).
-        """
+    def extension_index(self) -> dict[tuple[int, ...], int | None]:
+        """fresh_extension_index(), built on first use and cached."""
         if "ext_index" not in self._derived:
-            tuples = self.member_tuples()
-            index = {members: (x,) for x, members in enumerate(tuples)}
-            if len(index) < self.domain_size:  # some member tuple is shared: group the ids
-                groups: dict[tuple[int, ...], list[int]] = {}
-                for x, members in enumerate(tuples):
-                    groups.setdefault(members, []).append(x)
-                index = {members: tuple(xs) for members, xs in groups.items()}
-            self._derived["ext_index"] = index
+            self._derived["ext_index"] = self.fresh_extension_index()
         return self._derived["ext_index"]
+
+    def fresh_extension_index(self) -> dict[tuple[int, ...], int | None]:
+        """Map each realized ascending member tuple to the element realizing
+        it, or to None when several share it; built afresh on each call.
+        Look a set s up by tuple(sorted(s))."""
+        tuples, ids = self.member_tuples(), _ids(self.domain_size)
+        index = dict(zip(tuples, ids))  # the last realizer of each tuple
+        if len(index) < self.domain_size:  # some tuple is shared: every other realizer marks it
+            for members, x in zip(tuples, ids):
+                if index[members] != x:
+                    index[members] = None
+        return index
 
     def realizer(self, s: Iterable[int]) -> int | None:
         """The unique element whose member-set is s, or None if absent/ambiguous."""
-        hits = self.extension_index().get(tuple(sorted(s)))
-        return hits[0] if hits is not None and len(hits) == 1 else None
+        return self.extension_index().get(tuple(sorted(s)))
 
     def duplicate_extensions(self) -> tuple[tuple[int, ...], ...]:
         """Groups of distinct elements sharing a member-set, sorted by least id."""
-        groups = [xs for xs in self.extension_index().values() if len(xs) > 1]
-        return tuple(sorted(groups))
+        if len(self.extension_index()) == self.domain_size:
+            return ()
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for x, members in enumerate(self.member_tuples()):
+            groups.setdefault(members, []).append(x)
+        return tuple(sorted(tuple(xs) for xs in groups.values() if len(xs) > 1))
 
     def is_extensional(self) -> bool:
         """No two elements share a member-set: decided from a transient set of
@@ -240,6 +245,12 @@ def _canonical_order(child: np.ndarray, parent: np.ndarray) -> bool:
     """True when the edges are strictly ascending by (parent, child)."""
     later, earlier = parent[1:], parent[:-1]
     return bool(np.all((later > earlier) | ((later == earlier) & (child[1:] > child[:-1]))))
+
+
+@functools.lru_cache(maxsize=1)
+def _ids(n: int) -> tuple[int, ...]:
+    """The ids 0..n-1, one object each (each int above 256 is a new object), shared by every view."""
+    return tuple(range(n))
 
 
 def _offsets(keys: np.ndarray, n: int) -> list[int]:
@@ -380,18 +391,28 @@ def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
         yield line_no, line.removesuffix("\r")
 
 
-def parse_structure(text: str) -> DualStructure:
-    """Parse the line-oriented structure format.
+def parse_structure(text: str | bytes) -> DualStructure:
+    """Parse the line-oriented structure format, from its text or its bytes.
 
     Grammar per line: comments starting with '#', a single 'n <N>' header,
     then 'e1 <child> <parent>' / 'e2 <child> <parent>' edge lines.
     Duplicate edges, ids >= N, an N beyond int64 and malformed tokens are
     errors with line numbers.
     Files in the shape serialize_structure writes are read by array operations;
-    everything else, and every error, goes through the line scanner.
+    everything else, and every error, goes through the line scanner. Bytes
+    are decoded as UTF-8 only for the scanner, and a byte that is not UTF-8
+    is an error naming its line.
     """
     s = _parse_canonical(text)
-    return s if s is not None else _scan_structure(text)
+    if s is not None:
+        return s
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = exc.object.count(b"\n", 0, exc.start) + 1
+            raise StructureFormatError(f"byte {exc.object[exc.start]:#04x} is not valid UTF-8", line_no) from None
+    return _scan_structure(text)
 
 
 # Ids are stored as int64, so a larger 'n' header is a format error.
@@ -406,7 +427,7 @@ _MAX_DOMAIN_SIZE = int(np.iinfo(np.int64).max)
 _CANONICAL = re.compile(rb"n ([0-9]+)\n(?:e[12] [0-9]{1,18}+ [0-9]{1,18}+\n)*+")
 
 
-def _parse_canonical(text: str) -> DualStructure | None:
+def _parse_canonical(data: str | bytes) -> DualStructure | None:
     """The structure in a file of the canonical shape, or None.
 
     The shape is _CANONICAL, edge lines in any order, with every id below N
@@ -414,9 +435,8 @@ def _parse_canonical(text: str) -> DualStructure | None:
     other whitespace, non-ASCII text, an N beyond int64, an id out of range,
     a repeated edge) it returns None, and the line scanner decides and reports.
     """
-    if not text.isascii():
-        return None
-    data = text.encode("ascii")
+    if isinstance(data, str):
+        data = data.encode()  # a non-ASCII character becomes bytes the shape has no place for
     if not data.endswith(b"\n"):
         data += b"\n"
     match = _CANONICAL.fullmatch(data)
@@ -425,13 +445,13 @@ def _parse_canonical(text: str) -> DualStructure | None:
     size = int(match[1])
     if size > _MAX_DOMAIN_SIZE:
         return None
-    body = data[match.end(1) + 1:]
-    # Without the 'e' of its tag, each edge line is three integers: tag, child, parent.
-    values = np.fromstring(body.translate(None, b"e"), dtype=np.int64, sep=" ")
-    lines = body.count(b"\n")
-    if values.size != 3 * lines:
+    # Without the 'n' of the header and the 'e' of each tag, the file is
+    # integers: the size, then per edge line tag, child and parent.
+    values = np.fromstring(data.translate(None, b"en"), dtype=np.int64, sep=" ")
+    lines = data.count(b"\n") - 1
+    if values.size != 1 + 3 * lines:
         return None
-    rows = values.reshape(lines, 3)
+    rows = values[1:].reshape(lines, 3)
     if lines and int(rows[:, 1:].max()) >= size:
         return None
     relations = []

@@ -67,6 +67,17 @@ def test_structure_not_utf8_exit_two_with_line(tmp_path, argv):
     assert proc.stderr == "error: line 3: byte 0xff is not valid UTF-8\n"
 
 
+@pytest.mark.parametrize("ending, code", [(b"\n", 0), (b"\r\n", 0), (b"\r", 2)])
+def test_structure_lines_end_at_newline(capsys, tmp_path, ending, code):
+    # The file's bytes are read as the format says: a line ends at '\n', and
+    # a '\r' before it is dropped; a lone '\r' ends no line.
+    path = tmp_path / "lines.st"
+    path.write_bytes(ending.join([b"n 2", b"e1 0 1", b"e2 0 1", b""]))
+    assert run(capsys, "find-iso", str(path)) == (
+        (0, "iso 2\nmap 0 0\nmap 1 1\n", "") if code == 0 else (2, "", "error: line 1: header must be 'n <N>'\n")
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -286,13 +286,31 @@ class TestGlobalIsomorphism:
             global_isomorphism(s)
 
     def test_extensionality_builds_no_e1_index(self):
-        # e1 is only tested for extensionality; e2's index is read by the sweep
+        # e1 is only tested for extensionality; the sweep reads a fresh e2
+        # index once and keeps none, so neither relation caches one
         n = 300
         p = Permutation.random(n, 5)
         s = scramble(dual_structure(n, [(x, x + 1) for x in range(n - 1)], []), p)
         assert global_isomorphism(s).mapping == p.images
         assert "ext_index" not in s.e1._derived
-        assert "ext_index" in s.e2._derived
+        assert "ext_index" not in s.e2._derived
+
+    def test_one_object_per_id(self):
+        # Ids above 256 are distinct int objects unless shared: both
+        # relations' member tuples, their walks, the index and the
+        # certificate hold one object per id, and the oracle adds none.
+        n = 1_000
+        chain = [(x, x + 1) for x in range(n - 1)]
+        s = scramble(dual_structure(n, chain, chain), Permutation.random(n, 2))
+        cert = global_isomorphism(s)
+        hf.collapse_domain(s.e1, 1), hf.collapse_domain(s.e2, 2)
+        views = [cert.mapping]
+        for rel in (s.e1, s.e2):
+            views += [*rel.member_tuples(), rel.toposort(), rel.extension_index().values()]
+        seen: dict[int, int] = {}
+        for x in itertools.chain(*views):
+            assert seen.setdefault(x, x) is x
+        assert len(seen) == n
 
     def test_bit_identical_across_fresh_structures(self):
         texts = []

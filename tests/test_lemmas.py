@@ -61,6 +61,20 @@ class TestRunSuite:
         assert all(v.status == "pass" for v in report.lemmas.values())
         assert len(calls) == 2 * 16 + 2 * 4
 
+    def test_long_chain_suite(self):
+        # A chain fails pairing ({0, 1} has no element), so totality reads
+        # n/a; every other lemma passes. Restriction takes one pass over the
+        # partners: a witness per pair walks each pair's whole closure, which
+        # is quadratic on a chain.
+        n = 65_536
+        chain = [(k, k + 1) for k in range(n - 1)]
+        s = scramble(dual_structure(n, chain, chain), Permutation.random(n, 11))
+        start = time.process_time()
+        lemmas = run_suite(s).lemmas
+        assert time.process_time() - start < 30
+        assert lemmas.pop("totality").witness == (("reason", "axioms"), ("tag", "1"), ("axiom", "pairing"))
+        assert list(lemmas.values()) == [LemmaVerdict("pass")] * 7
+
     def test_chain_vs_v3_pattern(self):
         report = run_suite(_chain_vs_v3())
         lemmas = report.lemmas
@@ -379,9 +393,10 @@ class TestRestrictionFailure:
     def test_swapped_partners_fail_line(self, swap, line):
         s = scramble(build_v_universe(3), Permutation.random(4, 7))
         partner = iso_mod.partners(s)
+        swapped = list(partner)
         a, b = swap
-        partner[a], partner[b] = partner[b], partner[a]
-        report = SuiteReport({"witness-restriction": _check_restriction(s, list(enumerate(partner)))})
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        report = SuiteReport({"witness-restriction": _check_restriction(s, partner, list(enumerate(swapped)))})
         assert render_suite(report) == f"lemma witness-restriction fail {line}\n"
 
 
@@ -497,9 +512,11 @@ class TestRestriction:
         if expected is None:
             x, y = next((x, y) for x, y in matched if iso_mod.build_witness(s, x, y) is None)
             expected = LemmaVerdict("fail", (("x", str(x)), ("y", str(y)), ("reason", "no-witness")))
-        assert _check_restriction(s, matched) == expected
+        assert _check_restriction(s, iso_mod.partners(s), matched) == expected
 
     def test_one_witness_per_matched_pair(self, monkeypatch, scrambled_v4):
+        # No witness is built when every pair is (x, partners(s)[x]) and no
+        # partner repeats; otherwise one per pair, up to the first without one.
         calls = []
         build = iso_mod.build_witness
 
@@ -508,9 +525,23 @@ class TestRestriction:
             return build(s, x, y)
 
         monkeypatch.setattr(iso_mod, "build_witness", counted)
-        matched = list(enumerate(iso_mod.partners(scrambled_v4)))
-        assert _check_restriction(scrambled_v4, matched) == LemmaVerdict("pass")
-        assert calls == matched
+        partner = iso_mod.partners(scrambled_v4)
+        matched = list(enumerate(partner))
+        assert _check_restriction(scrambled_v4, partner, matched) == LemmaVerdict("pass")
+        assert calls == []
+        wrong = matched[:3] + [(3, matched[4][1])] + matched[4:]
+        assert _check_restriction(scrambled_v4, partner, wrong) == LemmaVerdict(
+            "fail", (("x", "3"), ("y", str(matched[4][1])), ("reason", "no-witness"))
+        )
+        assert calls == wrong[:4]
+        calls.clear()
+        # e1's 0 and 3 share the empty member-set, so both have partner 0.
+        shared = dual_structure(4, [(0, 1), (0, 2)], [(0, 1), (1, 2), (0, 3), (1, 3)])
+        partner = iso_mod.partners(shared)
+        repeated = list(enumerate(partner))
+        assert repeated == [(0, 0), (1, 1), (2, 1), (3, 0)]
+        assert _check_restriction(shared, partner, repeated) == LemmaVerdict("pass")
+        assert calls == repeated
 
     @given(s=ACYCLIC_INPUTS)
     @settings(max_examples=150, deadline=None)

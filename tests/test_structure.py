@@ -269,6 +269,47 @@ class TestCanonicalFastPath:
         assert peak < 10 * len(text)
 
 
+def noncanonical(text: str, kind: str) -> str:
+    """A file the canonical reader leaves to the line scanner, with the same lines."""
+    if kind == "comments":
+        return "# généré\n" + text.replace("\n", "\n# note\n", 1)
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "blank-lines":
+        return text.replace("\n", "\n\n")
+    return text.removesuffix("\n")  # no final newline
+
+
+class TestBytesParse:
+    @given(
+        size=st.integers(1, 12), seed=st.integers(0, 10_000),
+        kind=st.sampled_from(("none", "comments", "crlf", "blank-lines", "no-final-newline")),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_parse_as_text(self, size, seed, kind):
+        s = random_dual_structure(size, seed)
+        text = noncanonical(serialize_structure(s), kind)
+        assert parse_structure(text.encode()) == parse_structure(text) == s
+
+    @given(text=st.one_of(
+        ARBITRARY_TEXT,
+        st.builds(mutated_file, st.integers(1, 12), st.integers(0, 10_000), st.sampled_from(MUTATIONS),
+                  st.integers(0, 1_000)),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_fail_as_text(self, text):
+        assert outcome(parse_structure, text.encode()) == outcome(parse_structure, text)
+
+    @pytest.mark.parametrize(
+        "data, byte, line_no",
+        [(b"n 2\r\ne1 0 1\r\n# caf\xff\r\n", 0xff, 3), (b"\x80n 2\n", 0x80, 1), (b"n 2\n\n\n# \xc3", 0xc3, 4)],
+    )
+    def test_invalid_utf8_names_its_line(self, data, byte, line_no):
+        with pytest.raises(StructureFormatError) as exc:
+            parse_structure(data)
+        assert (str(exc.value), exc.value.line_no) == (f"line {line_no}: byte {byte:#04x} is not valid UTF-8", line_no)
+
+
 class TestRelationArrays:
     def test_sorted_by_parent_then_child_without_repeats(self):
         rel = MembershipRelation(3, [1, 0, 0, 0], [2, 2, 1, 2])
@@ -320,6 +361,19 @@ class TestRelationArrays:
             hits = [x for x in range(8) if members(rel, x) == s]
             assert rel.realizer(s) == (hits[0] if len(hits) == 1 else None)
             assert rel.realizer(sorted(s, reverse=True)) == rel.realizer(s)
+
+    @given(size=st.integers(0, 8), edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
+    @settings(max_examples=150, deadline=None)
+    def test_extension_index_agrees_with_brute_force(self, size, edges):
+        # A tuple is a key iff some element realizes it, and its value is the
+        # one realizer, or None when several share it (cycles included).
+        edges = [(a, b) for a, b in edges if a < size and b < size]
+        rel = relation_from_edges(size, edges)
+        realizers: dict[tuple[int, ...], list[int]] = {}
+        for x in range(size):
+            realizers.setdefault(tuple(sorted({a for a, b in edges if b == x})), []).append(x)
+        expected = {key: xs[0] if len(xs) == 1 else None for key, xs in realizers.items()}
+        assert rel.fresh_extension_index() == rel.extension_index() == expected
 
     @given(edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=24))
     @settings(max_examples=150, deadline=None)
@@ -573,7 +627,7 @@ class TestOneWalk:
         walk = MembershipRelation.members_first
 
         def counted(rel, roots):
-            if roots == range(rel.domain_size):
+            if tuple(roots) == tuple(range(rel.domain_size)):  # roots may be a range or the shared id tuple
                 walked.append(rel)
             return walk(rel, roots)
 
