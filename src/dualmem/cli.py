@@ -130,7 +130,7 @@ def cmd_find_iso(args) -> int:
             if c1.uids[x] != c2.uids[y]:
                 print(f"fail oracle-mismatch x={x} y={y}")
                 return NEGATIVE
-    sys.stdout.write(iso_mod.render_certificate(result))
+    sys.stdout.writelines(iso_mod.certificate_blocks(result))
     return PASS
 
 

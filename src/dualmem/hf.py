@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
+import numpy as np
+
 from .errors import CycleError, DualMemError
 from .structure import V_UNIVERSE_MAX, MembershipRelation, reachable_postorder
 
@@ -274,7 +276,8 @@ def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid):
 
 def _duplicate_groups(uids: list[int]) -> tuple[tuple[int, ...], ...]:
     """Groups of elements sharing a collapse, given uids[x], the uid of element x's collapse."""
-    if len(set(uids)) == len(uids):
+    ordered = np.sort(np.array(uids, dtype=np.int64))  # no domain-sized set decides that all differ
+    if not np.any(ordered[1:] == ordered[:-1]):
         return ()
     by_code: dict[int, list[int]] = {}
     for elem, u in enumerate(uids):

@@ -17,6 +17,7 @@ and the CLI's ``--oracle-check`` read it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,16 +288,20 @@ def verify_certificate(s: DualStructure, cert: IsoCertificate) -> bool:
 
 # -- text formats ------------------------------------------------------------------
 
-_CERT_BLOCK = 4096  # map lines joined at a time: no list of every line is held
+_CERT_BLOCK = 4096  # map lines per string: a writer of the strings holds neither every line nor the whole text
+
+
+def certificate_blocks(cert: IsoCertificate) -> Iterator[str]:
+    """An 'iso <N>' header line, then 'map <x> <y>' for each x ascending, _CERT_BLOCK lines a string."""
+    h = cert.mapping
+    yield f"iso {len(h)}\n"
+    for start in range(0, len(h), _CERT_BLOCK):
+        yield "".join(f"map {x} {y}\n" for x, y in enumerate(h[start:start + _CERT_BLOCK], start))
 
 
 def render_certificate(cert: IsoCertificate) -> str:
-    """An 'iso <N>' header line, then 'map <x> <y>' for each x ascending."""
-    h = cert.mapping
-    blocks = [f"iso {len(h)}\n"]
-    for start in range(0, len(h), _CERT_BLOCK):
-        blocks.append("".join(f"map {x} {y}\n" for x, y in enumerate(h[start:start + _CERT_BLOCK], start)))
-    return "".join(blocks)
+    """The certificate's text: certificate_blocks joined."""
+    return "".join(certificate_blocks(cert))
 
 
 def parse_certificate(text: str) -> IsoCertificate:

@@ -262,9 +262,8 @@ def _check_restriction(s: DualStructure, partner: list[int | None], matched) -> 
     members' values and on e2's index, so when f exists, build_witness(s, c,
     f[c]) is never None and equals f restricted to c's closure. Any e2 cycle
     below f[c] lies below y, so the call for (x, y) would already have raised.
-    So on acyclic relations, with partner the partners(s) list, the witness
-    for (x, partner[x]) is partner on x's closure, which exists unless a
-    partner repeats: such pairs pass at once, and any other list is built pair by pair.
+    So on acyclic relations the witness for (x, partners(s)[x]) is partner on x's closure,
+    which exists unless a partner repeats: such lists pass at once, others are built pair by pair.
     """
     images = [y for y in partner if y is not None]
     if s.e1.is_acyclic() and s.e2.is_acyclic() and len(set(images)) == len(images) and all(

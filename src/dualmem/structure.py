@@ -211,9 +211,8 @@ class MembershipRelation:
         return self._derived["ext_index"]
 
     def fresh_extension_index(self) -> dict[tuple[int, ...], int | None]:
-        """Map each realized ascending member tuple to the element realizing
-        it, or to None when several share it; built afresh on each call.
-        Look a set s up by tuple(sorted(s))."""
+        """Map each realized ascending member tuple (a set s is looked up by tuple(sorted(s)))
+        to the element realizing it, or to None when several share it; built afresh on each call."""
         tuples, ids = self.member_tuples(), _ids(self.domain_size)
         index = dict(zip(tuples, ids))  # the last realizer of each tuple
         if len(index) < self.domain_size:  # some tuple is shared: every other realizer marks it

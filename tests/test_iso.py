@@ -30,6 +30,7 @@ from dualmem.iso import (
     _CERT_BLOCK,
     FailureDiagnostic,
     IsoCertificate,
+    certificate_blocks,
     is_witness,
     parse_certificate,
     partners,
@@ -381,6 +382,9 @@ class TestCertificateText:
         text = render_certificate(cert)
         assert text == reference_certificate_text(cert)
         assert parse_certificate(text) == cert
+        # The CLI writes the blocks one by one: the header, then up to _CERT_BLOCK map lines each.
+        full, rest = divmod(n, _CERT_BLOCK)
+        assert [b.count("\n") for b in certificate_blocks(cert)] == [1] + [_CERT_BLOCK] * full + [rest] * (rest > 0)
 
     @pytest.mark.parametrize(
         "text, line_no",

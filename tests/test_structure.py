@@ -627,7 +627,7 @@ class TestOneWalk:
         walk = MembershipRelation.members_first
 
         def counted(rel, roots):
-            if tuple(roots) == tuple(range(rel.domain_size)):  # roots may be a range or the shared id tuple
+            if (roots := tuple(roots)) == tuple(range(rel.domain_size)):  # the shared id tuple, not a range
                 walked.append(rel)
             return walk(rel, roots)
 
