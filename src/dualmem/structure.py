@@ -435,7 +435,7 @@ def _parse_canonical(data: str | bytes) -> DualStructure | None:
     a repeated edge) it returns None, and the line scanner decides and reports.
     """
     if isinstance(data, str):
-        data = data.encode()  # a non-ASCII character becomes bytes the shape has no place for
+        data = data.encode(errors="surrogatepass")  # non-ASCII text becomes bytes the shape has no place for
     if not data.endswith(b"\n"):
         data += b"\n"
     match = _CANONICAL.fullmatch(data)

@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualmem import (
@@ -222,6 +222,7 @@ class TestParse:
         assert parse_structure("n 9223372036854775807\n").domain_size == 2**63 - 1
 
     @given(text=ARBITRARY_TEXT)
+    @example(text="\ud800")  # a lone surrogate: text with no UTF-8 encoding
     @settings(max_examples=150, deadline=None)
     def test_arbitrary_text_never_crashes(self, text):
         try:
@@ -249,6 +250,7 @@ class TestCanonicalFastPath:
         st.builds(mutated_file, st.integers(1, 12), st.integers(0, 10_000), st.sampled_from(MUTATIONS),
                   st.integers(0, 1_000)),
     ))
+    @example(text="n 1\n\ud800")
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_line_scanner(self, text):
         assert outcome(parse_structure, text) == outcome(_scan_structure, text)
@@ -298,6 +300,7 @@ class TestBytesParse:
     ))
     @settings(max_examples=300, deadline=None)
     def test_bytes_fail_as_text(self, text):
+        assume(not any("\ud800" <= c <= "\udfff" for c in text))  # a lone surrogate is no file's text
         assert outcome(parse_structure, text.encode()) == outcome(parse_structure, text)
 
     @pytest.mark.parametrize(
