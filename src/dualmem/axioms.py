@@ -272,7 +272,6 @@ def check_schema_bounded(s: DualStructure, budget: SchemaBudget | None = None) -
 
 @dataclass(frozen=True)
 class AxiomReport:
-    tag: int
     verdicts: dict[str, Verdict] = field(default_factory=dict)
 
     @property
@@ -288,7 +287,6 @@ class AxiomReport:
 @dataclass(frozen=True)
 class FullReport:
     by_tag: dict[int, AxiomReport]
-    schema_mode: str
 
     @property
     def all_pass(self) -> bool:
@@ -339,47 +337,21 @@ def full_report(s: DualStructure, budget: SchemaBudget | None = None, schema_mod
             rep = {k: v for k, v in battery_verdicts.items()
                    if k in (f"replacement-pointwise-{tag}", f"replacement-graph-{tag}")}
             rows["replacement-schema"] = _combine_schema(rep, "battery")
-        by_tag[tag] = AxiomReport(tag, rows)
-    return FullReport(by_tag, schema_mode)
+        by_tag[tag] = AxiomReport(rows)
+    return FullReport(by_tag)
 
 
 # -- text format --------------------------------------------------------------------
-
-def render_verdict_line(tag: int, axiom: str, v: Verdict) -> str:
-    parts = [str(tag), axiom, v.status]
-    parts.extend(f"{k}={val}" for k, val in v.witness)
-    if v.mode is not None:
-        parts.append(f"mode={v.mode}")
-    return " ".join(parts)
-
 
 def render_report(report: FullReport) -> str:
     lines = []
     for tag in sorted(report.by_tag):
         rows = report.by_tag[tag].verdicts
         for axiom in sorted(rows):
-            lines.append(render_verdict_line(tag, axiom, rows[axiom]))
+            v = rows[axiom]
+            parts = [str(tag), axiom, v.status]
+            parts.extend(f"{k}={val}" for k, val in v.witness)
+            if v.mode is not None:
+                parts.append(f"mode={v.mode}")
+            lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> FullReport:
-    """Inverse of render_report at the text level."""
-    by_tag: dict[int, dict[str, Verdict]] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split(" ")
-        if len(tokens) < 3:
-            raise DualMemError(f"bad report line: {line!r}")
-        tag, axiom, status = int(tokens[0]), tokens[1], tokens[2]
-        witness: list[tuple[str, str]] = []
-        mode = None
-        for tok in tokens[3:]:
-            key, _, val = tok.partition("=")
-            if key == "mode":
-                mode = val
-            else:
-                witness.append((key, val))
-        by_tag.setdefault(tag, {})[axiom] = Verdict(status, tuple(witness), mode)
-    return FullReport({tag: AxiomReport(tag, rows) for tag, rows in by_tag.items()}, "parsed")

@@ -83,8 +83,6 @@ def pointwise_image(set_tag: int, app_tag: int) -> Formula:
 @dataclass(frozen=True)
 class BatteryItem:
     name: str
-    tag: int
-    kind: str  # "separation" | "replacement"
     sentence: Formula
 
 
@@ -93,8 +91,6 @@ def _separation_apply(tag: int) -> BatteryItem:
     filt = Exists("t", And(Membership(other, "t", "u"), pair_application(other, "g", "t", "w")))
     return BatteryItem(
         f"separation-apply-{tag}",
-        tag,
-        "separation",
         instantiate_separation(filt, tag, params=["u", "g"]),
     )
 
@@ -104,8 +100,6 @@ def _replacement_pointwise(tag: int) -> BatteryItem:
     cls = And(pointwise_image(tag, other), Membership(tag, "v", "K"))
     return BatteryItem(
         f"replacement-pointwise-{tag}",
-        tag,
-        "replacement",
         instantiate_replacement(cls, tag, params=["g", "L", "K"]),
     )
 
@@ -114,8 +108,6 @@ def _replacement_graph(tag: int) -> BatteryItem:
     cls = And(pair_application(tag, "h", "u", "v"), Membership(tag, "v", "K"))
     return BatteryItem(
         f"replacement-graph-{tag}",
-        tag,
-        "replacement",
         instantiate_replacement(cls, tag, params=["h", "K"]),
     )
 

@@ -21,12 +21,13 @@ from . import axioms as axioms_mod
 from . import hf
 from . import iso as iso_mod
 from . import lemmas as lemmas_mod
-from .errors import CycleError, DualMemError, NonExtensionalError, StructureFormatError
+from .errors import CycleError, DualMemError, NonExtensionalError
 from .formulas import evaluate_table, free_vars, parse_formula
 from .structure import (
     TAMPER_KINDS,
     Permutation,
     build_v_universe,
+    decode_utf8,
     is_id_token,
     parse_structure,
     random_dual_structure,
@@ -36,15 +37,6 @@ from .structure import (
 )
 
 PASS, NEGATIVE, USAGE = 0, 1, 2
-
-
-def _read_text(path: str) -> str:
-    """A UTF-8 file's text; a byte that is not UTF-8 is a StructureFormatError naming its line."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = len(exc.object[:exc.start + 1].splitlines())  # up to the bad byte, at read_text's line ends
-        raise StructureFormatError(f"byte {exc.object[exc.start]:#04x} is not valid UTF-8", line_no) from None
 
 
 def _read_structure(path: str):
@@ -153,7 +145,7 @@ def cmd_eval(args) -> int:
     if args.formula is not None:
         text = args.formula
     elif args.formula_file is not None:
-        text = _read_text(args.formula_file)
+        text = decode_utf8(Path(args.formula_file).read_bytes())
     else:
         raise DualMemError("eval needs --formula or --formula-file")
     sentence = parse_formula(text)

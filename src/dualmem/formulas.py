@@ -171,6 +171,10 @@ def _lex(text: str) -> list[tuple[str, str, int]]:
 MAX_FORMULA_DEPTH = 100
 
 
+# Binary operators, loosest first: operator -> (precedence level, node class).
+_BINARY = {"<->": (0, Iff), "->": (1, Implies), "|": (2, Or), "&": (3, And)}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -209,35 +213,27 @@ class _Parser:
         return node
 
     def parse(self) -> Formula:
-        f = self.iff(0)
+        f = self.binary(0, 0)
         tok = self.peek()
         if tok is not None:
             raise FormulaError(f"trailing input {tok[1]!r}", tok[2])
         return f
 
-    def iff(self, depth: int) -> Formula:
-        f = self.implies(depth)
-        while self._at_op("<->"):
-            f = self._node(self.next()[2], Iff, f, self.implies(depth))
-        return f
-
-    def implies(self, depth: int) -> Formula:
-        f = self.disjunction(depth)
-        if self._at_op("->"):
-            pos = self.next()[2]
-            return self._node(pos, Implies, f, self.implies(self._within(depth + 1, pos)))
-        return f
-
-    def disjunction(self, depth: int) -> Formula:
-        f = self.conjunction(depth)
-        while self._at_op("|"):
-            f = self._node(self.next()[2], Or, f, self.conjunction(depth))
-        return f
-
-    def conjunction(self, depth: int) -> Formula:
+    def binary(self, depth: int, level: int) -> Formula:
+        """The operators of _BINARY from level on, by precedence climbing: '->'
+        groups to the right, one nesting level deeper, the others to the left."""
         f = self.unary(depth)
-        while self._at_op("&"):
-            f = self._node(self.next()[2], And, f, self.unary(depth))
+        while (tok := self.peek()) is not None and tok[1] in _BINARY:  # no identifier is an operator
+            op_level, cls = _BINARY[tok[1]]
+            if op_level < level:
+                break
+            self.i += 1
+            pos = tok[2]
+            if cls is Implies:
+                right = self.binary(self._within(depth + 1, pos), op_level)
+            else:
+                right = self.binary(depth, op_level + 1)
+            f = self._node(pos, cls, f, right)
         return f
 
     def unary(self, depth: int) -> Formula:
@@ -247,47 +243,33 @@ class _Parser:
         return self.atom(depth)
 
     def atom(self, depth: int) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaError("unexpected end of input", len(self.text))
-        kind, value, pos = tok
+        kind, value, pos = self.next()
         if kind == "op":
             if value == "(":
-                self.i += 1
-                f = self.iff(self._within(depth + 1, pos))
+                f = self.binary(self._within(depth + 1, pos), 0)
                 self.expect_op(")")
                 return f
             raise FormulaError(f"unexpected {value!r}", pos)
         if value == "true":
-            self.i += 1
             return TrueF()
         if value == "false":
-            self.i += 1
             return FalseF()
         if value in ("forall", "exists"):
-            self.i += 1
             var_tok = self.peek()
             if var_tok is None or var_tok[0] != "ident" or var_tok[1] in KEYWORDS:
                 raise FormulaError(f"dangling quantifier: {value} needs a variable", pos)
             self.i += 1
-            body = self.iff(self._within(depth + 1, pos))  # maximal extent
+            body = self.binary(self._within(depth + 1, pos), 0)  # maximal extent
             return self._node(pos, ForAll if value == "forall" else Exists, var_tok[1], body)
         if value in ("in1", "in2"):
             raise FormulaError(f"{value} needs a left-hand variable", pos)
         # variable: must be followed by in1 / in2 / =
-        self.i += 1
         rel = self.peek()
-        if rel is None:
-            raise FormulaError("expected 'in1', 'in2' or '=' after variable", len(self.text))
-        if rel[0] == "ident" and rel[1] in ("in1", "in2"):
-            self.i += 1
-            right = self._variable()
-            return Membership(int(rel[1][2]), value, right)
-        if rel[0] == "op" and rel[1] == "=":
-            self.i += 1
-            right = self._variable()
-            return Equality(value, right)
-        raise FormulaError("expected 'in1', 'in2' or '=' after variable", rel[2])
+        if rel is None or rel[1] not in ("in1", "in2", "="):
+            raise FormulaError("expected 'in1', 'in2' or '=' after variable", rel[2] if rel else len(self.text))
+        self.i += 1
+        right = self._variable()
+        return Equality(value, right) if rel[1] == "=" else Membership(int(rel[1][2]), value, right)
 
     def _variable(self) -> str:
         tok = self.next()

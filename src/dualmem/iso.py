@@ -131,8 +131,6 @@ def is_ordinal(rel: MembershipRelation, x: int) -> bool:
 class InternalLevel:
     """The cumulative level indexed by an ordinal element, inside one relation."""
 
-    tag: int
-    ordinal: int
     element: int | None
     extension: frozenset[int]
 
@@ -150,7 +148,7 @@ def internal_level(s: DualStructure, tag: int, alpha: int) -> InternalLevel:
     for _ in range(len(mt[alpha])):
         extension = frozenset(x for x in range(rel.domain_size) if extension.issuperset(mt[x]))
     element = rel.realizer(extension)
-    return InternalLevel(tag, alpha, element, extension)
+    return InternalLevel(element, extension)
 
 
 def extend_to_level(s: DualStructure, x: int, y: int) -> dict[int, int]:

@@ -64,12 +64,8 @@ class SuiteReport:
     corpus: str | None = None
 
     @property
-    def failures(self) -> tuple[str, ...]:
-        return tuple(name for name, v in self.lemmas.items() if v.status == "fail")
-
-    @property
     def all_ok(self) -> bool:
-        return not self.failures
+        return all(v.status != "fail" for v in self.lemmas.values())
 
 
 def render_suite(report: SuiteReport) -> str:
@@ -285,12 +281,10 @@ def _check_functionality(s: DualStructure, matched) -> LemmaVerdict:
     for x, y in sorted(matched):
         by_x.setdefault(x, []).append(y)
         by_y.setdefault(y, []).append(x)
-    for x, ys in by_x.items():
-        if len(ys) > 1:
-            return LemmaVerdict("fail", (("x", str(x)), ("ys", ",".join(map(str, ys)))))
-    for y, xs in by_y.items():
-        if len(xs) > 1:
-            return LemmaVerdict("fail", (("y", str(y)), ("xs", ",".join(map(str, xs)))))
+    for key, listed, groups in (("x", "ys", by_x), ("y", "xs", by_y)):
+        for k, others in groups.items():
+            if len(others) > 1:
+                return LemmaVerdict("fail", ((key, str(k)), (listed, ",".join(map(str, others)))))
     return LemmaVerdict("pass")
 
 
@@ -399,66 +393,58 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
     Scrambled universes must pass every applicable lemma. Independent random
     pairs must pass the conditional lemmas, and their isomorphism verdict must
     coincide with collapse-image equality (both outcomes are counted).
+    A lemma reads pass once some item passes it; the failing item's own
+    passes do not count.
     """
     for kind in config.kinds:
         if kind not in ("scrambled", "random-pair"):
             raise DualMemError(f"unknown corpus kind {kind!r}")
-    combined: dict[str, LemmaVerdict] = {}
-    levels: dict[int, DualStructure] = {}  # built when an item first needs one; scramble keeps e1
-    items = 0
-    iso_pass = 0
-    iso_fail = 0
+    passed: set[str] = set()
+    failed: tuple[str, LemmaVerdict] | None = None
+    items = iso_pass = iso_fail = 0
+    for kind, size_index, seed, s in _corpus_items(config):
+        report = run_suite(s)
+        items += 1
+        iso_status = report.lemmas["isomorphism"].status
+        iso_pass += iso_status == "pass"
+        iso_fail += iso_status == "fail"
+        repro = (("kind", kind), ("size", str(size_index)), ("seed", str(seed)))
+        # A random pair's totality and isomorphism are counted in the corpus
+        # line and cross-checked below, not judged.
+        judged = [(name, v) for name, v in report.lemmas.items()
+                  if kind != "random-pair" or name not in ("totality", "isomorphism")]
+        failed = next(
+            ((name, LemmaVerdict("fail", v.witness + repro)) for name, v in judged if v.status == "fail"), None
+        )
+        if failed is None and kind == "random-pair" and iso_status != "n/a":
+            same_images = hf.collapse_domain(s.e1, 1).image() == hf.collapse_domain(s.e2, 2).image()
+            if same_images != (iso_status == "pass"):
+                failed = ("isomorphism", LemmaVerdict("fail", (("reason", "oracle-disagrees"),) + repro))
+        if failed is not None:
+            break
+        passed.update(name for name, v in judged if v.passed)
+    lemmas = {name: LemmaVerdict("pass") if name in passed else _na("never-applicable") for name in LEMMA_NAMES}
+    if failed is not None:
+        name, verdict = failed
+        lemmas[name] = verdict
+    return SuiteReport(lemmas, _corpus_line(config, items, iso_pass, iso_fail))
+
+
+def _corpus_items(config: CorpusConfig):
+    """(kind, size, seed, structure) for each corpus item, in order. A level
+    is built when an item first needs it, once per size; scramble keeps e1."""
+    levels: dict[int, DualStructure] = {}
     for kind in config.kinds:
         for size_index in config.sizes:
-            for i in range(config.count):
-                seed = config.seed + i
-                if kind == "scrambled":
+            for seed in range(config.seed, config.seed + config.count):
+                if kind == "random-pair":
+                    s = random_dual_structure(size_index, seed)
+                else:
                     if size_index not in levels:
                         levels[size_index] = build_v_universe(size_index)
                     base = levels[size_index]
                     s = scramble(base, Permutation.random(base.domain_size, seed))
-                else:
-                    s = random_dual_structure(size_index, seed)
-                report = run_suite(s)
-                items += 1
-                repro = (("kind", kind), ("size", str(size_index)), ("seed", str(seed)))
-                iso_verdict = report.lemmas["isomorphism"]
-                if iso_verdict.status == "pass":
-                    iso_pass += 1
-                elif iso_verdict.status == "fail":
-                    iso_fail += 1
-                for name, v in report.lemmas.items():
-                    expected_ok = v.status != "fail"
-                    if kind == "random-pair" and name in ("totality", "isomorphism"):
-                        expected_ok = True  # counted, cross-checked below
-                    if not expected_ok:
-                        combined[name] = LemmaVerdict("fail", v.witness + repro)
-                        corpus_line = _corpus_line(config, items, iso_pass, iso_fail)
-                        return SuiteReport(_fill(combined), corpus_line)
-                if kind == "random-pair" and iso_verdict.status != "n/a":
-                    same_images = (
-                        hf.collapse_domain(s.e1, 1).image() == hf.collapse_domain(s.e2, 2).image()
-                    )
-                    if same_images != (iso_verdict.status == "pass"):
-                        combined["isomorphism"] = LemmaVerdict(
-                            "fail", (("reason", "oracle-disagrees"),) + repro
-                        )
-                        corpus_line = _corpus_line(config, items, iso_pass, iso_fail)
-                        return SuiteReport(_fill(combined), corpus_line)
-                for name, v in report.lemmas.items():
-                    if kind == "random-pair" and name in ("totality", "isomorphism"):
-                        continue  # counted in the corpus line, not aggregated
-                    if name not in combined or combined[name].status == "n/a":
-                        if v.status != "n/a":
-                            combined[name] = LemmaVerdict(v.status)
-                        else:
-                            combined.setdefault(name, _na("never-applicable"))
-    corpus_line = _corpus_line(config, items, iso_pass, iso_fail)
-    return SuiteReport(_fill(combined), corpus_line)
-
-
-def _fill(combined: dict[str, LemmaVerdict]) -> dict[str, LemmaVerdict]:
-    return {name: combined.get(name, _na("never-applicable")) for name in LEMMA_NAMES}
+                yield kind, size_index, seed, s
 
 
 def _corpus_line(config: CorpusConfig, items: int, iso_pass: int, iso_fail: int) -> str:

@@ -405,13 +405,17 @@ def parse_structure(text: str | bytes) -> DualStructure:
     s = _parse_canonical(text)
     if s is not None:
         return s
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = exc.object.count(b"\n", 0, exc.start) + 1
-            raise StructureFormatError(f"byte {exc.object[exc.start]:#04x} is not valid UTF-8", line_no) from None
-    return _scan_structure(text)
+    return _scan_structure(decode_utf8(text) if isinstance(text, bytes) else text)
+
+
+def decode_utf8(data: bytes) -> str:
+    """A file's bytes as UTF-8 text; a byte that is not UTF-8 is a
+    StructureFormatError naming its line, lines ending at '\n'."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise StructureFormatError(f"byte {exc.object[exc.start]:#04x} is not valid UTF-8", line_no) from None
 
 
 # Ids are stored as int64, so a larger 'n' header is a format error.

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import pytest
@@ -26,7 +27,6 @@ from dualmem.axioms import (
     check_schema_bounded,
     check_separation_semantic,
     check_union,
-    parse_report,
 )
 from dualmem.structure import apply_permutation, random_dual_structure
 
@@ -277,9 +277,19 @@ class TestFullReport:
             assert report.by_tag[2].all_pass
 
     def test_text_round_trip(self, scrambled_v4, chain3):
-        for s in (scrambled_v4, chain3, tamper(build_v_universe(3), "add-cycle", 1)):
-            text = render_report(full_report(s))
-            assert render_report(parse_report(text)) == text
+        # Each line is '<tag> <axiom> <status>' and then key=value tokens
+        # without spaces, which is why a bounded filter renders '_' for ' '.
+        from dualmem.lemmas import GALLERY_BUDGET, _schema_gap
+
+        reports = [full_report(s) for s in (scrambled_v4, chain3, tamper(build_v_universe(3), "add-cycle", 1))]
+        reports.append(full_report(_schema_gap(), GALLERY_BUDGET, schema_mode="bounded"))
+        shape = re.compile(r"[12] [a-z]+(-[a-z]+)* (pass|fail|skipped)( [a-z]+(-[a-z]+)*=[^ ]*)*")
+        for report in reports:
+            text = render_report(report)
+            assert text.endswith("\n")
+            for line in text.splitlines():
+                assert shape.fullmatch(line), line
+        assert "2 separation-schema fail instance=bounded:3 filter=p_in1_w assign=p:1,a:4 " in text
 
     def test_lines_sorted_by_tag_then_axiom(self, v3):
         lines = render_report(full_report(v3)).splitlines()

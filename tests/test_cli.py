@@ -239,7 +239,8 @@ class TestFindIso:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         proc.stdout.close()
-        assert proc.stderr.read() == b""
+        with proc.stderr:
+            assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 141
 
     def test_identity_certificate(self, capsys, v3_file):
@@ -453,6 +454,24 @@ class TestEval:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: line 2: byte 0xfe is not valid UTF-8\n"
+
+    def test_formula_file_lines_end_at_newline(self, capsys, tmp_path, v3_file):
+        # As in structure files, a lone '\r' ends no line.
+        f = tmp_path / "f.formula"
+        f.write_bytes(b"forall x\r(x = x) \xfe\n")
+        assert run(capsys, "eval", v3_file, "--formula-file", str(f)) == (
+            2, "", "error: line 1: byte 0xfe is not valid UTF-8\n"
+        )
+
+    def test_formula_file_offsets_count_every_character(self, capsys, tmp_path, v3_file):
+        # The offset is the character's in the file: a '\r\n' is two.
+        f = tmp_path / "f.formula"
+        f.write_bytes(b"forall x\r\n(x = x) $\r\n")
+        assert run(capsys, "eval", v3_file, "--formula-file", str(f)) == (
+            2, "", "error: at offset 18: unexpected character '$'\n"
+        )
+        f.write_bytes(b"forall x\r\n(x = x)\r\n")
+        assert run(capsys, "eval", v3_file, "--formula-file", str(f)) == (0, "true\n", "")
 
 
 class TestVerifyLemmas:

@@ -44,6 +44,10 @@ EXTENSIONALITY = "forall x forall y ((forall z (z in1 x <-> z in1 y)) -> x = y)"
 
 VARS = ("x", "y", "z")
 
+# Atoms for the precedence table, by the letter that stands for them.
+ATOMS = {"A": "x in1 y", "B": "y in2 z", "C": "z = x", "D": "true"}
+A, B, C, D = Membership(1, "x", "y"), Membership(2, "y", "z"), Equality("z", "x"), TrueF()
+
 
 def formulas(max_depth=4):
     atoms = st.one_of(
@@ -102,6 +106,30 @@ class TestParser:
     def test_or_binds_tighter_than_implies(self):
         f = parse_formula("x = x | y = y -> x = y")
         assert f == Implies(Or(Equality("x", "x"), Equality("y", "y")), Equality("x", "y"))
+
+    @pytest.mark.parametrize(
+        "text, tree",
+        [
+            ("A -> B -> C", Implies(A, Implies(B, C))),
+            ("A -> B <-> C", Iff(Implies(A, B), C)),
+            ("A <-> B -> C", Iff(A, Implies(B, C))),
+            ("A <-> B <-> C", Iff(Iff(A, B), C)),
+            ("A | B | C", Or(Or(A, B), C)),
+            ("A & B & C", And(And(A, B), C)),
+            ("A | B & C -> D", Implies(Or(A, And(B, C)), D)),
+            ("A -> B | C & D", Implies(A, Or(B, And(C, D)))),
+            ("A <-> B & C | D -> A", Iff(A, Implies(Or(And(B, C), D), A))),
+            ("!A & B | C", Or(And(Not(A), B), C)),
+            ("(A -> B) -> C", Implies(Implies(A, B), C)),
+            ("A & forall x B | C", And(A, ForAll("x", Or(B, C)))),
+            ("forall x x = x & y = y", ForAll("x", And(Equality("x", "x"), Equality("y", "y")))),
+        ],
+    )
+    def test_mixed_precedence(self, text, tree):
+        # <-> loosest, then ->, |, &; -> groups to the right, the others to the left.
+        for name, atom in ATOMS.items():
+            text = text.replace(name, atom)
+        assert parse_formula(text) == tree
 
     def test_parentheses_override(self):
         f = parse_formula("!(x = x & y = y)")

@@ -27,6 +27,7 @@ from dualmem.lemmas import (
     _equal_extensions,
     LemmaVerdict,
     SuiteReport,
+    _check_functionality,
     _check_level_extension,
     _check_membership_preservation,
     _check_restriction,
@@ -611,6 +612,27 @@ class TestMembershipPreservation:
         )
 
 
+class TestCheckFunctionality:
+    def test_pass_on_a_matching(self):
+        assert _check_functionality(None, [(2, 0), (0, 1), (1, 2)]) == LemmaVerdict("pass")
+
+    def test_x_matched_twice_names_its_ys(self):
+        assert _check_functionality(None, [(3, 5), (1, 0), (3, 2)]) == LemmaVerdict(
+            "fail", (("x", "3"), ("ys", "2,5"))
+        )
+
+    def test_y_matched_twice_names_its_xs(self):
+        assert _check_functionality(None, [(4, 1), (0, 2), (2, 1)]) == LemmaVerdict(
+            "fail", (("y", "1"), ("xs", "2,4"))
+        )
+
+    def test_x_checked_before_y(self):
+        # y=0 is matched twice and sorts before x=5's repeat, which still wins.
+        assert _check_functionality(None, [(5, 3), (1, 0), (2, 0), (5, 4)]) == LemmaVerdict(
+            "fail", (("x", "5"), ("ys", "3,4"))
+        )
+
+
 class TestRunCorpus:
     def test_scrambled_corpus_passes(self):
         report = run_corpus(CorpusConfig(sizes=(3,), count=5))
@@ -635,6 +657,62 @@ class TestRunCorpus:
         report = run_corpus(CorpusConfig(sizes=(3, 4), count=100))
         assert report.all_ok
         assert calls == [3, 4]
+
+    def test_scrambled_failure_stops_with_its_seed(self, monkeypatch):
+        # Items 0 and 1 pass all but level-extension; item 2 fails
+        # membership-preservation. Earlier items' passes stay, the failing
+        # item's own passes do not count, and the corpus line stops at it.
+        real = lemmas_mod.run_suite
+        calls = []
+
+        def suite(s):
+            calls.append(s)
+            lemmas = dict(real(s).lemmas)
+            lemmas["level-extension"] = LemmaVerdict("n/a", (("reason", "no-level-pairs"),))
+            if len(calls) == 3:
+                lemmas["level-extension"] = LemmaVerdict("pass")
+                lemmas["membership-preservation"] = LemmaVerdict("fail", (("x", "1"), ("y", "2")))
+            return SuiteReport(lemmas)
+
+        monkeypatch.setattr(lemmas_mod, "run_suite", suite)
+        report = run_corpus(CorpusConfig(sizes=(3,), count=5, seed=7))
+        assert not report.all_ok
+        assert render_suite(report) == (
+            "lemma witness-uniqueness pass\n"
+            "lemma witness-restriction pass\n"
+            "lemma partner-functionality pass\n"
+            "lemma membership-preservation fail x=1 y=2 kind=scrambled size=3 seed=9\n"
+            "lemma ordinal-preservation pass\n"
+            "lemma level-extension n/a reason=never-applicable\n"
+            "lemma totality pass\n"
+            "lemma isomorphism pass\n"
+            "corpus seeds=7..11 sizes=3 kinds=scrambled items=3 iso-pass=3 iso-fail=0\n"
+        )
+
+    def test_random_pair_totality_and_isomorphism_counted_not_failed(self, monkeypatch):
+        real = lemmas_mod.run_suite
+
+        def suite(s):
+            lemmas = dict(real(s).lemmas)
+            lemmas["totality"] = LemmaVerdict("fail", (("case", "both-directions-fail"),))
+            return SuiteReport(lemmas)
+
+        monkeypatch.setattr(lemmas_mod, "run_suite", suite)
+        report = run_corpus(CorpusConfig(sizes=(4,), count=3, kinds=("random-pair",)))
+        assert report.all_ok
+        assert report.lemmas["totality"] == report.lemmas["isomorphism"] == LemmaVerdict(
+            "n/a", (("reason", "never-applicable"),)
+        )
+        assert report.corpus.endswith(" items=3 iso-pass=0 iso-fail=3")
+
+    def test_random_pair_oracle_disagreement_fails(self, monkeypatch):
+        # Equal collapse images contradict the failed isomorphism of the first pair.
+        monkeypatch.setattr(hf.DomainCollapse, "image", lambda self: frozenset())
+        report = run_corpus(CorpusConfig(sizes=(4, 5), count=3, kinds=("random-pair",)))
+        assert report.lemmas["isomorphism"] == LemmaVerdict(
+            "fail", (("reason", "oracle-disagrees"), ("kind", "random-pair"), ("size", "4"), ("seed", "0"))
+        )
+        assert report.corpus.endswith(" items=1 iso-pass=0 iso-fail=1")
 
     def test_timing_not_rendered(self):
         report = run_corpus(CorpusConfig(sizes=(3,), count=2))
