@@ -22,10 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import battery as battery_mod
-from .errors import DualMemError
+from .errors import DualMemError, Record
 from .formulas import evaluate_table, falsifying_assignment
 from .structure import DualStructure, MembershipRelation
 
@@ -51,8 +50,7 @@ Witness = tuple[tuple[str, str], ...]
 SCHEMA_DOMAIN_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class SchemaBudget:
+class SchemaBudget(Record):
     """Formula size and instance cap of the bounded separation schema."""
 
     bounded_depth: int = 12
@@ -63,8 +61,7 @@ class SchemaBudget:
             raise DualMemError(f"bounded depth must be >= 1, got {self.bounded_depth}")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: str  # "pass" | "fail" | "skipped"
     witness: Witness = ()
     mode: str | None = None
@@ -270,9 +267,8 @@ def check_schema_bounded(s: DualStructure, budget: SchemaBudget | None = None) -
 
 # -- aggregation -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomReport:
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
+class AxiomReport(Record):
+    verdicts: dict[str, Verdict]
 
     @property
     def all_pass(self) -> bool:
@@ -284,8 +280,7 @@ class AxiomReport:
         return all(self.verdicts[name].passed for name in semantic if name in self.verdicts)
 
 
-@dataclass(frozen=True)
-class FullReport:
+class FullReport(Record):
     by_tag: dict[int, AxiomReport]
 
     @property

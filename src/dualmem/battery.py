@@ -16,8 +16,7 @@ deterministic order with a hard cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .errors import Record
 from .formulas import (
     And,
     Equality,
@@ -80,8 +79,7 @@ def pointwise_image(set_tag: int, app_tag: int) -> Formula:
     )
 
 
-@dataclass(frozen=True)
-class BatteryItem:
+class BatteryItem(Record):
     name: str
     sentence: Formula
 
@@ -181,8 +179,7 @@ def enumerate_filters(max_size: int, cap: int = DEFAULT_BOUNDED_CAP) -> tuple[Fo
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BoundedInstance:
+class BoundedInstance(Record):
     index: int
     tag: int
     filter_text: str

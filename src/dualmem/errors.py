@@ -1,4 +1,52 @@
-"""Shared exception types."""
+"""Shared exception types, and Record, the base of every frozen value class."""
+
+
+class Record:
+    """Base of the frozen value classes. A subclass's fields are the names its
+    body annotates, in order, less those starting with "_"; a value the body
+    gives one is its default. Each subclass gets one plain __init__, compiled
+    once, that takes the fields by position or keyword, sets each with
+    object.__setattr__ (a write through __dict__ would materialise the
+    instance dict and slow every later attribute read about fourfold) and
+    then calls __post_init__, if the class has one. A record equals only
+    records of its own class with equal fields, hashes and reprs by its
+    fields, and refuses assignment and deletion.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields = tuple(n for n in cls.__dict__.get("__annotations__", ()) if not n.startswith("_"))
+        defaults = {f"_d_{n}": cls.__dict__[n] for n in fields if n in cls.__dict__}
+        params = "".join(f", {n}=_d_{n}" if f"_d_{n}" in defaults else f", {n}" for n in fields)
+        body = [f"_set(self, {n!r}, {n})" for n in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"_set": object.__setattr__, **defaults}
+        exec(f"def __init__(self{params}):\n " + "\n ".join(body or ["pass"]), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class DualMemError(Exception):

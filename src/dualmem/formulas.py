@@ -43,31 +43,27 @@ x can decide the run without every value of y being folded first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, FormulaError
+from .errors import EvalError, FormulaError, Record
 from .structure import DualStructure
 
 KEYWORDS = {"true", "false", "forall", "exists", "in1", "in2"}
 
 
-class Formula:
+class Formula(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Membership(Formula):
     tag: int
     left: str
@@ -78,48 +74,40 @@ class Membership(Formula):
             raise FormulaError(f"relation tag must be 1 or 2, got {self.tag}")
 
 
-@dataclass(frozen=True)
 class Equality(Formula):
     left: str
     right: str
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class ForAll(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
     var: str
     body: Formula

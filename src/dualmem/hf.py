@@ -15,12 +15,11 @@ rendering sorts by are computed per call. Every operation is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
 
-from .errors import CycleError, DualMemError
+from .errors import CycleError, DualMemError, Record
 from .structure import V_UNIVERSE_MAX, MembershipRelation, reachable_postorder
 
 _INTERN: dict[tuple[int, ...], int] = {}  # ascending member uids -> uid
@@ -239,8 +238,7 @@ def collapse(rel: MembershipRelation, x: int, tag: int | None = None) -> HfCode:
     return HfCode(_collapse_uids(rel.member_tuples(), reachable_postorder(rel, x, tag), {})[x])
 
 
-@dataclass(frozen=True)
-class DomainCollapse:
+class DomainCollapse(Record):
     """Collapse values for every element of a relation's domain: uids[x] is
     the uid of x's collapse, and HfCode(uids[x]) its code, made when asked for."""
 

@@ -18,12 +18,11 @@ and the CLI's ``--oracle-check`` read it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import hf
-from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError, StructureFormatError
+from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError, Record, StructureFormatError
 from .structure import (
     DualStructure,
     MembershipRelation,
@@ -127,8 +126,7 @@ def is_ordinal(rel: MembershipRelation, x: int) -> bool:
     return _is_transitive_set(rel, x) and all(_is_transitive_set(rel, t) for t in rel.member_tuples()[x])
 
 
-@dataclass(frozen=True)
-class InternalLevel:
+class InternalLevel(Record):
     """The cumulative level indexed by an ordinal element, inside one relation."""
 
     element: int | None
@@ -190,8 +188,7 @@ def restriction_agrees(x: int, w: dict[int, int], wider: dict[int, int]) -> bool
 
 # -- the global map ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(Record):
     """A total bijection h with a e1 b iff h(a) e2 h(b)."""
 
     mapping: tuple[int, ...]
@@ -200,8 +197,7 @@ class IsoCertificate:
         return self.mapping[x]
 
 
-@dataclass(frozen=True)
-class FailureDiagnostic:
+class FailureDiagnostic(Record):
     """Which side(s) of the matched-pair relation fail to cover the domain.
 
     Each side lists its unmatched element ids ordered by (rank, id); only

@@ -13,13 +13,11 @@ halting with the reproducing seed on any unexpected verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import axioms as axioms_mod
 from . import hf
 from . import iso as iso_mod
 from .axioms import SchemaBudget
-from .errors import DualMemError, LevelExtensionError
+from .errors import DualMemError, LevelExtensionError, Record
 from .structure import (
     DualStructure,
     MembershipRelation,
@@ -48,8 +46,7 @@ Witness = tuple[tuple[str, str], ...]
 UNIQUENESS_CLOSURE_BOUND = 4
 
 
-@dataclass(frozen=True)
-class LemmaVerdict:
+class LemmaVerdict(Record):
     status: str  # "pass" | "fail" | "n/a"
     witness: Witness = ()
 
@@ -58,8 +55,7 @@ class LemmaVerdict:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     lemmas: dict[str, LemmaVerdict]
     corpus: str | None = None
 
@@ -376,8 +372,7 @@ def _check_isomorphism(
 
 # -- corpus -----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusConfig:
+class CorpusConfig(Record):
     """Corpus parameters; sizes are level indices for scrambled universes
     and domain sizes for independent random pairs."""
 
@@ -462,8 +457,7 @@ def _corpus_line(config: CorpusConfig, items: int, iso_pass: int, iso_fail: int)
 GALLERY_BUDGET = SchemaBudget(bounded_depth=4, bounded_cap=60)
 
 
-@dataclass(frozen=True)
-class GalleryItem:
+class GalleryItem(Record):
     name: str
     structure: DualStructure
     expected_summary: str

@@ -24,18 +24,16 @@ import functools
 import random
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CycleError, DualMemError, StructureFormatError
+from .errors import CycleError, DualMemError, Record, StructureFormatError
 
 Edge = tuple[int, int]
 _KEYED_SORT_MAX = 3_037_000_499  # isqrt(2**63 - 1): up to this n, parent * n + child < n * n fits in int64
 
 
-@dataclass(frozen=True, eq=False)
-class MembershipRelation:
+class MembershipRelation(Record):
     """(child, parent) edges over a dense domain {0, .., domain_size-1}.
 
     The constructor takes the two id sequences in any order, with repeats;
@@ -48,12 +46,12 @@ class MembershipRelation:
     domain_size: int
     child: np.ndarray
     parent: np.ndarray
-    # Derived data, filled on first use. Every cache is an attribute set at
-    # construction: functools.cached_property would write the instance
-    # __dict__ instead, which slows every later attribute read on the
-    # object, and the lemma suite reads _member_tuples millions of times.
-    _member_tuples: tuple[tuple[int, ...], ...] | None = field(default=None, init=False, repr=False)
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
+    # Derived data, filled on first use; no fields, as the names start with
+    # "_". __post_init__ sets each with object.__setattr__: a write to the
+    # instance __dict__ (as by functools.cached_property) would slow every later
+    # attribute read, and the lemma suite reads _member_tuples millions of times.
+    _member_tuples: tuple[tuple[int, ...], ...] | None
+    _derived: dict
 
     def __post_init__(self):
         n = self.domain_size
@@ -77,6 +75,8 @@ class MembershipRelation:
         child.flags.writeable = parent.flags.writeable = False
         object.__setattr__(self, "child", child)
         object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "_member_tuples", None)
+        object.__setattr__(self, "_derived", {})
 
     def __eq__(self, other):
         if not isinstance(other, MembershipRelation):
@@ -257,8 +257,7 @@ def _offsets(keys: np.ndarray, n: int) -> list[int]:
     return [0, *np.cumsum(np.bincount(keys, minlength=n)).tolist()]
 
 
-@dataclass(frozen=True)
-class DualStructure:
+class DualStructure(Record):
     """One domain, two membership relations."""
 
     domain_size: int
@@ -281,8 +280,7 @@ class DualStructure:
         return a in self.relation(tag).member_tuples()[b]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """A bijection on {0, .., n-1} given by its image sequence."""
 
     images: tuple[int, ...]
