@@ -12,6 +12,7 @@ flags and seeds.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import os
 import sys
@@ -264,21 +265,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else 0
-    # A command makes no reference cycles, so the cyclic collector would only
-    # re-scan live objects; reference counting frees everything it drops.
     collecting = gc.isenabled()
-    gc.disable()
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that has gone fails here, not in the interpreter's last flush
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error argparse has reported
+            code = USAGE if exc.code not in (0, None) else PASS
+        else:
+            # A command makes no reference cycles, so the cyclic collector would only
+            # re-scan live objects; reference counting frees everything it drops.
+            gc.disable()
+            code = args.func(args)
+        if sys.stdout is not None:  # None when the process started with no stdout
+            sys.stdout.flush()  # a reader that has gone fails here, not in the interpreter's last flush
         return code
     except BrokenPipeError:
         # Quiet, as a writer killed by SIGPIPE; what is still buffered goes to
-        # os.devnull when the interpreter flushes stdout at exit.
+        # os.devnull when stdout is flushed at exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (DualMemError, OSError) as exc:
@@ -292,5 +295,27 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> None:
+    """The `dualmem` command: main() on sys.argv, then the end of the process.
+
+    A normal exit frees every module and object one at a time, numpy's
+    included: about 0.02 s of CPU, more than a tenth of a short command's.
+    Once the atexit callbacks have run and stdout and stderr are flushed,
+    os._exit ends the process without that. Under a tracer or profiler, which
+    may report only once the program has exited normally, it exits normally.
+    """
+    code = main()
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except BrokenPipeError:
+        code = 141
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,8 +1,11 @@
+import ast
 import gc
+import importlib
 import os
 import resource
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from dualmem import (
     scramble,
     tamper,
 )
+from dualmem import cli
 from dualmem.cli import main
 from dualmem.formulas import MAX_FORMULA_DEPTH
 from dualmem.iso import IsoCertificate
@@ -32,12 +36,33 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+MAIN_ENTRY = ["-c", "import sys; from dualmem.cli import main; sys.exit(main())"]  # main, then a normal exit
+
+
 def run_process(*argv, **options):
     """The CLI in a child interpreter, so that a traceback would show on its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "dualmem.cli", *argv], capture_output=True, text=True, env=env, **options,
     )
+
+
+def run_child(argv, entry=("-m", "dualmem.cli"), unbuffered=False, close_stdout=False):
+    """(exit code, stdout, stderr) of a child interpreter, its stdout buffered unless
+    unbuffered; with close_stdout the reader of stdout has gone before the child
+    writes, and stdout reads b""."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, *entry, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if close_stdout:
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        return proc.wait(timeout=60), b"", err
+    out, err = proc.communicate(timeout=60)
+    return proc.returncode, out, err
 
 
 @pytest.fixture()
@@ -242,6 +267,11 @@ class TestFindIso:
         with proc.stderr:
             assert proc.stderr.read() == b""
         assert proc.wait(timeout=60) == 141
+
+    @pytest.mark.parametrize("entry", [["-m", "dualmem.cli"], MAIN_ENTRY], ids=["run", "main"])
+    def test_help_to_closed_stdout_exits_141_quietly(self, entry):
+        # The help text waits in stdout's buffer until main flushes it.
+        assert run_child(["--help"], entry, close_stdout=True) == (141, b"", b"")
 
     def test_identity_certificate(self, capsys, v3_file):
         code, out, _ = run(capsys, "find-iso", v3_file, "--verify", "--oracle-check")
@@ -677,3 +707,74 @@ class TestCollector:
         finally:
             (gc.enable if before else gc.disable)()
         capsys.readouterr()
+
+
+class TestRun:
+    """run(), the entry of `python -m dualmem.cli` and of the installed script,
+    ends the process with os._exit and keeps what a normal exit does; main()
+    returns its code to in-process callers."""
+
+    CASES = [
+        (["--help"], 0),
+        (["find-iso", "{st}"], 0),
+        (["find-iso", "{negative}"], 1),
+        (["find-iso", "{missing}"], 2),
+        (["find-iso"], 2),  # an argparse usage error
+    ]
+
+    @pytest.fixture()
+    def files(self, tmp_path, v3_file):
+        negative = tmp_path / "chain-vs-v3.st"
+        item = next(item for item in lemmas.counterexample_gallery() if item.name == "chain-vs-v3")
+        negative.write_text(serialize_structure(item.structure))
+        return {"st": v3_file, "negative": str(negative), "missing": str(tmp_path / "missing.st")}
+
+    @pytest.mark.parametrize("argv, code", CASES)
+    def test_main_returns_without_ending_the_process(self, capsys, monkeypatch, files, argv, code):
+        def ending(status):
+            raise AssertionError(f"os._exit({status}) from main")
+
+        monkeypatch.setattr(os, "_exit", ending)
+        assert run(capsys, *(arg.format(**files) for arg in argv))[0] == code
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("close_stdout", [False, True], ids=["read", "reader-gone"])
+    @pytest.mark.parametrize("argv, code", CASES)
+    def test_exits_as_main_with_a_normal_exit(self, files, unbuffered, close_stdout, argv, code):
+        argv = [arg.format(**files) for arg in argv]
+        through_run = run_child(argv, unbuffered=unbuffered, close_stdout=close_stdout)
+        assert through_run == run_child(argv, MAIN_ENTRY, unbuffered, close_stdout)
+        if not close_stdout:
+            assert through_run[0] == code
+
+    def test_atexit_callbacks_run(self, v3_file):
+        entry = ["-c", "import atexit; from dualmem.cli import run; atexit.register(print, 'atexit ran'); run()"]
+        code, out, err = run_child(["find-iso", v3_file], entry)
+        assert (code, err) == (0, b"")
+        assert out.endswith(b"map 3 3\natexit ran\n")
+
+    def test_profiler_still_reports(self, v3_file):
+        # cProfile prints its table once the profiled program has exited normally.
+        code, out, err = run_child(["-m", "dualmem.cli", "collapse", v3_file, "--element", "3"], ["-m", "cProfile"])
+        assert (code, err) == (0, b"")
+        assert out.startswith(b"{{},{{}}}\ncode=3\n")
+        assert b" function calls " in out
+
+    def test_written_files_read_back(self, tmp_path):
+        v4, gallery = tmp_path / "v4.st", tmp_path / "g"
+        assert run_child(["gen", "v-universe", "--n", "4", "--out", str(v4)])[0] == 0
+        assert run_child(["gen", "gallery", "--out", str(gallery)])[0] == 0
+        assert parse_structure(v4.read_bytes()) == build_v_universe(4)
+        for item in lemmas.counterexample_gallery():
+            assert parse_structure((gallery / f"{item.name}.st").read_bytes()) == item.structure
+            assert (gallery / f"{item.name}.expected").read_text() == item.expected_summary
+
+    def test_installed_script_calls_what_the_main_block_calls(self):
+        with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+            entry = tomllib.load(f)["project"]["scripts"]["dualmem"]
+        module, _, attribute = entry.partition(":")
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        block = next(node for node in tree.body
+                     if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
+        called = [getattr(cli, node.func.id) for node in ast.walk(block) if isinstance(node, ast.Call)]
+        assert called == [getattr(importlib.import_module(module), attribute)]
