@@ -302,18 +302,22 @@ def run() -> None:
     included: about 0.02 s of CPU, more than a tenth of a short command's.
     Once the atexit callbacks have run and stdout and stderr are flushed,
     os._exit ends the process without that. Under a tracer or profiler, which
-    may report only once the program has exited normally, it exits normally.
+    may report only once the program has exited normally, it exits normally:
+    one set through sys.settrace or sys.setprofile, or, from Python 3.12, a
+    sys.monitoring tool (cProfile and coverage register there instead).
     """
     code = main()
-    if sys.gettrace() is not None or sys.getprofile() is not None:
+    monitoring = getattr(sys, "monitoring", None)
+    if (sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6))):
         sys.exit(code)
     atexit._run_exitfuncs()
-    try:
-        for stream in (sys.stdout, sys.stderr):
+    for stream in (sys.stdout, sys.stderr):  # each on its own: a gone stdout reader must not cost stderr's text
+        try:
             if stream is not None:
                 stream.flush()
-    except BrokenPipeError:
-        code = 141
+        except BrokenPipeError:
+            code = 141
     os._exit(code)
 
 

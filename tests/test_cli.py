@@ -1,6 +1,8 @@
 import ast
+import atexit
 import gc
 import importlib
+import io
 import os
 import resource
 import subprocess
@@ -759,6 +761,57 @@ class TestRun:
         assert (code, err) == (0, b"")
         assert out.startswith(b"{{},{{}}}\ncode=3\n")
         assert b" function calls " in out
+
+    @pytest.fixture()
+    def ending(self, monkeypatch):
+        """run() after a main() that returns 1, with no tracer or profiler set,
+        no atexit callback run and os._exit raising its status as an Ended."""
+
+        class Ended(Exception):
+            pass
+
+        def end(status):
+            raise Ended(status)
+
+        monkeypatch.setattr(cli, "main", lambda: 1)
+        monkeypatch.setattr(sys, "gettrace", lambda: None)
+        monkeypatch.setattr(sys, "getprofile", lambda: None)
+        monkeypatch.setattr(os, "_exit", end)
+        monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: None)  # the test process's own callbacks
+        return Ended
+
+    def test_monitoring_tool_gets_a_normal_exit(self, monkeypatch, ending):
+        # From Python 3.12 cProfile and coverage register as sys.monitoring tools
+        # and leave sys.getprofile() and sys.gettrace() unset.
+        class Monitoring:
+            @staticmethod
+            def get_tool(tool_id):
+                return "cProfile" if tool_id == 2 else None
+
+        monkeypatch.setattr(sys, "monitoring", Monitoring, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 1
+
+    def test_stderr_flushed_when_stdout_reader_gone(self, monkeypatch, ending):
+        class GoneReader(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        class Flushed(io.StringIO):
+            flushed = False
+
+            def flush(self):
+                self.flushed = True
+
+        stderr = Flushed()
+        monkeypatch.setattr(sys, "monitoring", None, raising=False)
+        monkeypatch.setattr(sys, "stdout", GoneReader())
+        monkeypatch.setattr(sys, "stderr", stderr)
+        with pytest.raises(ending) as exc:
+            cli.run()
+        assert exc.value.args == (141,)
+        assert stderr.flushed
 
     def test_written_files_read_back(self, tmp_path):
         v4, gallery = tmp_path / "v4.st", tmp_path / "g"
