@@ -62,17 +62,24 @@ class SchemaBudget(Record):
 
 
 class Verdict(Record):
-    status: str  # "pass" | "fail" | "skipped"
+    """One row of check-axioms (pass, fail or skipped) or of verify-lemmas
+    (pass, fail or n/a): the status, the witness printed as key=value
+    tokens and, on some axiom rows, the mode the check ran in."""
+
+    status: str
     witness: Witness = ()
     mode: str | None = None
 
     def __post_init__(self):
-        if self.status not in ("pass", "fail", "skipped"):
+        if self.status not in ("pass", "fail", "skipped", "n/a"):
             raise DualMemError(f"bad verdict status {self.status!r}")
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
+
+    def tokens(self) -> list[str]:
+        return [f"{k}={v}" for k, v in self.witness]
 
 
 def _fail(*pairs: tuple[str, str], mode: str | None = None) -> Verdict:
@@ -267,38 +274,24 @@ def check_schema_bounded(s: DualStructure, budget: SchemaBudget | None = None) -
 
 # -- aggregation -------------------------------------------------------------------
 
-class AxiomReport(Record):
-    verdicts: dict[str, Verdict]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(v.status != "fail" for v in self.verdicts.values())
-
-    @property
-    def semantic_pass(self) -> bool:
-        semantic = AXIOM_NAMES[:7]
-        return all(self.verdicts[name].passed for name in semantic if name in self.verdicts)
-
-
 class FullReport(Record):
-    by_tag: dict[int, AxiomReport]
+    by_tag: dict[int, dict[str, Verdict]]  # tag -> axiom name -> verdict
 
     @property
     def all_pass(self) -> bool:
-        return all(r.all_pass for r in self.by_tag.values())
+        return all(v.status != "fail" for rows in self.by_tag.values() for v in rows.values())
 
     @property
     def semantic_pass(self) -> bool:
-        return all(r.semantic_pass for r in self.by_tag.values())
+        return all(rows[name].passed for rows in self.by_tag.values() for name in AXIOM_NAMES[:7] if name in rows)
 
 
-def _combine_schema(verdicts: dict[str, Verdict], mode_label: str) -> Verdict:
-    fails = [v for v in verdicts.values() if v.status == "fail"]
-    if fails:
-        return Verdict("fail", fails[0].witness, mode_label)
-    skips = [v for v in verdicts.values() if v.status == "skipped"]
-    if len(skips) == len(verdicts) and verdicts:
-        return Verdict("skipped", skips[0].witness)
+def _combine_schema(verdicts: list[Verdict], mode_label: str) -> Verdict:
+    fail = next((v for v in verdicts if v.status == "fail"), None)
+    if fail is not None:
+        return Verdict("fail", fail.witness, mode_label)
+    if all(v.status == "skipped" for v in verdicts):
+        return Verdict("skipped", verdicts[0].witness)
     return Verdict("pass", mode=mode_label)
 
 
@@ -306,9 +299,10 @@ def full_report(s: DualStructure, budget: SchemaBudget | None = None, schema_mod
     """Run every check for both tags; the budget only shapes bounded mode."""
     if schema_mode not in SCHEMA_MODES:
         raise DualMemError(f"schema mode must be one of {SCHEMA_MODES}")
-    battery_verdicts = check_schema_battery(s) if schema_mode != "semantic" else {}
-    bounded_verdicts = check_schema_bounded(s, budget) if schema_mode == "bounded" else {}
-    by_tag: dict[int, AxiomReport] = {}
+    schema = check_schema_battery(s) if schema_mode != "semantic" else {}
+    if schema_mode == "bounded":
+        schema.update(check_schema_bounded(s, budget))
+    by_tag: dict[int, dict[str, Verdict]] = {}
     for tag in (1, 2):
         rows: dict[str, Verdict] = {
             "extensionality": check_extensionality(s, tag),
@@ -323,16 +317,14 @@ def full_report(s: DualStructure, budget: SchemaBudget | None = None, schema_mod
             rows["separation-schema"] = Verdict("skipped", (("reason", "mode-semantic"),))
             rows["replacement-schema"] = Verdict("skipped", (("reason", "mode-semantic"),))
         else:
-            sep = {k: v for k, v in battery_verdicts.items()
-                   if k == f"separation-apply-{tag}"}
+            sep = [schema[f"separation-apply-{tag}"]]
             if schema_mode == "bounded":
-                sep[f"bounded-separation-{tag}"] = bounded_verdicts[f"bounded-separation-{tag}"]
+                sep.append(schema[f"bounded-separation-{tag}"])
             label = "battery" if schema_mode == "battery" else "battery+bounded"
             rows["separation-schema"] = _combine_schema(sep, label)
-            rep = {k: v for k, v in battery_verdicts.items()
-                   if k in (f"replacement-pointwise-{tag}", f"replacement-graph-{tag}")}
+            rep = [schema[f"replacement-pointwise-{tag}"], schema[f"replacement-graph-{tag}"]]
             rows["replacement-schema"] = _combine_schema(rep, "battery")
-        by_tag[tag] = AxiomReport(rows)
+        by_tag[tag] = rows
     return FullReport(by_tag)
 
 
@@ -341,12 +333,9 @@ def full_report(s: DualStructure, budget: SchemaBudget | None = None, schema_mod
 def render_report(report: FullReport) -> str:
     lines = []
     for tag in sorted(report.by_tag):
-        rows = report.by_tag[tag].verdicts
+        rows = report.by_tag[tag]
         for axiom in sorted(rows):
             v = rows[axiom]
-            parts = [str(tag), axiom, v.status]
-            parts.extend(f"{k}={val}" for k, val in v.witness)
-            if v.mode is not None:
-                parts.append(f"mode={v.mode}")
-            lines.append(" ".join(parts))
+            mode = [f"mode={v.mode}"] if v.mode is not None else []
+            lines.append(" ".join([str(tag), axiom, v.status, *v.tokens(), *mode]))
     return "\n".join(lines) + "\n"

@@ -186,11 +186,11 @@ class BoundedInstance(Record):
     sentence: Formula
 
 
-def bounded_instances(max_size: int, tags=(1, 2), cap: int = DEFAULT_BOUNDED_CAP) -> tuple[BoundedInstance, ...]:
-    """Separation instances for every enumerated filter, on the requested tags."""
+def bounded_instances(max_size: int, cap: int = DEFAULT_BOUNDED_CAP) -> tuple[BoundedInstance, ...]:
+    """Separation instances for every enumerated filter, on both tags."""
     out = []
     for f in enumerate_filters(max_size, cap):
         params = sorted(free_vars(f) - {"w"})
-        for tag in tags:
+        for tag in (1, 2):
             out.append(BoundedInstance(len(out), tag, render(f), instantiate_separation(f, tag, params)))
     return tuple(out)

@@ -185,8 +185,6 @@ def _parse_corpus(text: str, seed: int) -> lemmas_mod.CorpusConfig:
                 raise DualMemError(f"corpus setting count must be >= 0, got {settings[key]}")
         elif key == "kinds":
             settings[key] = tuple(v for v in value.split(",") if v)
-        elif key == "seed":
-            settings[key] = _corpus_int(key, value)
         else:
             raise DualMemError(f"unknown corpus setting {key!r}")
     return lemmas_mod.CorpusConfig(**settings)
@@ -272,6 +270,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # --help, or a usage error argparse has reported
             code = USAGE if exc.code not in (0, None) else PASS
         else:
+            if sys.stdout is None:  # the process started with fd 1 closed: the report is dropped
+                sys.stdout = open(os.open(os.devnull, os.O_WRONLY), "w", encoding="utf-8", closefd=False)
             # A command makes no reference cycles, so the cyclic collector would only
             # re-scan live objects; reference counting frees everything it drops.
             gc.disable()
@@ -285,14 +285,22 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (DualMemError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+        return _error(f"error: {exc}")
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return USAGE
+        return _error(f"error: out of memory: {exc}")
     finally:
         if collecting:
             gc.enable()
+
+
+def _error(line: str) -> int:
+    """Write an error line to stderr, if it can be written; exit 2 either way."""
+    if sys.stderr is not None:  # None when the process started with fd 2 closed; print would pick stdout
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+    return USAGE
 
 
 def run() -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from . import axioms as axioms_mod
 from . import hf
 from . import iso as iso_mod
-from .axioms import SchemaBudget
+from .axioms import SchemaBudget, Verdict, Witness
 from .errors import DualMemError, LevelExtensionError, Record
 from .structure import (
     DualStructure,
@@ -39,24 +39,13 @@ LEMMA_NAMES = (
     "isomorphism",
 )
 
-Witness = tuple[tuple[str, str], ...]
-
 # Witnesses are counted by brute force on pairs whose closures (self
 # included) have at most this many elements on both sides.
 UNIQUENESS_CLOSURE_BOUND = 4
 
 
-class LemmaVerdict(Record):
-    status: str  # "pass" | "fail" | "n/a"
-    witness: Witness = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
 class SuiteReport(Record):
-    lemmas: dict[str, LemmaVerdict]
+    lemmas: dict[str, Verdict]
     corpus: str | None = None
 
     @property
@@ -70,19 +59,17 @@ def render_suite(report: SuiteReport) -> str:
         if name not in report.lemmas:
             continue
         v = report.lemmas[name]
-        parts = [f"lemma {name} {v.status}"]
-        parts.extend(f"{k}={val}" for k, val in v.witness)
-        lines.append(" ".join(parts))
+        lines.append(" ".join(["lemma", name, v.status, *v.tokens()]))
     if report.corpus is not None:
         lines.append(report.corpus)
     return "\n".join(lines) + "\n"
 
 
-def _na(reason: str, *extra: tuple[str, str]) -> LemmaVerdict:
-    return LemmaVerdict("n/a", (("reason", reason),) + extra)
+def _na(reason: str, *extra: tuple[str, str]) -> Verdict:
+    return Verdict("n/a", (("reason", reason),) + extra)
 
 
-def _all_na(reason: str, *extra: tuple[str, str]) -> dict[str, LemmaVerdict]:
+def _all_na(reason: str, *extra: tuple[str, str]) -> dict[str, Verdict]:
     return {name: _na(reason, *extra) for name in LEMMA_NAMES}
 
 
@@ -99,12 +86,12 @@ def run_suite(s: DualStructure) -> SuiteReport:
             witness = (("tag", str(tag)), ("collapse-duplicates", group))
             return SuiteReport(_all_na("non-extensional", *witness))
 
-    lemmas: dict[str, LemmaVerdict] = {}
+    lemmas: dict[str, Verdict] = {}
     partner = iso_mod.partners(s)
     matched = tuple((x, y) for x, y in enumerate(partner) if y is not None)
     lemmas["witness-uniqueness"] = _check_uniqueness(s, partner)
     lemmas["witness-restriction"] = _check_restriction(s, partner, matched)
-    lemmas["partner-functionality"] = _check_functionality(s, matched)
+    lemmas["partner-functionality"] = _check_functionality(matched)
     lemmas["membership-preservation"] = _check_membership_preservation(s, matched)
     ordinal = [(iso_mod.is_ordinal(s.e1, x), iso_mod.is_ordinal(s.e2, y)) for x, y in matched]
     lemmas["ordinal-preservation"] = _check_ordinal_preservation(matched, ordinal)
@@ -123,14 +110,14 @@ def run_suite(s: DualStructure) -> SuiteReport:
 
 def _first_semantic_failure(report: axioms_mod.FullReport) -> Witness:
     for tag in sorted(report.by_tag):
-        for axiom in sorted(report.by_tag[tag].verdicts):
-            v = report.by_tag[tag].verdicts[axiom]
-            if v.status == "fail":
+        rows = report.by_tag[tag]
+        for axiom in sorted(rows):
+            if rows[axiom].status == "fail":
                 return (("tag", str(tag)), ("axiom", axiom))
     return ()
 
 
-def _check_uniqueness(s: DualStructure, partner: list[int | None]) -> LemmaVerdict:
+def _check_uniqueness(s: DualStructure, partner: list[int | None]) -> Verdict:
     """Brute-force witness counting on pairs with small closures on both sides:
     one witness where the partners(s) list sends x to y, none elsewhere. One
     search per small x counts its witnesses for every small y at once; each
@@ -142,11 +129,11 @@ def _check_uniqueness(s: DualStructure, partner: list[int | None]) -> LemmaVerdi
         for y, count in count_witnesses_brute(s, x, small2).items():
             expected = 1 if partner[x] == y else 0
             if count != expected:
-                return LemmaVerdict(
+                return Verdict(
                     "fail",
                     (("x", str(x)), ("y", str(y)), ("witnesses", str(count)), ("expected", str(expected))),
                 )
-    return LemmaVerdict("pass")
+    return Verdict("pass")
 
 
 def _small_closure(rel: MembershipRelation, x: int) -> frozenset[int] | None:
@@ -245,7 +232,7 @@ def count_witnesses_brute(s: DualStructure, x: int, tc2: dict[int, frozenset[int
     return counts
 
 
-def _check_restriction(s: DualStructure, partner: list[int | None], matched) -> LemmaVerdict:
+def _check_restriction(s: DualStructure, partner: list[int | None], matched) -> Verdict:
     """One witness f per matched (x, y); the first pair without one fails.
 
     The restriction itself (f on the closure of an e1 member c of x is the
@@ -261,14 +248,14 @@ def _check_restriction(s: DualStructure, partner: list[int | None], matched) -> 
     if s.e1.is_acyclic() and s.e2.is_acyclic() and len(set(images)) == len(images) and all(
         x in range(s.domain_size) and y is not None and partner[x] == y for x, y in matched
     ):
-        return LemmaVerdict("pass")
+        return Verdict("pass")
     for x, y in matched:
         if iso_mod.build_witness(s, x, y) is None:
-            return LemmaVerdict("fail", (("x", str(x)), ("y", str(y)), ("reason", "no-witness")))
-    return LemmaVerdict("pass")
+            return Verdict("fail", (("x", str(x)), ("y", str(y)), ("reason", "no-witness")))
+    return Verdict("pass")
 
 
-def _check_functionality(s: DualStructure, matched) -> LemmaVerdict:
+def _check_functionality(matched) -> Verdict:
     """No element is matched twice on either side. On the acyclic, extensional
     relations the suite runs on, matches(s, x, y) holds iff partners(s)[x] == y
     (equal images force equal member-sets, by induction on rank)."""
@@ -280,11 +267,11 @@ def _check_functionality(s: DualStructure, matched) -> LemmaVerdict:
     for key, listed, groups in (("x", "ys", by_x), ("y", "xs", by_y)):
         for k, others in groups.items():
             if len(others) > 1:
-                return LemmaVerdict("fail", ((key, str(k)), (listed, ",".join(map(str, others)))))
-    return LemmaVerdict("pass")
+                return Verdict("fail", ((key, str(k)), (listed, ",".join(map(str, others)))))
+    return Verdict("pass")
 
 
-def _check_membership_preservation(s: DualStructure, matched) -> LemmaVerdict:
+def _check_membership_preservation(s: DualStructure, matched) -> Verdict:
     """x in x2 in e1 iff y in y2 in e2 for all matched (x, y) and (x2, y2); a
     failure names the first failing pair of pairs in list order. For each
     (x2, y2), the failing (x, y) are the symmetric difference of those whose x
@@ -304,21 +291,21 @@ def _check_membership_preservation(s: DualStructure, matched) -> LemmaVerdict:
         if in1 != in2:
             failing.append((min(in1 ^ in2), j))
     if not failing:
-        return LemmaVerdict("pass")
+        return Verdict("pass")
     i, j = min(failing)
     (x, y), (x2, y2) = matched[i], matched[j]
-    return LemmaVerdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
+    return Verdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
 
 
-def _check_ordinal_preservation(matched, ordinal) -> LemmaVerdict:
+def _check_ordinal_preservation(matched, ordinal) -> Verdict:
     """ordinal holds, per matched pair, whether x is an e1 ordinal and y an e2 one."""
     for (x, y), (in1, in2) in zip(matched, ordinal):
         if in1 != in2:
-            return LemmaVerdict("fail", (("x", str(x)), ("y", str(y))))
-    return LemmaVerdict("pass")
+            return Verdict("fail", (("x", str(x)), ("y", str(y))))
+    return Verdict("pass")
 
 
-def _check_level_extension(s: DualStructure, matched, ordinal) -> LemmaVerdict:
+def _check_level_extension(s: DualStructure, matched, ordinal) -> Verdict:
     """Extend each matched pair of ordinals (ordinal as in
     _check_ordinal_preservation) whose levels exist (extend_to_level raises
     missing-level for the others); check agreement. A listed pair without a
@@ -330,44 +317,44 @@ def _check_level_extension(s: DualStructure, matched, ordinal) -> LemmaVerdict:
             continue
         w = iso_mod.build_witness(s, x, y)
         if w is None:
-            return LemmaVerdict("fail", (("ordinal", str(x)), ("kind", "no-witness")))
+            return Verdict("fail", (("ordinal", str(x)), ("kind", "no-witness")))
         try:
             wider = iso_mod.extend_to_level(s, x, y)
         except LevelExtensionError as exc:
             if exc.kind == "missing-level":
                 continue
-            return LemmaVerdict(
+            return Verdict(
                 "fail", (("ordinal", str(x)), ("kind", exc.kind), ("witness", str(exc.witness)))
             )
         eligible += 1
         if not iso_mod.restriction_agrees(x, w, wider):
-            return LemmaVerdict("fail", (("ordinal", str(x)), ("kind", "restriction-disagrees")))
+            return Verdict("fail", (("ordinal", str(x)), ("kind", "restriction-disagrees")))
         for u, v in sorted(wider.items()):
             if partner.get(u) != v:
-                return LemmaVerdict(
+                return Verdict(
                     "fail", (("ordinal", str(x)), ("kind", "global-disagrees"), ("witness", str(u)))
                 )
     if eligible == 0:
         return _na("no-level-pairs")
-    return LemmaVerdict("pass")
+    return Verdict("pass")
 
 
-def _check_totality(result: iso_mod.IsoCertificate | iso_mod.FailureDiagnostic) -> LemmaVerdict:
+def _check_totality(result: iso_mod.IsoCertificate | iso_mod.FailureDiagnostic) -> Verdict:
     if isinstance(result, iso_mod.IsoCertificate):
-        return LemmaVerdict("pass")
+        return Verdict("pass")
     e1 = str(result.unmatched_e1[0]) if result.unmatched_e1 else "-"
     e2 = str(result.unmatched_e2[0]) if result.unmatched_e2 else "-"
-    return LemmaVerdict("fail", (("case", result.case), ("e1", e1), ("e2", e2)))
+    return Verdict("fail", (("case", result.case), ("e1", e1), ("e2", e2)))
 
 
 def _check_isomorphism(
     s: DualStructure, result: iso_mod.IsoCertificate | iso_mod.FailureDiagnostic
-) -> LemmaVerdict:
+) -> Verdict:
     if isinstance(result, iso_mod.FailureDiagnostic):
         return _check_totality(result)
     if not iso_mod.verify_certificate(s, result):
-        return LemmaVerdict("fail", (("case", "certificate-rejected"),))
-    return LemmaVerdict("pass")
+        return Verdict("fail", (("case", "certificate-rejected"),))
+    return Verdict("pass")
 
 
 # -- corpus -----------------------------------------------------------------------
@@ -395,7 +382,7 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
         if kind not in ("scrambled", "random-pair"):
             raise DualMemError(f"unknown corpus kind {kind!r}")
     passed: set[str] = set()
-    failed: tuple[str, LemmaVerdict] | None = None
+    failed: tuple[str, Verdict] | None = None
     items = iso_pass = iso_fail = 0
     for kind, size_index, seed, s in _corpus_items(config):
         report = run_suite(s)
@@ -409,16 +396,16 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
         judged = [(name, v) for name, v in report.lemmas.items()
                   if kind != "random-pair" or name not in ("totality", "isomorphism")]
         failed = next(
-            ((name, LemmaVerdict("fail", v.witness + repro)) for name, v in judged if v.status == "fail"), None
+            ((name, Verdict("fail", v.witness + repro)) for name, v in judged if v.status == "fail"), None
         )
         if failed is None and kind == "random-pair" and iso_status != "n/a":
             same_images = hf.collapse_domain(s.e1, 1).image() == hf.collapse_domain(s.e2, 2).image()
             if same_images != (iso_status == "pass"):
-                failed = ("isomorphism", LemmaVerdict("fail", (("reason", "oracle-disagrees"),) + repro))
+                failed = ("isomorphism", Verdict("fail", (("reason", "oracle-disagrees"),) + repro))
         if failed is not None:
             break
         passed.update(name for name, v in judged if v.passed)
-    lemmas = {name: LemmaVerdict("pass") if name in passed else _na("never-applicable") for name in LEMMA_NAMES}
+    lemmas = {name: Verdict("pass") if name in passed else _na("never-applicable") for name in LEMMA_NAMES}
     if failed is not None:
         name, verdict = failed
         lemmas[name] = verdict
@@ -472,15 +459,14 @@ def gallery_summary(s: DualStructure, budget: SchemaBudget = GALLERY_BUDGET) -> 
     report = axioms_mod.full_report(s, budget, schema_mode="bounded")
     lines = []
     for tag in (1, 2):
-        rows = report.by_tag[tag].verdicts
+        rows = report.by_tag[tag]
         failing = [name for name in sorted(rows) if rows[name].status == "fail"]
         lines.append(f"axioms{tag} " + (",".join(failing) if failing else "pass"))
     for tag in (1, 2):
-        rows = report.by_tag[tag].verdicts
+        rows = report.by_tag[tag]
         for name in ("separation-schema", "replacement-schema"):
             if rows[name].status == "fail":
-                toks = " ".join(f"{k}={v}" for k, v in rows[name].witness)
-                lines.append(f"schema {tag} {name} {toks}")
+                lines.append(" ".join(["schema", str(tag), name, *rows[name].tokens()]))
     return "".join(line + "\n" for line in lines) + render_suite(run_suite(s))
 
 

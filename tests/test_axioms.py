@@ -273,8 +273,8 @@ class TestFullReport:
     def test_targeted_tamper_failures(self, v3):
         for kind, axiom in (("add-cycle", "foundation"), ("break-extensionality", "extensionality")):
             report = full_report(tamper(v3, kind, 4), schema_mode="semantic")
-            assert report.by_tag[1].verdicts[axiom].status == "fail"
-            assert report.by_tag[2].all_pass
+            assert report.by_tag[1][axiom].status == "fail"
+            assert all(v.status != "fail" for v in report.by_tag[2].values())
 
     def test_text_round_trip(self, scrambled_v4, chain3):
         # Each line is '<tag> <axiom> <status>' and then key=value tokens
@@ -307,5 +307,5 @@ class TestFullReport:
         a = full_report(s, schema_mode="semantic")
         b = full_report(moved, schema_mode="semantic")
         for tag in (1, 2):
-            for axiom, verdict in a.by_tag[tag].verdicts.items():
-                assert verdict.status == b.by_tag[tag].verdicts[axiom].status
+            for axiom, verdict in a.by_tag[tag].items():
+                assert verdict.status == b.by_tag[tag][axiom].status

@@ -41,11 +41,11 @@ def run(capsys, *argv):
 MAIN_ENTRY = ["-c", "import sys; from dualmem.cli import main; sys.exit(main())"]  # main, then a normal exit
 
 
-def run_process(*argv, **options):
+def run_process(*argv, entry=("-m", "dualmem.cli"), **options):
     """The CLI in a child interpreter, so that a traceback would show on its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "dualmem.cli", *argv], capture_output=True, text=True, env=env, **options,
+        [sys.executable, *entry, *argv], capture_output=True, text=True, env=env, **options,
     )
 
 
@@ -528,12 +528,16 @@ class TestVerifyLemmas:
         code, _, _ = run(capsys, "verify-lemmas")
         assert code == 2
 
-    @pytest.mark.parametrize("setting", ["sizes=x", "count=abc", "seed="])
-    def test_bad_corpus_value_exit_two(self, setting):
+    @pytest.mark.parametrize("setting, message", [
+        ("sizes=x", "error: corpus setting sizes needs an integer"),
+        ("count=abc", "error: corpus setting count needs an integer"),
+        ("seed=", "error: unknown corpus setting 'seed'"),  # --seed is the one way to set it
+    ], ids=["sizes=x", "count=abc", "seed="])
+    def test_bad_corpus_value_exit_two(self, setting, message):
         proc = run_process("verify-lemmas", "--corpus", setting)
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.startswith(f"error: corpus setting {setting.partition('=')[0]}")
+        assert proc.stderr.startswith(message)
         assert "Traceback" not in proc.stderr
 
     def test_file_and_corpus_exit_two(self, v3_file):
@@ -831,3 +835,47 @@ class TestRun:
                      if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'")
         called = [getattr(cli, node.func.id) for node in ast.walk(block) if isinstance(node, ast.Call)]
         assert called == [getattr(importlib.import_module(module), attribute)]
+
+
+def _close(fd):
+    return lambda: os.close(fd)
+
+
+def _read_only(fd):
+    # Writes fail with EBADF, as on a shell's `2>&-` behind a launcher that
+    # leaves a file it reads on that descriptor.
+    return lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+
+
+class TestClosedStreams:
+    """A command whose process starts with fd 1 or fd 2 closed exits with its usual code."""
+
+    # run(), and main() then a normal exit under -X dev, which would report a file left open
+    ENTRIES = [["-m", "dualmem.cli"], ["-X", "dev", *MAIN_ENTRY]]
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["run", "main"])
+    @pytest.mark.parametrize("argv, code", [
+        (["find-iso", "{st}"], 0),
+        (["find-iso", "{negative}"], 1),
+        (["check-axioms", "{st}"], 0),
+        (["verify-lemmas", "{st}"], 0),
+        (["collapse", "{st}", "--element", "3"], 0),
+        (["eval", "{st}", "--formula", "x = x", "--assign", "x=0"], 0),
+    ], ids=["find-iso", "find-iso-negative", "check-axioms", "verify-lemmas", "collapse", "eval"])
+    def test_stdout_closed_drops_the_report(self, tmp_path, v3_file, entry, argv, code):
+        negative = tmp_path / "chain-vs-v3.st"
+        negative.write_text(serialize_structure(lemmas._chain_vs_v3()))
+        argv = [arg.format(st=v3_file, negative=negative) for arg in argv]
+        proc = run_process(*argv, entry=entry, preexec_fn=_close(1))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["run", "main"])
+    @pytest.mark.parametrize("setup", [_close(2), _read_only(2)], ids=["closed", "read-only"])
+    def test_stderr_unwritable_still_exits_two(self, tmp_path, entry, setup):
+        proc = run_process("find-iso", str(tmp_path / "missing.st"), entry=entry, preexec_fn=setup)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    @pytest.mark.parametrize("setup", [_close(2), _read_only(2)], ids=["closed", "read-only"])
+    def test_stderr_unwritable_keeps_the_report(self, v3_file, setup):
+        proc = run_process("find-iso", v3_file, preexec_fn=setup)
+        assert (proc.returncode, proc.stdout) == (0, "iso 4\nmap 0 0\nmap 1 1\nmap 2 2\nmap 3 3\n")

@@ -21,11 +21,12 @@ from dualmem import (
 from dualmem import hf
 from dualmem import iso as iso_mod
 from dualmem import lemmas as lemmas_mod
+from dualmem.axioms import SCHEMA_MODES, Verdict, full_report, render_report
 from dualmem.lemmas import (
+    GALLERY_BUDGET,
     LEMMA_NAMES,
     _chain_vs_v3,
     _equal_extensions,
-    LemmaVerdict,
     SuiteReport,
     _check_functionality,
     _check_level_extension,
@@ -74,7 +75,7 @@ class TestRunSuite:
         lemmas = run_suite(s).lemmas
         assert time.process_time() - start < 30
         assert lemmas.pop("totality").witness == (("reason", "axioms"), ("tag", "1"), ("axiom", "pairing"))
-        assert list(lemmas.values()) == [LemmaVerdict("pass")] * 7
+        assert list(lemmas.values()) == [Verdict("pass")] * 7
 
     def test_chain_vs_v3_pattern(self):
         report = run_suite(_chain_vs_v3())
@@ -168,11 +169,11 @@ class TestRunSuite:
         with pytest.raises(LevelExtensionError) as info:
             iso_mod.extend_to_level(s, 4, iso_mod.partners(s)[4])
         assert (info.value.kind, info.value.witness, info.value.tag) == ("missing-level", 4, 1)
-        assert run_suite(s).lemmas["level-extension"] == LemmaVerdict("pass")
+        assert run_suite(s).lemmas["level-extension"] == Verdict("pass")
 
     def test_level_extension_without_level_pairs(self):
         verdict = run_suite(dual_structure(0, [], [])).lemmas["level-extension"]
-        assert verdict == LemmaVerdict("n/a", (("reason", "no-level-pairs"),))
+        assert verdict == Verdict("n/a", (("reason", "no-level-pairs"),))
 
     def test_level_extension_failure_tokens(self, monkeypatch):
         def unrealized(s, x, y):
@@ -180,7 +181,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(iso_mod, "extend_to_level", unrealized)
         verdict = run_suite(_v3_plus_ordinal()).lemmas["level-extension"]
-        assert verdict == LemmaVerdict(
+        assert verdict == Verdict(
             "fail", (("ordinal", "0"), ("kind", "unrealized-image"), ("witness", "3"))
         )
 
@@ -351,7 +352,7 @@ class TestWitnessCounting:
         s = scramble(dual_structure(n, chain, chain), Permutation.random(n, 7))
         partner = iso_mod.partners(s)
         start = time.process_time()
-        assert _check_uniqueness(s, partner) == LemmaVerdict("pass")
+        assert _check_uniqueness(s, partner) == Verdict("pass")
         assert time.process_time() - start < 20
 
 
@@ -475,11 +476,11 @@ def reference_restriction(s, matched):
         for child in sorted(members(s.e1, x)):
             sub = iso_mod.build_witness(s, child, f[child])
             if sub is None:
-                return LemmaVerdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "no-witness")))
+                return Verdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "no-witness")))
             expected = {t: f[t] for t in iso_mod.transitive_closure(s.e1, child, include_self=True)}
             if sub != expected:
-                return LemmaVerdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "not-restriction")))
-    return LemmaVerdict("pass")
+                return Verdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "not-restriction")))
+    return Verdict("pass")
 
 
 ACYCLIC_INPUTS = st.one_of(
@@ -512,7 +513,7 @@ class TestRestriction:
         expected = reference_restriction(s, matched)
         if expected is None:
             x, y = next((x, y) for x, y in matched if iso_mod.build_witness(s, x, y) is None)
-            expected = LemmaVerdict("fail", (("x", str(x)), ("y", str(y)), ("reason", "no-witness")))
+            expected = Verdict("fail", (("x", str(x)), ("y", str(y)), ("reason", "no-witness")))
         assert _check_restriction(s, iso_mod.partners(s), matched) == expected
 
     def test_one_witness_per_matched_pair(self, monkeypatch, scrambled_v4):
@@ -528,10 +529,10 @@ class TestRestriction:
         monkeypatch.setattr(iso_mod, "build_witness", counted)
         partner = iso_mod.partners(scrambled_v4)
         matched = list(enumerate(partner))
-        assert _check_restriction(scrambled_v4, partner, matched) == LemmaVerdict("pass")
+        assert _check_restriction(scrambled_v4, partner, matched) == Verdict("pass")
         assert calls == []
         wrong = matched[:3] + [(3, matched[4][1])] + matched[4:]
-        assert _check_restriction(scrambled_v4, partner, wrong) == LemmaVerdict(
+        assert _check_restriction(scrambled_v4, partner, wrong) == Verdict(
             "fail", (("x", "3"), ("y", str(matched[4][1])), ("reason", "no-witness"))
         )
         assert calls == wrong[:4]
@@ -541,7 +542,7 @@ class TestRestriction:
         partner = iso_mod.partners(shared)
         repeated = list(enumerate(partner))
         assert repeated == [(0, 0), (1, 1), (2, 1), (3, 0)]
-        assert _check_restriction(shared, partner, repeated) == LemmaVerdict("pass")
+        assert _check_restriction(shared, partner, repeated) == Verdict("pass")
         assert calls == repeated
 
     @given(s=ACYCLIC_INPUTS)
@@ -573,8 +574,8 @@ def reference_membership_preservation(s, matched):
     """The definition, pair of pairs by pair of pairs in list order."""
     for (x, y), (x2, y2) in itertools.product(matched, repeat=2):
         if s.contains(1, x, x2) != s.contains(2, y, y2):
-            return LemmaVerdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
-    return LemmaVerdict("pass")
+            return Verdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
+    return Verdict("pass")
 
 
 class TestMembershipPreservation:
@@ -605,30 +606,30 @@ class TestMembershipPreservation:
         p = Permutation.random(n, 3)
         s = dual_structure(n, chain, [(p(a), p(b)) for a, b in chain])
         matched = [(i, p(i)) for i in range(n)]
-        assert _check_membership_preservation(s, matched) == LemmaVerdict("pass")
+        assert _check_membership_preservation(s, matched) == Verdict("pass")
         matched[-1] = (n - 1, p(k))
-        assert _check_membership_preservation(s, matched) == LemmaVerdict(
+        assert _check_membership_preservation(s, matched) == Verdict(
             "fail", (("x", str(k - 1)), ("x2", str(n - 1)), ("y", str(p(k - 1))), ("y2", str(p(k))))
         )
 
 
 class TestCheckFunctionality:
     def test_pass_on_a_matching(self):
-        assert _check_functionality(None, [(2, 0), (0, 1), (1, 2)]) == LemmaVerdict("pass")
+        assert _check_functionality([(2, 0), (0, 1), (1, 2)]) == Verdict("pass")
 
     def test_x_matched_twice_names_its_ys(self):
-        assert _check_functionality(None, [(3, 5), (1, 0), (3, 2)]) == LemmaVerdict(
+        assert _check_functionality([(3, 5), (1, 0), (3, 2)]) == Verdict(
             "fail", (("x", "3"), ("ys", "2,5"))
         )
 
     def test_y_matched_twice_names_its_xs(self):
-        assert _check_functionality(None, [(4, 1), (0, 2), (2, 1)]) == LemmaVerdict(
+        assert _check_functionality([(4, 1), (0, 2), (2, 1)]) == Verdict(
             "fail", (("y", "1"), ("xs", "2,4"))
         )
 
     def test_x_checked_before_y(self):
         # y=0 is matched twice and sorts before x=5's repeat, which still wins.
-        assert _check_functionality(None, [(5, 3), (1, 0), (2, 0), (5, 4)]) == LemmaVerdict(
+        assert _check_functionality([(5, 3), (1, 0), (2, 0), (5, 4)]) == Verdict(
             "fail", (("x", "5"), ("ys", "3,4"))
         )
 
@@ -668,10 +669,10 @@ class TestRunCorpus:
         def suite(s):
             calls.append(s)
             lemmas = dict(real(s).lemmas)
-            lemmas["level-extension"] = LemmaVerdict("n/a", (("reason", "no-level-pairs"),))
+            lemmas["level-extension"] = Verdict("n/a", (("reason", "no-level-pairs"),))
             if len(calls) == 3:
-                lemmas["level-extension"] = LemmaVerdict("pass")
-                lemmas["membership-preservation"] = LemmaVerdict("fail", (("x", "1"), ("y", "2")))
+                lemmas["level-extension"] = Verdict("pass")
+                lemmas["membership-preservation"] = Verdict("fail", (("x", "1"), ("y", "2")))
             return SuiteReport(lemmas)
 
         monkeypatch.setattr(lemmas_mod, "run_suite", suite)
@@ -694,13 +695,13 @@ class TestRunCorpus:
 
         def suite(s):
             lemmas = dict(real(s).lemmas)
-            lemmas["totality"] = LemmaVerdict("fail", (("case", "both-directions-fail"),))
+            lemmas["totality"] = Verdict("fail", (("case", "both-directions-fail"),))
             return SuiteReport(lemmas)
 
         monkeypatch.setattr(lemmas_mod, "run_suite", suite)
         report = run_corpus(CorpusConfig(sizes=(4,), count=3, kinds=("random-pair",)))
         assert report.all_ok
-        assert report.lemmas["totality"] == report.lemmas["isomorphism"] == LemmaVerdict(
+        assert report.lemmas["totality"] == report.lemmas["isomorphism"] == Verdict(
             "n/a", (("reason", "never-applicable"),)
         )
         assert report.corpus.endswith(" items=3 iso-pass=0 iso-fail=3")
@@ -709,7 +710,7 @@ class TestRunCorpus:
         # Equal collapse images contradict the failed isomorphism of the first pair.
         monkeypatch.setattr(hf.DomainCollapse, "image", lambda self: frozenset())
         report = run_corpus(CorpusConfig(sizes=(4, 5), count=3, kinds=("random-pair",)))
-        assert report.lemmas["isomorphism"] == LemmaVerdict(
+        assert report.lemmas["isomorphism"] == Verdict(
             "fail", (("reason", "oracle-disagrees"), ("kind", "random-pair"), ("size", "4"), ("seed", "0"))
         )
         assert report.corpus.endswith(" items=1 iso-pass=0 iso-fail=1")
@@ -745,3 +746,18 @@ class TestGallery:
     def test_structures_have_equal_sizes_per_item(self):
         for item in counterexample_gallery():
             assert item.structure.e1.domain_size == item.structure.e2.domain_size
+
+
+def test_each_command_prints_its_own_status_words(scrambled_v3, scrambled_v4):
+    # Axiom and lemma rows share one Verdict type, so its status check alone
+    # cannot keep "skipped" out of the lemma report or "n/a" out of the axiom one.
+    structures = [item.structure for item in counterexample_gallery()]
+    structures += [scrambled_v3, scrambled_v4, random_dual_structure(7, 11)]
+    axiom_words, lemma_words = set(), set()
+    for s in structures:
+        for mode in SCHEMA_MODES:
+            report = render_report(full_report(s, GALLERY_BUDGET, schema_mode=mode))
+            axiom_words.update(line.split()[2] for line in report.splitlines())
+        lemma_words.update(line.split()[2] for line in render_suite(run_suite(s)).splitlines())
+    assert axiom_words == {"pass", "fail", "skipped"}
+    assert lemma_words == {"pass", "fail", "n/a"}

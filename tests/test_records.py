@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import dualmem
-from dualmem.axioms import AxiomReport, FullReport, SchemaBudget, Verdict
+from dualmem.axioms import FullReport, SchemaBudget, Verdict
 from dualmem.battery import BatteryItem, BoundedInstance
 from dualmem.errors import DualMemError, FormulaError
 from dualmem.formulas import (
@@ -31,7 +31,7 @@ from dualmem.formulas import (
 )
 from dualmem.hf import DomainCollapse
 from dualmem.iso import FailureDiagnostic, InternalLevel, IsoCertificate
-from dualmem.lemmas import CorpusConfig, GalleryItem, LemmaVerdict, SuiteReport
+from dualmem.lemmas import CorpusConfig, GalleryItem, SuiteReport
 from dualmem.structure import DualStructure, MembershipRelation, Permutation, dual_structure
 
 VALUE_CLASSES = (
@@ -39,9 +39,9 @@ VALUE_CLASSES = (
     MembershipRelation, DualStructure, Permutation,
     DomainCollapse,
     InternalLevel, IsoCertificate, FailureDiagnostic,
-    SchemaBudget, Verdict, AxiomReport, FullReport,
+    SchemaBudget, Verdict, FullReport,
     BatteryItem, BoundedInstance,
-    LemmaVerdict, SuiteReport, CorpusConfig, GalleryItem,
+    SuiteReport, CorpusConfig, GalleryItem,
 )
 
 A, B = Membership(1, "x", "y"), Equality("x", "y")
@@ -68,7 +68,7 @@ EQUAL = {
     "budget": lambda: SchemaBudget(4, 60),
     "battery-item": lambda: BatteryItem("pairing-1", TrueF()),
     "bounded-instance": lambda: BoundedInstance(0, 1, "w = w", TrueF()),
-    "lemma-verdict": lambda: LemmaVerdict("n/a", ("reason", "ill-founded")),
+    "lemma-verdict": lambda: Verdict("n/a", ("reason", "ill-founded")),
 }
 
 # Pairs that differ in class alone, or in one field.
@@ -77,7 +77,6 @@ UNEQUAL = {
     "implies-iff": (Implies(A, B), Iff(A, B)),
     "forall-exists": (ForAll("x", A), Exists("x", A)),
     "true-false": (TrueF(), FalseF()),
-    "verdict-lemma-verdict": (Verdict("pass"), LemmaVerdict("pass")),
     "certificate-permutation": (IsoCertificate((0, 1)), Permutation((0, 1))),
     "membership-tag": (Membership(1, "x", "y"), Membership(2, "x", "y")),
     "and-operand-order": (And(A, B), And(B, A)),
@@ -120,7 +119,7 @@ def test_never_equal_to_other_types(record):
 def test_records_are_truthy():
     assert TrueF()
     assert FalseF()
-    assert AxiomReport({})
+    assert FullReport({})
 
 
 REPRS = {
@@ -191,13 +190,13 @@ class TestConstruction:
     def test_all_defaults(self):
         assert CorpusConfig() == CorpusConfig((3, 4), 100, 0, ("scrambled",))
         assert SuiteReport({}).corpus is None
-        assert LemmaVerdict("pass").witness == ()
+        assert Verdict("pass").witness == ()
 
     def test_report_holds_its_verdicts(self):
         verdicts = {"pairing": Verdict("pass")}
-        report = AxiomReport(verdicts)
-        assert report.verdicts is verdicts
-        assert FullReport({1: report}).all_pass
+        report = FullReport({1: verdicts})
+        assert report.by_tag[1] is verdicts
+        assert report.all_pass
 
     def test_relation_caches_are_per_instance(self):
         r1, r2 = relation(), relation()
@@ -230,6 +229,7 @@ POST_INIT = {
     "budget-depth-0": (lambda: SchemaBudget(0), DualMemError, "bounded depth must be >= 1, got 0"),
     "budget-keyword": (lambda: SchemaBudget(bounded_depth=0, bounded_cap=5), DualMemError, "got 0"),
     "verdict-status": (lambda: Verdict("maybe"), DualMemError, "bad verdict status 'maybe'"),
+    "verdict-status-na": (lambda: Verdict("na"), DualMemError, "bad verdict status 'na'"),
     "permutation": (lambda: Permutation((0, 0, 2)), DualMemError, "not a permutation"),
     "structure-sizes": (lambda: DualStructure(4, relation(), relation()), DualMemError,
                         "relation domain sizes disagree"),
@@ -259,7 +259,7 @@ def _dualmem_modules():
 
 
 def test_value_classes_are_records_not_dataclasses():
-    # `@dataclass(frozen=True)` compiled about 166 methods for these 28
+    # `@dataclass(frozen=True)` compiled about 166 methods for the 28
     # classes on every start: 0.022 s of the package's 0.028 s import
     # (Python 3.11, x86-64), paid by every command, however short. Record
     # gives the same behaviour with one small generated __init__ per class.
@@ -272,7 +272,7 @@ def test_value_classes_are_records_not_dataclasses():
         if isinstance(obj, type) and obj.__module__ == module.__name__
     ]
     assert not [cls for cls in defined if "__dataclass_fields__" in vars(cls)]
-    assert len(VALUE_CLASSES) == 28
+    assert len(VALUE_CLASSES) == 26
     assert all(issubclass(cls, Record) for cls in VALUE_CLASSES)
     assert {cls for cls in defined if issubclass(cls, Record) and cls._fields} <= set(VALUE_CLASSES)
 
