@@ -265,19 +265,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     collecting = gc.isenabled()
     try:
+        sys.stdout = sys.stdout or _devnull()  # None when the process started with fd 1 closed: the text is dropped
+        sys.stderr = sys.stderr or _devnull()  # and with fd 2 closed
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help, or a usage error argparse has reported
             code = USAGE if exc.code not in (0, None) else PASS
+            sys.stderr.flush()  # a stderr that cannot take argparse's usage line fails here, and exits 2
         else:
-            if sys.stdout is None:  # the process started with fd 1 closed: the report is dropped
-                sys.stdout = open(os.open(os.devnull, os.O_WRONLY), "w", encoding="utf-8", closefd=False)
             # A command makes no reference cycles, so the cyclic collector would only
             # re-scan live objects; reference counting frees everything it drops.
             gc.disable()
             code = args.func(args)
-        if sys.stdout is not None:  # None when the process started with no stdout
-            sys.stdout.flush()  # a reader that has gone fails here, not in the interpreter's last flush
+        sys.stdout.flush()  # a reader that has gone fails here, not in the interpreter's last flush
         return code
     except BrokenPipeError:
         # Quiet, as a writer killed by SIGPIPE; what is still buffered goes to
@@ -293,13 +293,16 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def _devnull():
+    return open(os.open(os.devnull, os.O_WRONLY), "w", encoding="utf-8", closefd=False)
+
+
 def _error(line: str) -> int:
     """Write an error line to stderr, if it can be written; exit 2 either way."""
-    if sys.stderr is not None:  # None when the process started with fd 2 closed; print would pick stdout
-        try:
-            print(line, file=sys.stderr)
-        except OSError:
-            pass
+    try:
+        print(line, file=sys.stderr)
+    except OSError:  # a buffered stderr keeps the line and would fail again on its last flush
+        sys.stderr = _devnull()
     return USAGE
 
 
@@ -322,8 +325,7 @@ def run() -> None:
     atexit._run_exitfuncs()
     for stream in (sys.stdout, sys.stderr):  # each on its own: a gone stdout reader must not cost stderr's text
         try:
-            if stream is not None:
-                stream.flush()
+            stream.flush()
         except BrokenPipeError:
             code = 141
     os._exit(code)

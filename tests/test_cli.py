@@ -41,9 +41,13 @@ def run(capsys, *argv):
 MAIN_ENTRY = ["-c", "import sys; from dualmem.cli import main; sys.exit(main())"]  # main, then a normal exit
 
 
-def run_process(*argv, entry=("-m", "dualmem.cli"), **options):
-    """The CLI in a child interpreter, so that a traceback would show on its stderr."""
+def run_process(*argv, entry=("-m", "dualmem.cli"), unbuffered=False, **options):
+    """The CLI in a child interpreter, so that a traceback would show on its stderr;
+    its stdio buffered unless unbuffered, whatever the environment of the tests."""
     env = {**os.environ, "PYTHONPATH": str(Path(dualmem.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *entry, *argv], capture_output=True, text=True, env=env, **options,
     )
@@ -852,7 +856,10 @@ class TestClosedStreams:
 
     # run(), and main() then a normal exit under -X dev, which would report a file left open
     ENTRIES = [["-m", "dualmem.cli"], ["-X", "dev", *MAIN_ENTRY]]
+    # a buffered stderr keeps what it could not write and tries again at exit
+    BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 
+    @BUFFERING
     @pytest.mark.parametrize("entry", ENTRIES, ids=["run", "main"])
     @pytest.mark.parametrize("argv, code", [
         (["find-iso", "{st}"], 0),
@@ -862,20 +869,31 @@ class TestClosedStreams:
         (["collapse", "{st}", "--element", "3"], 0),
         (["eval", "{st}", "--formula", "x = x", "--assign", "x=0"], 0),
     ], ids=["find-iso", "find-iso-negative", "check-axioms", "verify-lemmas", "collapse", "eval"])
-    def test_stdout_closed_drops_the_report(self, tmp_path, v3_file, entry, argv, code):
+    def test_stdout_closed_drops_the_report(self, tmp_path, v3_file, entry, argv, code, unbuffered):
         negative = tmp_path / "chain-vs-v3.st"
         negative.write_text(serialize_structure(lemmas._chain_vs_v3()))
         argv = [arg.format(st=v3_file, negative=negative) for arg in argv]
-        proc = run_process(*argv, entry=entry, preexec_fn=_close(1))
+        proc = run_process(*argv, entry=entry, unbuffered=unbuffered, preexec_fn=_close(1))
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
 
+    @BUFFERING
+    @pytest.mark.parametrize("entry", ENTRIES, ids=["run", "main"])
+    def test_stdout_closed_drops_the_help(self, entry, unbuffered):
+        proc = run_process("--help", entry=entry, unbuffered=unbuffered, preexec_fn=_close(1))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+    @BUFFERING
     @pytest.mark.parametrize("entry", ENTRIES, ids=["run", "main"])
     @pytest.mark.parametrize("setup", [_close(2), _read_only(2)], ids=["closed", "read-only"])
-    def test_stderr_unwritable_still_exits_two(self, tmp_path, entry, setup):
-        proc = run_process("find-iso", str(tmp_path / "missing.st"), entry=entry, preexec_fn=setup)
+    @pytest.mark.parametrize("argv", [["find-iso", "{missing}"], ["find-iso"], ["--bogus"]],
+                             ids=["missing-file", "no-infile", "unknown-flag"])
+    def test_stderr_unwritable_still_exits_two(self, tmp_path, entry, setup, argv, unbuffered):
+        argv = [arg.format(missing=tmp_path / "missing.st") for arg in argv]
+        proc = run_process(*argv, entry=entry, unbuffered=unbuffered, preexec_fn=setup)
         assert (proc.returncode, proc.stdout) == (2, "")
 
+    @BUFFERING
     @pytest.mark.parametrize("setup", [_close(2), _read_only(2)], ids=["closed", "read-only"])
-    def test_stderr_unwritable_keeps_the_report(self, v3_file, setup):
-        proc = run_process("find-iso", v3_file, preexec_fn=setup)
+    def test_stderr_unwritable_keeps_the_report(self, v3_file, setup, unbuffered):
+        proc = run_process("find-iso", v3_file, unbuffered=unbuffered, preexec_fn=setup)
         assert (proc.returncode, proc.stdout) == (0, "iso 4\nmap 0 0\nmap 1 1\nmap 2 2\nmap 3 3\n")
