@@ -25,17 +25,7 @@ from .formulas import (
     parse_formula,
     render,
 )
-from .hf import (
-    EMPTY,
-    HfCode,
-    ackermann_code,
-    collapse,
-    collapse_domain,
-    decode_ackermann,
-    hf_rank,
-    render_hf,
-    v_level_codes,
-)
+from .hf import collapse, collapse_domain, render_hf
 from .iso import (
     FailureDiagnostic,
     IsoCertificate,
@@ -44,7 +34,6 @@ from .iso import (
     global_isomorphism,
     internal_level,
     is_ordinal,
-    matches,
     verify_certificate,
 )
 from .lemmas import CorpusConfig, counterexample_gallery, run_corpus, run_suite

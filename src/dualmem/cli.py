@@ -174,9 +174,11 @@ def cmd_verify_lemmas(args) -> int:
 
 
 def _parse_corpus(text: str, seed: int) -> lemmas_mod.CorpusConfig:
-    settings: dict = {"seed": seed}  # the other defaults are CorpusConfig's
+    settings: dict = {}  # the defaults are CorpusConfig's
     for chunk in text.replace(";", " ").split():
         key, _, value = chunk.partition("=")
+        if key in settings:
+            raise DualMemError(f"corpus repeats setting {key!r}")
         if key == "sizes":
             settings[key] = tuple(_corpus_int(key, v) for v in value.split(",") if v)
         elif key == "count":
@@ -187,7 +189,7 @@ def _parse_corpus(text: str, seed: int) -> lemmas_mod.CorpusConfig:
             settings[key] = tuple(v for v in value.split(",") if v)
         else:
             raise DualMemError(f"unknown corpus setting {key!r}")
-    return lemmas_mod.CorpusConfig(**settings)
+    return lemmas_mod.CorpusConfig(seed=seed, **settings)
 
 
 def _corpus_int(key: str, value: str) -> int:
@@ -200,12 +202,12 @@ def _corpus_int(key: str, value: str) -> int:
 def cmd_collapse(args) -> int:
     s = _read_structure(args.infile)
     try:
-        code = hf.collapse(s.relation(args.relation), args.element, args.relation)
+        uid = hf.collapse(s.relation(args.relation), args.element, args.relation)
     except CycleError as exc:
         print(f"fail ill-founded e{args.relation} cycle={'>'.join(map(str, exc.cycle))}")
         return NEGATIVE
-    print(hf.render_hf(code))
-    numeral = hf.ackermann_code_if_below(code, 1 << 64)
+    print(hf.render_hf(uid))
+    numeral = hf.ackermann_code_if_below(uid, 1 << 64)
     print(f"code={numeral}" if numeral is not None else "code=large")
     return PASS
 
@@ -271,7 +273,10 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help, or a usage error argparse has reported
             code = USAGE if exc.code not in (0, None) else PASS
-            sys.stderr.flush()  # a stderr that cannot take argparse's usage line fails here, and exits 2
+            try:
+                sys.stderr.flush()  # a stderr that cannot take argparse's usage line fails here, and exits 2
+            except OSError:  # as in _error: a buffered stderr would fail again on its last flush
+                sys.stderr = _devnull()
         else:
             # A command makes no reference cycles, so the cyclic collector would only
             # re-scan live objects; reference counting frees everything it drops.

@@ -2,15 +2,13 @@
 
 A set is an integer uid, interned under its key, the ascending uids of its
 members (``_INTERN`` maps keys to uids, ``_KEYS`` uids to keys), so two sets
-are equal iff their uids are. The collapse works on uids only. An ``HfCode``
-is made once per uid, when a code is asked for, so codes compare by identity
-even where the binary-sum numeral would be astronomically large. Numerals are
-computed only on demand. Rendering, numerals and ranks walk the member uids
-in ``_KEYS`` with loops and explicit stacks: a deep chain does not exhaust the
-recursion limit, and no member code is made. Five tables are process-global
-and single-threaded by contract: ``_INTERN``, ``_KEYS``, ``_CODES`` and the
-numeral memos ``_ACK_MEMO`` and ``_DECODE_MEMO``. Ranks and the numeral order
-rendering sorts by are computed per call. Every operation is deterministic.
+are equal iff their uids are. The uid is the oracle's one value: collapses
+return uids, and rendering and numerals take them. Numerals are computed
+only on demand. Rendering and numerals walk the member uids in ``_KEYS`` with
+loops and explicit stacks: a deep chain does not exhaust the recursion limit.
+The two tables are process-global and single-threaded by contract. Ranks and
+the numeral order rendering sorts by are computed per call. Every operation
+is deterministic.
 """
 
 from __future__ import annotations
@@ -20,50 +18,10 @@ from itertools import groupby
 import numpy as np
 
 from .errors import CycleError, DualMemError, Record
-from .structure import V_UNIVERSE_MAX, MembershipRelation, reachable_postorder
+from .structure import MembershipRelation, reachable_postorder
 
 _INTERN: dict[tuple[int, ...], int] = {}  # ascending member uids -> uid
 _KEYS: list[tuple[int, ...]] = []  # _KEYS[uid] is the key interned under uid
-_CODES: dict[int, "HfCode"] = {}  # uid -> its code object, for the uids asked for so far
-_ACK_MEMO: dict[int, int] = {}  # uid -> its numeral, for the uids asked for so far
-_DECODE_MEMO: dict[int, "HfCode"] = {}  # numeral -> its code
-
-
-class HfCode:
-    """A canonical HF set: HfCode(uid) is the one object of an interned uid.
-    Its member codes, sorted strictly by uid, are made from its key on first read."""
-
-    __slots__ = ("_members", "uid")
-
-    def __new__(cls, uid: int):
-        code = _CODES.get(uid)
-        if code is None:
-            code = _CODES[uid] = super().__new__(cls)
-            code._members, code.uid = None, uid
-        return code
-
-    @property
-    def members(self) -> tuple["HfCode", ...]:
-        if self._members is None:
-            self._members = tuple(map(HfCode, _KEYS[self.uid]))
-        return self._members
-
-    def __repr__(self):
-        return f"HfCode({render_hf(self)})"
-
-    def __hash__(self):
-        return self.uid
-
-    def __len__(self):
-        return len(_KEYS[self.uid])
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def intern_hf(members) -> HfCode:
-    """The unique code whose member collection is the given codes (deduplicated)."""
-    return HfCode(_intern_uids(tuple(sorted({m.uid for m in members}))))
 
 
 def _intern_uids(key: tuple[int, ...]) -> int:
@@ -74,12 +32,9 @@ def _intern_uids(key: tuple[int, ...]) -> int:
     return uid
 
 
-EMPTY: HfCode = intern_hf(())
-
-
-def render_hf(x: HfCode) -> str:
+def render_hf(uid: int) -> str:
     """Nested braces, members in ascending numeral order: the report format."""
-    place = _numeral_places(x.uid)
+    place = _numeral_places(uid)
     # What a uid's "{" pushes: "}", then its members descending with commas
     # between, so that they are popped ascending.
     pushed: dict[int, list[int | str]] = {}
@@ -87,7 +42,7 @@ def render_hf(x: HfCode) -> str:
         members = sorted(_KEYS[u], key=place.__getitem__, reverse=True)
         pushed[u] = ["}", *[t for m in members for t in (m, ",")][:-1]]
     parts: list[str] = []
-    todo: list[int | str] = [x.uid]  # a stack of uids still to render and literal tokens
+    todo: list[int | str] = [uid]  # a stack of uids still to render and literal tokens
     while todo:
         item = todo.pop()
         if isinstance(item, str):
@@ -118,9 +73,9 @@ def _numeral_places(uid: int) -> dict[int, int]:
 
 def _below(uid: int, memo: dict[int, int], depth: int | None = None) -> list[int] | None:
     """The uids reachable from uid (uid included) that are not in memo,
-    members first, each once; no code is made. With depth given, None as
-    soon as the walk meets a chain of depth + 1 uids from uid down, each a
-    member of the one before: uid's rank is then at least depth."""
+    members first, each once. With depth given, None as soon as the walk
+    meets a chain of depth + 1 uids from uid down, each a member of the one
+    before: uid's rank is then at least depth."""
     if uid in memo:
         return []
     seen = {uid}
@@ -150,15 +105,9 @@ def _ranks(uid: int) -> dict[int, int]:
     return rank
 
 
-def ackermann_code(x: HfCode) -> int:
-    """code({}) = 0; code(x) = sum over members m of 2**code(m)."""
-    for u in _below(x.uid, _ACK_MEMO):
-        _ACK_MEMO[u] = sum(1 << _ACK_MEMO[m] for m in _KEYS[u])
-    return _ACK_MEMO[x.uid]
-
-
-def ackermann_code_if_below(x: HfCode, bound: int) -> int | None:
-    """The numeral of x when it is < bound, else None.
+def ackermann_code_if_below(uid: int, bound: int) -> int | None:
+    """The numeral of uid's set when it is < bound, else None. The numeral
+    is code({}) = 0, code(x) = sum over members m of 2**code(m).
 
     Never materializes an out-of-bound numeral (a deep chain's numeral is a
     power tower, so the unbounded form can be unprintable even when the code
@@ -178,69 +127,30 @@ def ackermann_code_if_below(x: HfCode, bound: int) -> int | None:
     while low < cap:
         depth, low = depth + 1, 1 << low
     sat: dict[int, int] = {}
-    order = _below(x.uid, sat, depth)
+    order = _below(uid, sat, depth)
     if order is None:
         return None
     for u in order:
         sat[u] = min(sum(1 << min(sat[m], cap) for m in _KEYS[u]), bound)
-    return sat[x.uid] if sat[x.uid] < bound else None
-
-
-def decode_ackermann(n: int) -> HfCode:
-    """Inverse of ackermann_code."""
-    if n < 0:
-        raise DualMemError("numerals are non-negative")
-    got = _DECODE_MEMO.get(n)
-    if got is None:
-        members = []
-        m = n
-        while m:
-            bit = (m & -m).bit_length() - 1
-            members.append(decode_ackermann(bit))
-            m &= m - 1
-        got = intern_hf(members)
-        _DECODE_MEMO[n] = got
-        _ACK_MEMO.setdefault(got.uid, n)
-    return got
-
-
-def hf_rank(x: HfCode) -> int:
-    """0 for the empty set, else 1 + max member rank."""
-    return _ranks(x.uid)[x.uid]
-
-
-def v_level_codes(n: int) -> frozenset[HfCode]:
-    """All HF sets of rank < n; the n-th cumulative level as a set of codes."""
-    if n < 0:
-        raise DualMemError("level index must be >= 0")
-    if n > V_UNIVERSE_MAX:
-        raise DualMemError(f"level {n} exceeds the supported bound {V_UNIVERSE_MAX}")
-    level: frozenset[HfCode] = frozenset()
-    for _ in range(n):
-        codes = list(level)  # the subsets do not depend on the order
-        level = frozenset(
-            intern_hf([codes[i] for i in range(len(codes)) if mask >> i & 1])
-            for mask in range(1 << len(codes))
-        )
-    return level
+    return sat[uid] if sat[uid] < bound else None
 
 
 # -- collapse -----------------------------------------------------------------
 
-def collapse(rel: MembershipRelation, x: int, tag: int | None = None) -> HfCode:
-    """The collapse of x: each element reachable from x, members first, is
-    replaced by the set of its members' values. A cycle below x is a hard
+def collapse(rel: MembershipRelation, x: int, tag: int | None = None) -> int:
+    """The uid of x's collapse: each element reachable from x, members first,
+    is replaced by the set of its members' values. A cycle below x is a hard
     error; elements with equal values merge unflagged (collapse_domain lists
     such groups).
     """
     if not (0 <= x < rel.domain_size):
         raise DualMemError(f"element {x} outside domain of size {rel.domain_size}")
-    return HfCode(_collapse_uids(rel.member_tuples(), reachable_postorder(rel, x, tag), {})[x])
+    return _collapse_uids(rel.member_tuples(), reachable_postorder(rel, x, tag), {})[x]
 
 
 class DomainCollapse(Record):
     """Collapse values for every element of a relation's domain: uids[x] is
-    the uid of x's collapse, and HfCode(uids[x]) its code, made when asked for."""
+    the uid of x's collapse."""
 
     uids: tuple[int, ...]
     duplicate_groups: tuple[tuple[int, ...], ...]
@@ -249,8 +159,8 @@ class DomainCollapse(Record):
     def extensional(self) -> bool:
         return not self.duplicate_groups
 
-    def image(self) -> frozenset[HfCode]:
-        return frozenset(map(HfCode, set(self.uids)))
+    def image(self) -> frozenset[int]:
+        return frozenset(self.uids)
 
 
 def collapse_domain(rel: MembershipRelation, tag: int | None = None) -> DomainCollapse:
@@ -264,7 +174,7 @@ def collapse_domain(rel: MembershipRelation, tag: int | None = None) -> DomainCo
 
 def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid):
     """Fill uid[x] with the uid of x's collapse for each x of a members-first
-    order, interning each member-uid key not met before; no code is made."""
+    order, interning each member-uid key not met before."""
     uid_of = uid.__getitem__
     for x in order:
         ms = members[x]  # a key of at most one member needs no set or sort

@@ -29,7 +29,6 @@ from .structure import (
     is_id_token,
     numbered_lines,
     reachable_postorder,
-    transitive_closure,
 )
 
 
@@ -71,28 +70,14 @@ def build_witness(s: DualStructure, x: int, y: int) -> dict[int, int] | None:
     return f  # f[x] == y, so no value is None: a None would have reached x
 
 
-def matches(s: DualStructure, x: int, y: int) -> bool:
-    """The matched-pair relation: some witness exists for (x, y)."""
-    return build_witness(s, x, y) is not None
-
-
-def witness_conditions(s: DualStructure, x: int, y: int, f: dict[int, int]) -> dict[str, bool]:
-    """Check each witness condition for an arbitrary candidate map.
-
-    This is the brute-force side of the uniqueness property: it never calls
-    the construction.
-    """
-    tc1 = transitive_closure(s.e1, x, include_self=True)
-    tc2 = transitive_closure(s.e2, y, include_self=True)
-    return _witness_conditions(s, x, y, f, tc1, tc2)
-
-
 def _witness_conditions(
     s: DualStructure, x: int, y: int, f: dict[int, int], tc1: frozenset[int], tc2: frozenset[int]
 ) -> dict[str, bool]:
-    """witness_conditions given tc1 and tc2, the closures below-and-including
-    x in e1 and y in e2, so that many candidate maps can share them. A value
-    outside the domain fails preserves-membership, which reads the member tuples."""
+    """Check each witness condition for an arbitrary candidate map f, given
+    tc1 and tc2, the closures below-and-including x in e1 and y in e2, so
+    that many candidate maps can share them. This is the brute-force side of
+    the uniqueness property: it never calls the construction. A value outside
+    the domain fails preserves-membership, which reads the member tuples."""
     domain_ok = set(f) == set(tc1)
     into = domain_ok and all(f[t] in tc2 for t in tc1)
     onto = domain_ok and {f[t] for t in tc1} == set(tc2)
@@ -107,10 +92,6 @@ def _witness_conditions(
         "preserves-membership": preserves,
         "maps-top": domain_ok and f.get(x) == y,
     }
-
-
-def is_witness(s: DualStructure, x: int, y: int, f: dict[int, int]) -> bool:
-    return all(witness_conditions(s, x, y, f).values())
 
 
 # -- ordinals and levels ---------------------------------------------------------
@@ -339,5 +320,5 @@ def render_diagnostic(s: DualStructure, diag: FailureDiagnostic) -> str:
     for tag, unmatched in ((1, diag.unmatched_e1), (2, diag.unmatched_e2)):
         if unmatched:
             uids = hf.collapse_domain(s.relation(tag), tag).uids
-            lines.extend(f"unmatched e{tag} {x} collapse {hf.render_hf(hf.HfCode(uids[x]))}" for x in unmatched)
+            lines.extend(f"unmatched e{tag} {x} collapse {hf.render_hf(uids[x])}" for x in unmatched)
     return "\n".join(lines) + "\n"

@@ -257,8 +257,9 @@ def _check_restriction(s: DualStructure, partner: list[int | None], matched) -> 
 
 def _check_functionality(matched) -> Verdict:
     """No element is matched twice on either side. On the acyclic, extensional
-    relations the suite runs on, matches(s, x, y) holds iff partners(s)[x] == y
-    (equal images force equal member-sets, by induction on rank)."""
+    relations the suite runs on, build_witness(s, x, y) finds a witness iff
+    partners(s)[x] == y (equal images force equal member-sets, by induction
+    on rank)."""
     by_x: dict[int, list[int]] = {}
     by_y: dict[int, list[int]] = {}
     for x, y in sorted(matched):

@@ -24,11 +24,9 @@ from dualmem import (
     evaluate,
     evaluate_table,
     parse_formula,
-    matches,
     run_corpus,
     scramble,
     serialize_structure,
-    v_level_codes,
 )
 from dualmem.axioms import (
     SchemaBudget,
@@ -41,10 +39,10 @@ from dualmem.axioms import (
     check_union,
 )
 from dualmem.battery import bounded_instances
-from dualmem.hf import collapse_domain as collapse_domain_fn
-from dualmem.iso import IsoCertificate, global_isomorphism, render_diagnostic, transitive_closure
+from dualmem.hf import ackermann_code_if_below, collapse_domain as collapse_domain_fn
+from dualmem.iso import IsoCertificate, build_witness, global_isomorphism, render_diagnostic
 from dualmem.lemmas import _chain_vs_v3, _schema_gap, count_witnesses_brute, gallery_summary
-from dualmem.structure import random_dual_structure, tamper
+from dualmem.structure import random_dual_structure, tamper, transitive_closure, v_universe_size
 
 
 @contextmanager
@@ -126,7 +124,7 @@ class TestAcceptance:
                 c2 = collapse_domain_fn(s.e2, 2).uids
                 for x in range(s.domain_size):
                     for y in range(s.domain_size):
-                        if matches(s, x, y) != (c1[x] == c2[y]):
+                        if (build_witness(s, x, y) is not None) != (c1[x] == c2[y]):
                             mismatches += 1
             assert mismatches == 0
 
@@ -139,7 +137,7 @@ class TestAcceptance:
                         continue
                     counts = count_witnesses_brute(s, x, tc2)
                     for y in range(s.domain_size):
-                        expected = 1 if matches(s, x, y) else 0
+                        expected = 0 if build_witness(s, x, y) is None else 1
                         assert counts[y] == expected
 
     def test_criterion_4_lemma_suite_corpus(self):
@@ -178,7 +176,8 @@ class TestAcceptance:
                         is_level = (
                             level <= 4  # higher levels exceed 16 elements
                             and dc.extensional
-                            and dc.image() == v_level_codes(level)
+                            and {ackermann_code_if_below(u, 1 << 16) for u in dc.image()}
+                            == set(range(v_universe_size(level)))
                         )
                     else:
                         is_level = False

@@ -536,7 +536,10 @@ class TestVerifyLemmas:
         ("sizes=x", "error: corpus setting sizes needs an integer"),
         ("count=abc", "error: corpus setting count needs an integer"),
         ("seed=", "error: unknown corpus setting 'seed'"),  # --seed is the one way to set it
-    ], ids=["sizes=x", "count=abc", "seed="])
+        ("count=5 count=1", "error: corpus repeats setting 'count'"),
+        ("sizes=3;sizes=3", "error: corpus repeats setting 'sizes'"),
+        ("kinds=scrambled count=1 kinds=random-pair", "error: corpus repeats setting 'kinds'"),
+    ], ids=["sizes=x", "count=abc", "seed=", "count-twice", "sizes-twice", "kinds-twice"])
     def test_bad_corpus_value_exit_two(self, setting, message):
         proc = run_process("verify-lemmas", "--corpus", setting)
         assert proc.returncode == 2
@@ -851,6 +854,17 @@ def _read_only(fd):
     return lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
 
 
+def _reader_gone(fd):
+    # Writes fail with EPIPE, as on a pipe whose reader has exited; a buffered
+    # stream keeps what it could not write and fails again on its next flush.
+    def setup():
+        read_end, write_end = os.pipe()
+        os.dup2(write_end, fd)
+        os.close(read_end)
+        os.close(write_end)
+    return setup
+
+
 class TestClosedStreams:
     """A command whose process starts with fd 1 or fd 2 closed exits with its usual code."""
 
@@ -858,6 +872,9 @@ class TestClosedStreams:
     ENTRIES = [["-m", "dualmem.cli"], ["-X", "dev", *MAIN_ENTRY]]
     # a buffered stderr keeps what it could not write and tries again at exit
     BUFFERING = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    STDERR_UNWRITABLE = pytest.mark.parametrize(
+        "setup", [_close(2), _read_only(2), _reader_gone(2)], ids=["closed", "read-only", "reader-gone"]
+    )
 
     @BUFFERING
     @pytest.mark.parametrize("entry", ENTRIES, ids=["run", "main"])
@@ -884,7 +901,7 @@ class TestClosedStreams:
 
     @BUFFERING
     @pytest.mark.parametrize("entry", ENTRIES, ids=["run", "main"])
-    @pytest.mark.parametrize("setup", [_close(2), _read_only(2)], ids=["closed", "read-only"])
+    @STDERR_UNWRITABLE
     @pytest.mark.parametrize("argv", [["find-iso", "{missing}"], ["find-iso"], ["--bogus"]],
                              ids=["missing-file", "no-infile", "unknown-flag"])
     def test_stderr_unwritable_still_exits_two(self, tmp_path, entry, setup, argv, unbuffered):
@@ -893,7 +910,7 @@ class TestClosedStreams:
         assert (proc.returncode, proc.stdout) == (2, "")
 
     @BUFFERING
-    @pytest.mark.parametrize("setup", [_close(2), _read_only(2)], ids=["closed", "read-only"])
+    @STDERR_UNWRITABLE
     def test_stderr_unwritable_keeps_the_report(self, v3_file, setup, unbuffered):
         proc = run_process("find-iso", v3_file, unbuffered=unbuffered, preexec_fn=setup)
         assert (proc.returncode, proc.stdout) == (0, "iso 4\nmap 0 0\nmap 1 1\nmap 2 2\nmap 3 3\n")

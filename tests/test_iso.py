@@ -20,7 +20,6 @@ from dualmem import (
     global_isomorphism,
     internal_level,
     is_ordinal,
-    matches,
     scramble,
     transitive_closure,
     verify_certificate,
@@ -30,15 +29,14 @@ from dualmem.iso import (
     _CERT_BLOCK,
     FailureDiagnostic,
     IsoCertificate,
+    _witness_conditions,
     certificate_blocks,
-    is_witness,
     parse_certificate,
     partners,
     reachable_postorder,
     render_certificate,
     render_diagnostic,
     restriction_agrees,
-    witness_conditions,
 )
 from dualmem.lemmas import _chain_vs_v3
 from dualmem.structure import random_dual_structure, random_extensional_relation
@@ -123,31 +121,35 @@ class TestBuildPsi:
             for y in range(16):
                 w = build_witness(scrambled_v4, x, y)
                 if w is not None:
-                    assert is_witness(scrambled_v4, x, y, w)
+                    tc1 = transitive_closure(scrambled_v4.e1, x, include_self=True)
+                    tc2 = transitive_closure(scrambled_v4.e2, y, include_self=True)
+                    assert all(_witness_conditions(scrambled_v4, x, y, w, tc1, tc2).values())
 
     @pytest.mark.parametrize("value", [99, 4, -1])
     def test_value_outside_domain_fails_only_the_conditions_it_breaks(self, v3, value):
-        assert witness_conditions(v3, 0, 0, {0: value}) == {
+        # the closures, each with itself, of V3's element 0 ({}) and element 1 ({{}})
+        empty, one = frozenset({0}), frozenset({0, 1})
+        assert _witness_conditions(v3, 0, 0, {0: value}, empty, empty) == {
             "domain": True,
             "into-closure": False,
             "onto-closure": False,
             "preserves-membership": False,
             "maps-top": False,
         }
-        assert witness_conditions(v3, 1, 1, {0: 0, 1: value})["preserves-membership"] is False
-        assert witness_conditions(v3, 1, 1, {0: 0, 1: 1})["preserves-membership"] is True
+        assert _witness_conditions(v3, 1, 1, {0: 0, 1: value}, one, one)["preserves-membership"] is False
+        assert _witness_conditions(v3, 1, 1, {0: 0, 1: 1}, one, one)["preserves-membership"] is True
 
 
 class TestPhi:
     def test_tracks_permutation_exactly(self, scrambled_v4):
         p = None
         for x in range(16):
-            ys = [y for y in range(16) if matches(scrambled_v4, x, y)]
+            ys = [y for y in range(16) if build_witness(scrambled_v4, x, y) is not None]
             assert len(ys) == 1
         # rigidity: the matched partner is the collapse partner
         for x, y in itertools.product(range(16), repeat=2):
-            expected = collapse(scrambled_v4.e1, x) is collapse(scrambled_v4.e2, y)
-            assert matches(scrambled_v4, x, y) == expected
+            expected = collapse(scrambled_v4.e1, x) == collapse(scrambled_v4.e2, y)
+            assert (build_witness(scrambled_v4, x, y) is not None) == expected
 
     @given(s=st.builds(random_dual_structure, size=st.integers(1, 8), seed=st.integers(0, 120)))
     @example(s=scramble(build_v_universe(3), Permutation((0, 2, 1, 3))))
@@ -157,11 +159,11 @@ class TestPhi:
         partner = partners(s)
         for x in range(s.domain_size):
             expected = [] if partner[x] is None else [partner[x]]
-            assert [y for y in range(s.domain_size) if matches(s, x, y)] == expected
+            assert [y for y in range(s.domain_size) if build_witness(s, x, y) is not None] == expected
 
     def test_partial_on_mismatched_pair(self):
         s = _chain_vs_v3()
-        matched = {x for x in range(4) if any(matches(s, x, y) for y in range(4))}
+        matched = {x for x in range(4) if any(build_witness(s, x, y) is not None for y in range(4))}
         assert matched == {0, 1, 2}
 
 
@@ -270,9 +272,10 @@ class TestGlobalIsomorphism:
         class Refusing:  # stands in for the intern tables, so interning inline is caught too
             __getattr__ = __getitem__ = __contains__ = __len__ = __iter__ = refuse
 
-        for name in ("collapse", "collapse_domain", "_collapse_uids", "intern_hf", "_intern_uids", "HfCode"):
+        for name in ("collapse", "collapse_domain", "_collapse_uids", "_intern_uids", "render_hf",
+                     "ackermann_code_if_below"):
             monkeypatch.setattr(hf, name, refuse)
-        for name in ("_INTERN", "_KEYS", "_CODES"):
+        for name in ("_INTERN", "_KEYS"):
             monkeypatch.setattr(hf, name, Refusing())
         assert global_isomorphism(_chain_vs_v3()) == FailureDiagnostic("both-directions-fail", (3,), (2,))
 
@@ -429,5 +432,5 @@ class TestOracleAgreement:
         s = random_dual_structure(size, seed)
         for x in range(size):
             for y in range(size):
-                expected = collapse(s.e1, x) is collapse(s.e2, y)
-                assert matches(s, x, y) == expected
+                expected = collapse(s.e1, x) == collapse(s.e2, y)
+                assert (build_witness(s, x, y) is not None) == expected

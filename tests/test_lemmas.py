@@ -37,7 +37,7 @@ from dualmem.lemmas import (
     gallery_summary,
     render_suite,
 )
-from dualmem.structure import TAMPER_KINDS, apply_permutation, random_dual_structure
+from dualmem.structure import TAMPER_KINDS, apply_permutation, random_dual_structure, transitive_closure
 
 from conftest import members
 
@@ -154,13 +154,12 @@ class TestRunSuite:
                     assert same
 
     def test_fail_witness_reruns_in_isolation(self):
-        from dualmem.iso import matches
         s = _chain_vs_v3()
         verdict = run_suite(s).lemmas["isomorphism"]
         witness = dict(verdict.witness)
         x, y = int(witness["e1"]), int(witness["e2"])
-        assert not any(matches(s, x, other) for other in range(s.domain_size))
-        assert not any(matches(s, other, y) for other in range(s.domain_size))
+        assert all(iso_mod.build_witness(s, x, other) is None for other in range(s.domain_size))
+        assert all(iso_mod.build_witness(s, other, y) is None for other in range(s.domain_size))
 
     def test_level_extension_skips_an_unrealized_level(self):
         # V3 plus the ordinal {0, 1, 3}, whose internal level {0, 1, 2, 3} has
@@ -251,8 +250,8 @@ class TestRunSuite:
 def reference_count(s, x, y):
     """Product-and-filter: every map from the e1 closure of x into the e2
     closure of y, kept when it sends x to y and passes every condition."""
-    tc1 = iso_mod.transitive_closure(s.e1, x, include_self=True)
-    tc2 = iso_mod.transitive_closure(s.e2, y, include_self=True)
+    tc1 = transitive_closure(s.e1, x, include_self=True)
+    tc2 = transitive_closure(s.e2, y, include_self=True)
     dom, cod = sorted(tc1), sorted(tc2)
     count = 0
     for values in itertools.product(cod, repeat=len(dom)):
@@ -288,7 +287,7 @@ def edge_sets(draw):
 
 
 def closures2(s, ys):
-    return {y: iso_mod.transitive_closure(s.e2, y, include_self=True) for y in ys}
+    return {y: transitive_closure(s.e2, y, include_self=True) for y in ys}
 
 
 class TestWitnessCounting:
@@ -302,7 +301,7 @@ class TestWitnessCounting:
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_product_and_filter(self, s):
         def small(rel, x):
-            return len(iso_mod.transitive_closure(rel, x, include_self=True)) <= 4
+            return len(transitive_closure(rel, x, include_self=True)) <= 4
 
         xs = [x for x in range(s.domain_size) if small(s.e1, x)]
         tc2 = closures2(s, [y for y in range(s.domain_size) if small(s.e2, y)])
@@ -316,7 +315,7 @@ class TestWitnessCounting:
         # Every y, whatever its closure size, so that both value prunes run.
         tc2 = closures2(s, range(s.domain_size))
         for x in range(s.domain_size):
-            if len(iso_mod.transitive_closure(s.e1, x, include_self=True)) <= 4:
+            if len(transitive_closure(s.e1, x, include_self=True)) <= 4:
                 expected = {y: reference_count(s, x, y) for y in tc2}
                 assert count_witnesses_brute(s, x, tc2) == expected, x
 
@@ -477,7 +476,7 @@ def reference_restriction(s, matched):
             sub = iso_mod.build_witness(s, child, f[child])
             if sub is None:
                 return Verdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "no-witness")))
-            expected = {t: f[t] for t in iso_mod.transitive_closure(s.e1, child, include_self=True)}
+            expected = {t: f[t] for t in transitive_closure(s.e1, child, include_self=True)}
             if sub != expected:
                 return Verdict("fail", (("x", str(x)), ("child", str(child)), ("reason", "not-restriction")))
     return Verdict("pass")
