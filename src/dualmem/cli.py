@@ -38,6 +38,7 @@ from .structure import (
 )
 
 PASS, NEGATIVE, USAGE = 0, 1, 2
+CORPUS_COUNT_MAX = 100_000  # seeds per size and kind: at about 1 ms an item on V3/V4, minutes, not days
 
 
 def _read_structure(path: str):
@@ -117,12 +118,16 @@ def cmd_find_iso(args) -> int:
         print("fail certificate-rejected")
         return NEGATIVE
     if args.oracle_check:
-        c1 = hf.collapse_domain(s.e1, 1)
-        c2 = hf.collapse_domain(s.e2, 2)
+        c1 = hf.collapse_domain(s.e1, 1).uids
+        carried = [0] * s.domain_size  # carried[h(x)] = c1[x]: passes exactly when every c1[x] == c2[h(x)]
         for x, y in enumerate(result.mapping):
-            if c1.uids[x] != c2.uids[y]:
-                print(f"fail oracle-mismatch x={x} y={y}")
-                return NEGATIVE
+            carried[y] = c1[x]
+        if not hf.is_collapse(s.e2, carried):
+            c2 = hf.collapse_domain(s.e2, 2).uids
+            for x, y in enumerate(result.mapping):
+                if c1[x] != c2[y]:
+                    print(f"fail oracle-mismatch x={x} y={y}")
+                    return NEGATIVE
     sys.stdout.writelines(iso_mod.certificate_blocks(result))
     return PASS
 
@@ -185,6 +190,8 @@ def _parse_corpus(text: str, seed: int) -> lemmas_mod.CorpusConfig:
             settings[key] = _corpus_int(key, value)
             if settings[key] < 0:
                 raise DualMemError(f"corpus setting count must be >= 0, got {settings[key]}")
+            if settings[key] > CORPUS_COUNT_MAX:
+                raise DualMemError(f"corpus setting count must be <= {CORPUS_COUNT_MAX}, got {settings[key]}")
         elif key == "kinds":
             settings[key] = tuple(v for v in value.split(",") if v)
         else:

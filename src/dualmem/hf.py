@@ -164,21 +164,41 @@ class DomainCollapse(Record):
 
 
 def collapse_domain(rel: MembershipRelation, tag: int | None = None) -> DomainCollapse:
-    """Collapse every element; raises CycleError (with a witness) on cyclic input."""
+    """Collapse every element; raises CycleError (with a witness) on cyclic input.
+
+    The collapse of a well-founded extensional relation is injective: no
+    element shares its collapse, and no key repeats a uid.
+    """
     order = rel.toposort()
     if order is None:
         raise CycleError(rel.find_cycle(), tag)
-    uids = _collapse_uids(rel.member_tuples(), order, [0] * rel.domain_size)
-    return DomainCollapse(tuple(uids), _duplicate_groups(uids))
+    distinct = rel.is_extensional()
+    uids = _collapse_uids(rel.member_tuples(), order, [0] * rel.domain_size, distinct)
+    return DomainCollapse(tuple(uids), () if distinct else _duplicate_groups(uids))
 
 
-def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid):
+def is_collapse(rel: MembershipRelation, uids) -> bool:
+    """Whether each uids[y] is interned under exactly the ascending uids of
+    y's members: the collapse's own recursion, checked without a walk or a
+    new key.
+
+    A key holds only uids older than its own, so uids that pass fall strictly
+    along membership: rel is well-founded, and by induction on rank each
+    uids[y] is the uid of y's collapse. On an extensional relation the
+    converse holds too; elsewhere two members with one collapse fail it.
+    """
+    uid_of = uids.__getitem__
+    return all(_KEYS[u] == tuple(sorted(map(uid_of, ms))) for u, ms in zip(uids, rel.member_tuples()))
+
+
+def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid, distinct: bool = False):
     """Fill uid[x] with the uid of x's collapse for each x of a members-first
-    order, interning each member-uid key not met before."""
+    order, interning each member-uid key not met before. With distinct (no
+    two members of one element share a collapse), no key is deduplicated."""
     uid_of = uid.__getitem__
     for x in order:
-        ms = members[x]  # a key of at most one member needs no set or sort
-        uid[x] = _intern_uids(tuple(sorted(set(map(uid_of, ms)))) if len(ms) > 1 else tuple(map(uid_of, ms)))
+        ms = members[x]  # a key of at most one member needs no set
+        uid[x] = _intern_uids(tuple(sorted(map(uid_of, ms) if distinct or len(ms) < 2 else set(map(uid_of, ms)))))
     return uid
 
 

@@ -6,7 +6,8 @@ members-first sweep (``_match``) computes it: ``partners`` runs it over the
 whole domain, ``build_witness`` below x, and ``extend_to_level`` over an
 internal level. ``read_off`` turns the whole-domain sweep into either a
 re-checkable bijection or the ids of the elements with no partner;
-``global_isomorphism`` validates both relations and runs the two. The ordinal
+``global_isomorphism`` validates e1 and runs the sweep: a bijection is the
+certificate, and otherwise e2 is validated before ``read_off``. The ordinal
 and internal-level functions are the construction that the level-extension
 lemma checks; the global map does not run them.
 
@@ -43,8 +44,10 @@ def _match(s: DualStructure, order, index: dict[tuple[int, ...], int | None]) ->
     partner: dict[int, int | None] = {}
     image = partner.__getitem__
     for t in order:
-        images = list(map(image, mt1[t]))
-        partner[t] = None if None in images else lookup(tuple(sorted(images)))
+        try:  # a None image does not sort with ids, or else makes a key that no e2 element has
+            partner[t] = lookup(tuple(sorted(map(image, mt1[t]))))
+        except TypeError:
+            partner[t] = None
     return partner
 
 
@@ -202,23 +205,34 @@ def partners(s: DualStructure) -> list[int | None]:
 
 
 def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
-    """Validate both relations, match the whole domain in one members-first
-    sweep and read the result off it.
+    """Validate e1, match the whole domain in one members-first sweep and read
+    the result off it.
 
     The ordinal and level stages of the proof are not run here; the
     level-extension lemma checks them. Requires both relations acyclic and
-    extensional (typed errors otherwise). Extensionality is tested without an
-    extension index; e2's is built once, by the sweep that reads it.
+    extensional (typed errors otherwise, e1's first). A bijective sweep maps
+    each element's members onto its partner's: an isomorphism, so e2 is
+    acyclic and extensional as e1 is, and is validated only otherwise.
+    Extensionality is tested without an extension index; e2's is built once,
+    by the sweep.
     """
-    for tag in (1, 2):
-        rel = s.relation(tag)
-        cycle = rel.find_cycle()
-        if cycle is not None:
-            raise CycleError(cycle, tag)
-        if not rel.is_extensional():
-            dupes = rel.duplicate_extensions()  # builds the index only to name the pair
-            raise NonExtensionalError((dupes[0][0], dupes[0][1]), tag)
-    return read_off(s, partners(s))
+    _validate(s, 1)
+    partner = partners(s)
+    if None not in partner and len(set(partner)) == s.domain_size:
+        return IsoCertificate(tuple(partner))
+    _validate(s, 2)
+    return read_off(s, partner)
+
+
+def _validate(s: DualStructure, tag: int) -> None:
+    """Raise CycleError, then NonExtensionalError, for relation tag of s."""
+    rel = s.relation(tag)
+    cycle = rel.find_cycle()
+    if cycle is not None:
+        raise CycleError(cycle, tag)
+    if not rel.is_extensional():
+        dupes = rel.duplicate_extensions()  # builds the index only to name the pair
+        raise NonExtensionalError((dupes[0][0], dupes[0][1]), tag)
 
 
 def read_off(s: DualStructure, partner: list[int | None]) -> IsoCertificate | FailureDiagnostic:

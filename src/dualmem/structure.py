@@ -21,6 +21,7 @@ tamperers build and edit the arrays.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import re
 from collections.abc import Iterable, Iterator
@@ -100,8 +101,9 @@ class MembershipRelation(Record):
         cut from the CSR offsets of the parent array. This is the view that
         indexing, ranks, traversals and matching read."""
         if self._member_tuples is None:
-            offsets = _offsets(self.parent, self.domain_size)
-            ids = tuple(map(_ids(self.domain_size).__getitem__, memoryview(self.child)))
+            offsets, child, ids = _offsets(self.parent, self.domain_size), self.child.tolist(), _ids(self.domain_size)
+            # The shared id objects; itemgetter returns a tuple only for two ids or more.
+            ids = operator.itemgetter(*child)(ids) if len(child) > 1 else tuple(ids[c] for c in child)
             tuples = tuple(ids[offsets[b]:offsets[b + 1]] for b in range(self.domain_size))
             object.__setattr__(self, "_member_tuples", tuples)
         return self._member_tuples
@@ -139,9 +141,12 @@ class MembershipRelation(Record):
 
     def _walk(self) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
         """(order, None) from members_first over the whole domain, or (None,
-        cycle) when it meets a cycle; walked once and cached."""
+        cycle) when it meets a cycle; walked once and cached. When every edge
+        goes up in id, each root's members finish before it, so that order is
+        the ids ascending and nothing is walked."""
         if "walk" not in self._derived:
-            order, cycle = self.members_first(_ids(self.domain_size))
+            ids = _ids(self.domain_size)
+            order, cycle = (ids, None) if np.all(self.child < self.parent) else self.members_first(ids)
             self._derived["walk"] = (tuple(order) if cycle is None else None, cycle)
         return self._derived["walk"]
 
@@ -235,9 +240,11 @@ class MembershipRelation(Record):
         return tuple(sorted(tuple(xs) for xs in groups.values() if len(xs) > 1))
 
     def is_extensional(self) -> bool:
-        """No two elements share a member-set: decided from a transient set of
-        the member tuples, so no extension index is built or cached."""
-        return len(set(self.member_tuples())) == self.domain_size
+        """No two elements share a member-set: decided once from a transient
+        set of the member tuples, so no extension index is built or cached."""
+        if "extensional" not in self._derived:
+            self._derived["extensional"] = len(set(self.member_tuples())) == self.domain_size
+        return self._derived["extensional"]
 
 
 def _canonical_order(child: np.ndarray, parent: np.ndarray) -> bool:

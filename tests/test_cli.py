@@ -392,6 +392,35 @@ class TestFindIso:
         path.write_text(text)
         assert run(capsys, "find-iso", str(path), *flags) == (1, f"fail non-extensional {verdict}\n", "")
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["add-cycle", "break-extensionality", "remove-edge"])
+    def test_tampered_e2_is_validated_as_before(self, capsys, tmp_path, scrambled_v4, kind, seed):
+        # e1 is scrambled V4's e2 and e2 a tampered V4. The verdict is the one
+        # of validating both relations before the sweep: e2's cycle, then a
+        # pair of e2 elements sharing a member-set, then the diagnostic.
+        tampered = tamper(scrambled_v4, kind, seed)
+        s = dual_structure(16, tampered.e2.edges, tampered.e1.edges)
+        cycle, dupes = s.e2.find_cycle(), s.e2.duplicate_extensions()
+        if cycle is not None:
+            first = f"fail ill-founded e2 cycle={'>'.join(map(str, cycle))}"
+        elif dupes:
+            first = f"fail non-extensional e2 x={dupes[0][0]} y={dupes[0][1]}"
+        else:
+            first = f"fail {iso.read_off(s, iso.partners(s)).case}"
+        assert kind != "add-cycle" or cycle is not None
+        assert kind != "break-extensionality" or dupes
+        path = tmp_path / "t.st"
+        path.write_text(serialize_structure(s))
+        for flags in ([], ["--verify"], ["--oracle-check"], ["--verify", "--oracle-check"]):
+            code, out, err = run(capsys, "find-iso", str(path), *flags)
+            assert (code, out.split("\n", 1)[0], err) == (1, first, "")
+
+    @pytest.mark.parametrize("flags", [[], ["--verify", "--oracle-check"]])
+    def test_both_cyclic_reports_e1(self, capsys, tmp_path, flags):
+        path = tmp_path / "c.st"
+        path.write_text("n 3\ne1 0 1\ne1 1 0\ne2 2 2\n")
+        assert run(capsys, "find-iso", str(path), *flags) == (1, "fail ill-founded e1 cycle=0>1>0\n", "")
+
     def test_empty_domain(self, capsys, tmp_path):
         empty = tmp_path / "v0.st"
         empty.write_text("n 0\n")
@@ -576,6 +605,16 @@ class TestVerifyLemmas:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: corpus setting count")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("count", [cli.CORPUS_COUNT_MAX + 1, 99999999999999999999])
+    def test_count_above_the_ceiling_exit_two(self, count):
+        # Refused before any item: such a corpus would run for hours or forever.
+        proc = run_process("verify-lemmas", "--corpus", f"count={count}", timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: corpus setting count must be <= {cli.CORPUS_COUNT_MAX}, got {count}\n"
+
+    def test_count_at_the_ceiling_is_accepted(self):
+        assert cli._parse_corpus(f"count={cli.CORPUS_COUNT_MAX}", 0).count == cli.CORPUS_COUNT_MAX
 
     @pytest.mark.parametrize("setting", ["count=0 kinds=bogus", "count=1 kinds=scrambled,bogus"])
     def test_unknown_corpus_kind_exit_two_before_any_item(self, capsys, monkeypatch, setting):

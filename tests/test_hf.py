@@ -341,3 +341,90 @@ class TestInterning:
             got = render_hf(uid), rank(uid), ackermann_code_if_below(uid, 1 << 64)
         mt = r.member_tuples()
         assert got == (reference_render(mt, 39), reference_rank(mt, 39), reference_code_if_below(mt, 39, 1 << 64))
+
+
+def scrambled_chain(size, seed):
+    """A chain of size elements and its image under a seeded permutation, with that permutation."""
+    p = Permutation.random(size, seed)
+    return chain(size), apply_permutation(chain(size), p), p.images
+
+
+@st.composite
+def relation_pairs(draw):
+    """(e1, e2, h): two acyclic extensional relations on one domain and a
+    bijection h, two of its images swapped when drawn so. For a scrambled
+    level, chain or random relation, h is the scrambling permutation, the
+    isomorphism; for two independent random relations, a seeded permutation."""
+    kind = draw(st.sampled_from(["v3", "v4", "chain", "random", "random-pair"]))
+    seed = draw(st.integers(0, 10_000))
+    if kind == "chain":
+        e1, e2, h = scrambled_chain(draw(st.integers(1, 200)), seed)
+    elif kind.startswith("random"):
+        size = draw(st.integers(1, 12))
+        p = Permutation.random(size, seed)
+        e1 = random_extensional_relation(size, seed)
+        e2 = random_extensional_relation(size, seed + 1) if kind == "random-pair" else apply_permutation(e1, p)
+        h = p.images
+    else:
+        p = Permutation.random(16 if kind == "v4" else 4, seed)
+        e1 = build_v_universe(int(kind[1])).e1
+        e2, h = apply_permutation(e1, p), p.images
+    h = list(h)
+    if draw(st.booleans()) and len(h) > 1:
+        a, b = draw(st.permutations(range(len(h))))[:2]
+        h[a], h[b] = h[b], h[a]
+    return e1, e2, h
+
+
+def carried(h, uids):
+    """carried(h, uids)[h[x]] == uids[x]."""
+    out = [0] * len(h)
+    for x, y in enumerate(h):
+        out[y] = uids[x]
+    return out
+
+
+class TestRecursionCheck:
+    @given(relation_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_comparing_both_collapses(self, pair):
+        e1, e2, h = pair
+        c1, c2 = collapse_domain(e1).uids, collapse_domain(e2).uids
+        assert hf.is_collapse(e2, carried(h, c1)) == all(c1[x] == c2[y] for x, y in enumerate(h))
+        assert hf.is_collapse(e2, c2) and hf.is_collapse(e1, c1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_true_and_swapped_certificates_on_level_five(self, seed):
+        e1 = build_v_universe(5).e1
+        p = Permutation.random(e1.domain_size, seed)
+        e2, h = apply_permutation(e1, p), list(p.images)
+        c1 = collapse_domain(e1).uids
+        assert hf.is_collapse(e2, carried(h, c1))
+        h[7], h[65_535] = h[65_535], h[7]
+        assert not hf.is_collapse(e2, carried(h, c1))
+
+    @given(size=st.integers(1, 6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_passing_check_is_the_collapse(self, size, data):
+        # On any relation, cyclic or not, extensional or not: labels drawn from
+        # the sets of V4 pass only when they are the collapse, and the
+        # collapse passes exactly when no element has two members of one collapse.
+        pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        r = rel(size, data.draw(st.lists(pairs, max_size=2 * size)))
+        labels = [level_uids(4)[i] for i in data.draw(st.lists(st.integers(0, 15), min_size=size, max_size=size))]
+        if hf.is_collapse(r, labels):
+            assert r.is_acyclic()
+            assert labels == list(collapse_domain(r).uids)
+        if r.is_acyclic():
+            uids = collapse_domain(r).uids
+            merged = any(len({uids[m] for m in ms}) < len(ms) for ms in r.member_tuples())
+            assert hf.is_collapse(r, uids) == (not merged)
+
+    @given(size=st.integers(1, 40), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_extensional_collapse_matches_the_deduplicating_one(self, size, seed):
+        r = random_extensional_relation(size, seed)
+        dc = collapse_domain(r)
+        assert dc.uids == tuple(hf._collapse_uids(r.member_tuples(), r.toposort(), [0] * size))
+        assert dc.duplicate_groups == ()
+

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,8 @@ from dualmem import (
     transitive_closure,
     verify_certificate,
 )
-from dualmem import hf
+from dualmem import hf, iso
+from dualmem.cli import main
 from dualmem.iso import (
     _CERT_BLOCK,
     FailureDiagnostic,
@@ -39,7 +41,7 @@ from dualmem.iso import (
     restriction_agrees,
 )
 from dualmem.lemmas import _chain_vs_v3
-from dualmem.structure import random_dual_structure, random_extensional_relation
+from dualmem.structure import random_dual_structure, random_extensional_relation, serialize_structure
 
 
 class TestTransitiveClosure:
@@ -434,3 +436,71 @@ class TestOracleAgreement:
             for y in range(size):
                 expected = collapse(s.e1, x) == collapse(s.e2, y)
                 assert (build_witness(s, x, y) is not None) == expected
+
+
+def seeded_sweep_fault(s, kind, seed):
+    """(fault, first lines): a fault that edits the whole-domain sweep's
+    partner dict of s, and the first line find-iso must print under each
+    flag set, as the definitions decide it. s must be a scrambled level, so
+    that its certificate is the only isomorphism and ranks repeat.
+
+    swap exchanges the partners of two e1 elements a < b of one rank: a
+    bijection that is no isomorphism, whose first element with a wrong
+    collapse is a. drop takes the partner from one top-rank element: that
+    element and its true partner go unmatched. alias gives a the partner of
+    b: no e1 element is unmatched, and a's true partner is.
+    """
+    rng = random.Random(seed)
+    ranks = s.e1.ranks()
+    if kind == "swap":
+        by_rank = {}
+        for x, r in enumerate(ranks):
+            by_rank.setdefault(r, []).append(x)
+        a, b = sorted(rng.sample(rng.choice([xs for xs in by_rank.values() if len(xs) > 1]), 2))
+        h = global_isomorphism(s).mapping
+        oracle = f"fail oracle-mismatch x={a} y={h[b]}"
+        lines = {"--verify": "fail certificate-rejected", "--oracle-check": oracle, "both": "fail certificate-rejected"}
+
+        def fault(partner):
+            partner[a], partner[b] = partner[b], partner[a]
+    elif kind == "drop":
+        top = max(ranks)
+        x = rng.choice([x for x, r in enumerate(ranks) if r == top])
+        lines = dict.fromkeys(("--verify", "--oracle-check", "both"), "fail both-directions-fail")
+
+        def fault(partner):
+            partner[x] = None
+    else:
+        a, b = rng.sample(range(s.domain_size), 2)
+        lines = dict.fromkeys(("--verify", "--oracle-check", "both"), "fail e2-element-unmatched")
+
+        def fault(partner):
+            partner[a] = partner[b]
+    return fault, lines
+
+
+class TestSweepFaults:
+    """A faulty whole-domain sweep is caught, on a positive verdict by
+    --verify and by the oracle's recursion check, and on a negative one by
+    the e2 validation and diagnostic."""
+
+    @pytest.mark.parametrize("level, seed", [(3, 0), (4, 0), (4, 1), (4, 2), (5, 0)])
+    @pytest.mark.parametrize("kind", ["swap", "drop", "alias"])
+    def test_fault_prints_its_first_line(self, capsys, monkeypatch, tmp_path, level, seed, kind):
+        base = build_v_universe(level)
+        s = scramble(base, Permutation.random(base.domain_size, 7))
+        fault, lines = seeded_sweep_fault(s, kind, seed)
+        path = tmp_path / "s.st"
+        path.write_text(serialize_structure(s))
+        sweep = iso._match
+
+        def faulty(s, order, index):
+            partner = sweep(s, order, index)
+            if len(partner) == s.domain_size:  # the whole-domain sweep
+                fault(partner)
+            return partner
+
+        monkeypatch.setattr(iso, "_match", faulty)
+        for flags, first in lines.items():
+            code = main(["find-iso", str(path), *(["--verify", "--oracle-check"] if flags == "both" else [flags])])
+            assert (code, capsys.readouterr().out.split("\n", 1)[0]) == (1, first), flags

@@ -23,9 +23,12 @@ from dualmem import (
 )
 from dualmem.structure import (
     _KEYED_SORT_MAX,
+    V_UNIVERSE_MAX,
     DualStructure,
+    _ids,
     _parse_canonical,
     _scan_structure,
+    apply_permutation,
     random_dual_structure,
     reachable_postorder,
     relation_from_edges,
@@ -620,21 +623,46 @@ class TestFindCycle:
         assert two_cycles.e2.find_cycle() is None
 
 
+def count_whole_domain_walks(monkeypatch) -> list:
+    """Patch members_first to record each relation walked from every root."""
+    walked = []
+    walk = MembershipRelation.members_first
+
+    def counted(rel, roots):
+        if (roots := tuple(roots)) == tuple(range(rel.domain_size)):  # the shared id tuple, not a range
+            walked.append(rel)
+        return walk(rel, roots)
+
+    monkeypatch.setattr(MembershipRelation, "members_first", counted)
+    return walked
+
+
+def renumbered_members_first(rel):
+    """rel with each element renumbered by its place in rel's members-first
+    order, so that every edge goes up in id."""
+    place = [0] * rel.domain_size
+    for i, x in enumerate(rel.toposort()):
+        place[x] = i
+    return apply_permutation(rel, Permutation(tuple(place)))
+
+
+GOING_UP = {  # relations whose edges all go up in id
+    **{f"v{n}": lambda n=n: build_v_universe(n).e1 for n in range(V_UNIVERSE_MAX + 1)},
+    "chain-200": lambda: relation_from_edges(200, [(x, x + 1) for x in range(199)]),
+    "ordinals-20": lambda: relation_from_edges(20, [(x, y) for y in range(20) for x in range(y)]),
+    "random-30": lambda: renumbered_members_first(random_extensional_relation(30, 3)),
+}
+
+
 class TestOneWalk:
     @pytest.mark.parametrize("name", ["scrambled_v4", "two_cycles"])
     def test_one_whole_domain_walk_per_relation(self, monkeypatch, request, name):
+        # At most one walk per relation, and none for one whose edges all go
+        # up in id: scrambled V4's e1 (V4 itself) and two_cycles' e2 (a chain).
         # A fresh copy, so that no walk cached by another test carries over.
         given_s = request.getfixturevalue(name)
         s = dual_structure(given_s.domain_size, given_s.e1.edges, given_s.e2.edges)
-        walked = []
-        walk = MembershipRelation.members_first
-
-        def counted(rel, roots):
-            if (roots := tuple(roots)) == tuple(range(rel.domain_size)):  # the shared id tuple, not a range
-                walked.append(rel)
-            return walk(rel, roots)
-
-        monkeypatch.setattr(MembershipRelation, "members_first", counted)
+        walked = count_whole_domain_walks(monkeypatch)
         for _ in range(2):
             for rel in (s.e1, s.e2):
                 rel.find_cycle(), rel.toposort(), rel.is_acyclic()
@@ -643,8 +671,45 @@ class TestOneWalk:
                 else:
                     with pytest.raises(DualMemError):
                         rel.ranks()
-        assert len(walked) == 2 and {id(rel) for rel in walked} == {id(s.e1), id(s.e2)}
+        scrambled = s.e2 if name == "scrambled_v4" else s.e1
+        assert [id(rel) for rel in walked] == [id(scrambled)]
+        assert not np.all(scrambled.child < scrambled.parent)
         assert (s.e1.find_cycle() is None) == (name == "scrambled_v4")
+
+    @pytest.mark.parametrize("name", GOING_UP)
+    def test_edges_going_up_order_by_id_without_a_walk(self, monkeypatch, name):
+        rel = GOING_UP[name]()
+        n = rel.domain_size
+        order = tuple(rel.members_first(_ids(n))[0])
+        walked = count_whole_domain_walks(monkeypatch)
+        fresh = MembershipRelation(n, rel.child, rel.parent)  # nothing cached
+        assert np.all(fresh.child < fresh.parent)
+        assert fresh.toposort() == order == tuple(range(n))
+        assert fresh.find_cycle() is None
+        assert walked == []
+
+    @given(size=st.integers(1, 40), seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_renumbered_random_relations_order_by_id(self, size, seed):
+        rel = renumbered_members_first(random_extensional_relation(size, seed))
+        fresh = MembershipRelation(size, rel.child, rel.parent)
+        assert fresh.toposort() == tuple(fresh.members_first(_ids(size))[0])
+        assert fresh.find_cycle() is None
+
+    @pytest.mark.parametrize(
+        ("size", "edges", "order", "cycle"),
+        [
+            (3, [(0, 1), (2, 2)], None, (2, 2)),  # a self-loop
+            (3, [(0, 1), (1, 2), (2, 0)], None, (0, 2, 1, 0)),  # one edge down closes a cycle
+            (3, [(0, 1), (2, 1)], (0, 2, 1), None),  # one edge down, acyclic
+        ],
+    )
+    def test_an_edge_not_going_up_walks(self, monkeypatch, size, edges, order, cycle):
+        rel = relation_from_edges(size, edges)
+        walked = count_whole_domain_walks(monkeypatch)
+        assert (rel.toposort(), rel.find_cycle()) == (order, cycle)
+        assert cycle == reference_members_first(rel, range(size))[1]
+        assert [id(r) for r in walked] == [id(rel)]
 
 
 def reference_members_first(rel, roots):
