@@ -25,7 +25,7 @@ from collections import Counter
 
 from . import battery as battery_mod
 from .errors import DualMemError, Record
-from .formulas import evaluate_table, falsifying_assignment
+from .formulas import evaluate_table, falsifying_assignment, instantiate_separation, render, satisfying_table
 from .structure import DualStructure, MembershipRelation
 
 AXIOM_NAMES = (
@@ -248,27 +248,39 @@ def check_schema_battery(s: DualStructure) -> dict[str, Verdict]:
 
 
 def check_schema_bounded(s: DualStructure, budget: SchemaBudget | None = None) -> dict[str, Verdict]:
-    """Evaluate enumerated separation instances up to the configured depth/cap."""
+    """Evaluate enumerated separation instances up to the configured depth/cap,
+    numbered and rendered as battery.bounded_instances has them.
+
+    An instance reads its filter only through the filter's free names, its
+    parameters besides w, and its satisfying table over them. So each tag
+    evaluates one instance per distinct (names, table), its first filter's,
+    and the first failing filter is always the first with its table.
+    """
     budget = budget or SchemaBudget()
     out: dict[str, Verdict] = {}
     if s.domain_size > SCHEMA_DOMAIN_LIMIT:
         for tag in (1, 2):
             out[f"bounded-separation-{tag}"] = Verdict("skipped", (("reason", "domain-too-large"),))
         return out
-    instances = battery_mod.bounded_instances(budget.bounded_depth, cap=budget.bounded_cap)
+    filters = battery_mod.enumerate_filters(budget.bounded_depth, budget.bounded_cap)
+    keys = [satisfying_table(s, f) for f in filters]
+    mode = f"bounded:{len(filters)}"
     for tag in (1, 2):
-        mine = [inst for inst in instances if inst.tag == tag]
-        mode = f"bounded:{len(mine)}"
-        bad = next((inst for inst in mine if not evaluate_table(s, inst.sentence)), None)
-        if bad is None:
-            out[f"bounded-separation-{tag}"] = Verdict("pass", mode=mode)
-        else:
-            out[f"bounded-separation-{tag}"] = _fail(
-                ("instance", f"bounded:{bad.index}"),
-                ("filter", bad.filter_text.replace(" ", "_")),
-                ("assign", _falsifying_tokens(s, bad.sentence)),
-                mode=mode,
-            )
+        out[f"bounded-separation-{tag}"] = Verdict("pass", mode=mode)
+        held = set()  # the keys whose instance holds
+        for i, (f, key) in enumerate(zip(filters, keys)):
+            if key in held:
+                continue
+            sentence = instantiate_separation(f, tag, [v for v in key[0] if v != "w"])
+            if not evaluate_table(s, sentence):
+                out[f"bounded-separation-{tag}"] = _fail(
+                    ("instance", f"bounded:{2 * i + tag - 1}"),
+                    ("filter", render(f).replace(" ", "_")),
+                    ("assign", _falsifying_tokens(s, sentence)),
+                    mode=mode,
+                )
+                break
+            held.add(key)
     return out
 
 

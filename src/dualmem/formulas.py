@@ -624,8 +624,9 @@ class _Tables:
                 env[var] = value
         if vs[:1] != (var,):  # vacuous, unless the empty domain leaves nothing to range over
             return vs, arr if self.n else np.full(arr.shape, type(f) is ForAll, dtype=np.uint8)
-        reduced = arr.all(axis=0) if type(f) is ForAll else arr.any(axis=0)
-        return vs[1:], reduced.view(np.uint8)
+        if type(f) is ForAll:  # initial=1: the identity of and on uint8 is 255, which an empty axis would give
+            return vs[1:], np.bitwise_and.reduce(arr, axis=0, initial=1)
+        return vs[1:], np.bitwise_or.reduce(arr, axis=0)
 
     def split(self, f: ForAll | Exists) -> tuple[tuple[str, ...], np.ndarray]:
         """f's table as the and (forall) or or (exists) of its body's tables
@@ -695,6 +696,25 @@ def evaluate_table(s: DualStructure, f: Formula, assignment: Assignment | None =
     return bool(arr)
 
 
+def _tables_of(s: DualStructure, f: Formula) -> tuple[frozenset[str], _Tables]:
+    """f's free names and the tables of one evaluation of f that binds no
+    name to a value; the caller gives each name it binds to an axis a depth."""
+    fvs: dict[int, frozenset[str]] = {}
+    free, widest = _scan(f, frozenset(), fvs)
+    return free, _Tables(s, {}, fvs, widest)
+
+
+def satisfying_table(s: DualStructure, f: Formula) -> tuple[tuple[str, ...], bytes]:
+    """f's free names, sorted, and the bytes of its table over them, one 0/1
+    byte per assignment, the first name's axis outermost; the names must fit
+    one table of TABLE_CELL_LIMIT cells."""
+    free, tables = _tables_of(s, f)
+    names = tuple(sorted(free))
+    tables.depth.update((v, i) for i, v in enumerate(names))  # the last name is deepest: axis 0
+    _, arr = tables.table(f)
+    return names, arr.transpose().tobytes()
+
+
 def falsifying_assignment(s: DualStructure, sentence: Formula) -> Assignment | None:
     """For a false closed sentence, least witness values for its leading universals.
 
@@ -705,8 +725,7 @@ def falsifying_assignment(s: DualStructure, sentence: Formula) -> Assignment | N
     the names free in the body appear once, in order of first occurrence.
     None when the sentence is true.
     """
-    fvs: dict[int, frozenset[str]] = {}
-    free, widest = _scan(sentence, frozenset(), fvs)
+    free, tables = _tables_of(s, sentence)
     if free:
         raise EvalError("falsifying_assignment needs a closed sentence")
     prefix: list[str] = []
@@ -716,7 +735,6 @@ def falsifying_assignment(s: DualStructure, sentence: Formula) -> Assignment | N
         body = body.body
     if prefix and not s.domain_size:  # no tuple of prefix values to fail at
         return None
-    tables = _Tables(s, {}, fvs, widest)
     tables.depth.update((v, i) for i, v in enumerate(prefix))  # an inner binder overrides
     least = tables.least_failure(body, sorted(tables.depth, key=tables.depth.__getitem__))
     if least is None:

@@ -13,6 +13,7 @@ is deterministic.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import groupby
 
 import numpy as np
@@ -33,14 +34,25 @@ def _intern_uids(key: tuple[int, ...]) -> int:
 
 
 def render_hf(uid: int) -> str:
-    """Nested braces, members in ascending numeral order: the report format."""
+    """Nested braces, members in ascending numeral order: the report format.
+    A set that two sets below uid hold has its text built once, members
+    first, and pasted; the rest streams through a stack, without recursion."""
     place = _numeral_places(uid)
+    uses = Counter(m for u in place for m in _KEYS[u])
     # What a uid's "{" pushes: "}", then its members descending with commas
-    # between, so that they are popped ascending.
+    # between, so that they are popped ascending; a member with a text is pushed as it.
     pushed: dict[int, list[int | str]] = {}
-    for u in place:
+    text: dict[int, str] = {}
+    for u in place:  # ascending numeral order: every member comes before its sets
         members = sorted(_KEYS[u], key=place.__getitem__, reverse=True)
-        pushed[u] = ["}", *[t for m in members for t in (m, ",")][:-1]]
+        pushed[u] = ["}", *[t for m in members for t in (text.get(m, m), ",")][:-1]]
+        if uses[u] > 1:
+            text[u] = _stream(u, pushed)
+    return _stream(uid, pushed)
+
+
+def _stream(uid: int, pushed: dict[int, list[int | str]]) -> str:
+    """uid's text: a "{" and then what pushed says it pushes, for each uid popped."""
     parts: list[str] = []
     todo: list[int | str] = [uid]  # a stack of uids still to render and literal tokens
     while todo:

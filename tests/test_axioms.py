@@ -28,6 +28,8 @@ from dualmem.axioms import (
     check_separation_semantic,
     check_union,
 )
+from dualmem.battery import bounded_instances
+from dualmem.formulas import evaluate_table, falsifying_assignment
 from dualmem.structure import apply_permutation, random_dual_structure
 
 from conftest import members
@@ -263,6 +265,67 @@ class TestSchemaChecks:
         gap = verdicts["bounded-separation-2"]
         assert gap.status == "fail"
         assert dict(gap.witness)["filter"] == "p_in1_w"
+
+
+BOUNDED_BUDGETS = [SchemaBudget(depth, cap) for depth, cap in ((1, 20), (2, 25), (4, 60), (12, 400))]
+
+
+def reference_bounded(s, budget):
+    """Every bounded_instances sentence of a tag in order, to the first false
+    one: the loop that one verdict per distinct filter table stands in for."""
+    instances = bounded_instances(budget.bounded_depth, cap=budget.bounded_cap)
+    out = {}
+    for tag in (1, 2):
+        mine = [inst for inst in instances if inst.tag == tag]
+        mode = f"bounded:{len(mine)}"
+        bad = next((inst for inst in mine if not evaluate_table(s, inst.sentence)), None)
+        if bad is None:
+            out[f"bounded-separation-{tag}"] = Verdict("pass", mode=mode)
+        else:
+            assign = ",".join(f"{k}:{v}" for k, v in falsifying_assignment(s, bad.sentence).items())
+            witness = (("instance", f"bounded:{bad.index}"), ("filter", bad.filter_text.replace(" ", "_")),
+                       ("assign", assign))
+            out[f"bounded-separation-{tag}"] = Verdict("fail", witness, mode)
+    return out
+
+
+def ordinals_vs_chain(size):
+    """e1: element k is the von Neumann ordinal k; e2: element k is k nested braces."""
+    return dual_structure(size, [(i, k) for k in range(size) for i in range(k)],
+                          [(k, k + 1) for k in range(size - 1)])
+
+
+def bounded_structures():
+    from dualmem.lemmas import _schema_gap
+
+    levels = [build_v_universe(n) for n in range(5)]
+    out = {f"v{n}": s for n, s in enumerate(levels)}
+    out.update((f"v{n}-scrambled", scramble(s, Permutation.random(s.domain_size, 7))) for n, s in enumerate(levels))
+    out.update((f"v{n}-{kind}", tamper(levels[n], kind, 1))
+               for n in (3, 4) for kind in ("add-cycle", "break-extensionality", "remove-edge"))
+    out["ordinals-vs-chain"] = ordinals_vs_chain(16)
+    out["schema-gap"] = _schema_gap()
+    return out
+
+
+class TestBoundedMemo:
+    @pytest.mark.parametrize("budget", BOUNDED_BUDGETS, ids=lambda b: f"{b.bounded_depth}-{b.bounded_cap}")
+    @pytest.mark.parametrize("name", sorted(bounded_structures()))
+    def test_matches_every_instance_in_order(self, name, budget):
+        s = bounded_structures()[name]
+        assert check_schema_bounded(s, budget) == reference_bounded(s, budget)
+
+    @given(size=st.integers(1, 16), seed=st.integers(0, 10_000), budget=st.sampled_from(BOUNDED_BUDGETS))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_every_instance_on_random_pairs(self, size, seed, budget):
+        s = random_dual_structure(size, seed)
+        assert check_schema_bounded(s, budget) == reference_bounded(s, budget)
+
+    def test_both_outcomes_are_covered(self):
+        # The reference fails on some structures and passes on others, so the
+        # comparison above checks failing rows' tokens and not only passes.
+        rows = [v for s in bounded_structures().values() for v in reference_bounded(s, BOUNDED_BUDGETS[-1]).values()]
+        assert {v.status for v in rows} == {"pass", "fail"}
 
 
 class TestFullReport:

@@ -432,6 +432,14 @@ class TestFindIso:
 
 
 class TestEval:
+    @pytest.mark.parametrize("text, value", [
+        ("!forall x x = x", False), ("!exists x true", True), ("(forall x false) <-> false", False),
+    ])
+    def test_empty_domain_negated_quantifiers(self, capsys, tmp_path, text, value):
+        empty = tmp_path / "v0.st"
+        empty.write_text("n 0\n")
+        assert run(capsys, "eval", str(empty), "--formula", text) == ((0, "true\n", "") if value else (1, "false\n", ""))
+
     def test_edge_query(self, capsys, tmp_path):
         path = tmp_path / "v2.st"
         path.write_text(serialize_structure(build_v_universe(2)))

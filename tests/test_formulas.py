@@ -214,6 +214,22 @@ class TestEvaluate:
         assert evaluate(empty, parse_formula("exists x true")) is False
         assert evaluate_table(empty, parse_formula("forall x exists y x in1 y")) is True
 
+    @pytest.mark.parametrize("text, value", [
+        ("!forall x x = x", False),
+        ("!exists x true", True),
+        ("(forall x false) <-> false", False),
+        ("(forall x x = x) <-> false", False),
+        ("!forall x x in1 x", False),
+        ("!(forall x exists y y in2 x) | exists x x = x", False),
+    ])
+    def test_empty_domain_negated_and_nested(self, text, value):
+        # An and-reduction over an empty axis must give 1, not uint8's all-ones 255,
+        # which negation and <-> would then read as true.
+        empty = build_v_universe(0)
+        f = parse_formula(text)
+        assert evaluate(empty, f) is value
+        assert evaluate_table(empty, f) is value
+
     def test_sentence_ignores_assignment(self, v3):
         sentence = parse_formula("forall x exists y x in1 y | x = x")
         assert evaluate(v3, sentence, {"q": 2}) == evaluate(v3, sentence, {})

@@ -1,4 +1,5 @@
 import itertools
+import signal
 from functools import cache, cmp_to_key
 
 import pytest
@@ -28,6 +29,11 @@ def rel(size, edges):
 def chain(size):
     """Element 0 is the empty set and element k + 1 has element k as its one member."""
     return rel(size, [(k, k + 1) for k in range(size - 1)])
+
+
+def ordinals(size):
+    """Element k is the von Neumann ordinal k, the set of every element below it."""
+    return rel(size, [(i, k) for k in range(size) for i in range(k)])
 
 
 def numeral(uid):
@@ -309,6 +315,39 @@ class TestIterativeForms:
         edges += [(n - 1, 2 * n), (2 * n - 1, 2 * n)]
         top = collapse(rel(2 * n + 1, edges), 2 * n)
         assert render_hf(top) == "{" + "{" * 5001 + "}" * 5001 + "," + "{" * 5002 + "}" * 5002 + "}"
+
+    @pytest.mark.parametrize("r", [
+        *(build_v_universe(n).e1 for n in range(5)),
+        ordinals(12),
+        chain(40),
+        *(random_extensional_relation(size, seed) for size, seed in [(12, 1), (16, 2), (20, 4), (24, 3)]),
+    ])
+    def test_shared_sets_render_as_the_recursive_definition(self, r):
+        # Ordinals and levels hold each set in many others: their texts are built once and pasted.
+        mt = r.member_tuples()
+        for x in range(r.domain_size):
+            assert render_hf(collapse(r, x)) == reference_render(mt, x), x
+
+    def test_exponential_rendering_finishes(self):
+        # Ordinal k holds every ordinal below it: its text has 5 * 2**(k - 1) - 1 characters for
+        # k >= 1, though only k + 1 sets lie below it.
+        texts = ["{}"]
+        for k in range(1, 21):
+            texts.append("{" + ",".join(texts) + "}")
+        uid = collapse(ordinals(21), 20)
+
+        def expire(signum, frame):
+            raise TimeoutError("rendering ordinal 20 took over 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        try:
+            text = render_hf(uid)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(text) == 5 * 2 ** 19 - 1
+        assert text == texts[20]
 
 
 class TestInterning:
