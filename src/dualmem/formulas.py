@@ -391,7 +391,7 @@ def _eval(s: DualStructure, f: Formula, env: Assignment) -> bool:
     if isinstance(f, FalseF):
         return False
     if isinstance(f, Membership):
-        return s.contains(f.tag, env[f.left], env[f.right])
+        return env[f.left] in s.relation(f.tag).member_tuples()[env[f.right]]
     if isinstance(f, Equality):
         return env[f.left] == env[f.right]
     if isinstance(f, Not):
@@ -759,8 +759,6 @@ def instantiate_separation(f: Formula, tag: int, params: list[str] | tuple[str, 
     if not fv <= {"w"} | set(params):
         extra = sorted(fv - ({"w"} | set(params)))
         raise FormulaError(f"filter has stray free variables: {', '.join(extra)}")
-    if fv & {"a", "b"}:
-        raise FormulaError("filter would capture the instance variables a or b")
     body = Iff(Membership(tag, "w", "b"), And(Membership(tag, "w", "a"), f))
     out: Formula = ForAll("a", Exists("b", ForAll("w", body)))
     for p in reversed(params):
@@ -785,8 +783,6 @@ def instantiate_replacement(f: Formula, tag: int, params: list[str] | tuple[str,
     if not fv <= {"u", "v"} | set(params):
         extra = sorted(fv - ({"u", "v"} | set(params)))
         raise FormulaError(f"class formula has stray free variables: {', '.join(extra)}")
-    if fv & {"a", "b"}:
-        raise FormulaError("class formula would capture the instance variables a or b")
     v2 = fresh_var("v_", all_vars(f) | set(params) | reserved)
     functional = ForAll("u", ForAll("v", ForAll(v2, Implies(And(f, rename_free(f, "v", v2)), Equality("v", v2)))))
     image = Iff(Membership(tag, "v", "b"), Exists("u", And(Membership(tag, "u", "a"), f)))

@@ -7,16 +7,15 @@ return uids, and rendering and numerals take them. Numerals are computed
 only on demand. Rendering and numerals walk the member uids in ``_KEYS`` with
 loops and explicit stacks: a deep chain does not exhaust the recursion limit.
 The two tables are process-global and single-threaded by contract. Ranks and
-the numeral order rendering sorts by are computed per call. Every operation
-is deterministic.
+the numeral order rendering sorts by are computed per call. Elements sharing
+a collapse are grouped by uid, and only on a non-extensional relation, where
+some two always do. Every operation is deterministic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import groupby
-
-import numpy as np
 
 from .errors import CycleError, DualMemError, Record
 from .structure import MembershipRelation, reachable_postorder
@@ -167,10 +166,6 @@ class DomainCollapse(Record):
     uids: tuple[int, ...]
     duplicate_groups: tuple[tuple[int, ...], ...]
 
-    @property
-    def extensional(self) -> bool:
-        return not self.duplicate_groups
-
     def image(self) -> frozenset[int]:
         return frozenset(self.uids)
 
@@ -216,9 +211,6 @@ def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid, distinct: b
 
 def _duplicate_groups(uids: list[int]) -> tuple[tuple[int, ...], ...]:
     """Groups of elements sharing a collapse, given uids[x], the uid of element x's collapse."""
-    ordered = np.sort(np.array(uids, dtype=np.int64))  # no domain-sized set decides that all differ
-    if not np.any(ordered[1:] == ordered[:-1]):
-        return ()
     by_code: dict[int, list[int]] = {}
     for elem, u in enumerate(uids):
         by_code.setdefault(u, []).append(elem)

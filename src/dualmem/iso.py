@@ -23,14 +23,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import hf
-from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError, Record, StructureFormatError
-from .structure import (
-    DualStructure,
-    MembershipRelation,
-    is_id_token,
-    numbered_lines,
-    reachable_postorder,
-)
+from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError, Record
+from .structure import DualStructure, MembershipRelation, reachable_postorder
 
 
 def _match(s: DualStructure, order, index: dict[tuple[int, ...], int | None]) -> dict[int, int | None]:
@@ -110,17 +104,10 @@ def is_ordinal(rel: MembershipRelation, x: int) -> bool:
     return _is_transitive_set(rel, x) and all(_is_transitive_set(rel, t) for t in rel.member_tuples()[x])
 
 
-class InternalLevel(Record):
-    """The cumulative level indexed by an ordinal element, inside one relation."""
-
-    element: int | None
-    extension: frozenset[int]
-
-
-def internal_level(s: DualStructure, tag: int, alpha: int) -> InternalLevel:
-    """Iterate the internal power set along alpha's position.
-
-    The extension is always computed; the element realizing it may be absent.
+def internal_level(s: DualStructure, tag: int, alpha: int) -> int | None:
+    """The element realizing the cumulative level indexed by the ordinal
+    alpha inside relation tag, or None when no element does: the internal
+    power set iterated along alpha's position gives the level's extension.
     """
     rel = s.relation(tag)
     if not is_ordinal(rel, alpha):
@@ -129,8 +116,7 @@ def internal_level(s: DualStructure, tag: int, alpha: int) -> InternalLevel:
     extension: frozenset[int] = frozenset()
     for _ in range(len(mt[alpha])):
         extension = frozenset(x for x in range(rel.domain_size) if extension.issuperset(mt[x]))
-    element = rel.realizer(extension)
-    return InternalLevel(element, extension)
+    return rel.realizer(extension)
 
 
 def extend_to_level(s: DualStructure, x: int, y: int) -> dict[int, int]:
@@ -146,16 +132,16 @@ def extend_to_level(s: DualStructure, x: int, y: int) -> dict[int, int]:
     containment against the witness for (x, y).
     """
     lev1, lev2 = internal_level(s, 1, x), internal_level(s, 2, y)
-    if lev1.element is None:
+    if lev1 is None:
         raise LevelExtensionError("missing-level", x, 1)
-    if lev2.element is None:
+    if lev2 is None:
         raise LevelExtensionError("missing-level", y, 2)
-    extended = _match(s, reachable_postorder(s.e1, lev1.element, tag=1), s.e2.extension_index())
+    extended = _match(s, reachable_postorder(s.e1, lev1, tag=1), s.e2.extension_index())
     for u, v in extended.items():  # members first: the first None has all its members matched
         if v is None:
             raise LevelExtensionError("unrealized-image", u, 2)
-    if extended[lev1.element] != lev2.element:
-        raise LevelExtensionError("level-mismatch", lev1.element, 2)
+    if extended[lev1] != lev2:
+        raise LevelExtensionError("level-mismatch", lev1, 2)
     return extended
 
 
@@ -176,9 +162,6 @@ class IsoCertificate(Record):
     """A total bijection h with a e1 b iff h(a) e2 h(b)."""
 
     mapping: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
 
 
 class FailureDiagnostic(Record):
@@ -291,38 +274,6 @@ def certificate_blocks(cert: IsoCertificate) -> Iterator[str]:
 def render_certificate(cert: IsoCertificate) -> str:
     """The certificate's text: certificate_blocks joined."""
     return "".join(certificate_blocks(cert))
-
-
-def parse_certificate(text: str) -> IsoCertificate:
-    """Parse render_certificate's format: an 'iso <N>' header, then one
-    'map <x> <y>' line for each x in {0, .., N-1}, with y < N.
-
-    Blank lines are skipped; any other fault is an error with its line number.
-    """
-    size: int | None = None
-    mapping: dict[int, int] = {}
-    for line_no, raw in numbered_lines(text):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if size is None:
-            if len(tokens) != 2 or tokens[0] != "iso" or not is_id_token(tokens[1]):
-                raise StructureFormatError("certificate must start with an 'iso <N>' header", line_no)
-            size = int(tokens[1])
-            continue
-        if len(tokens) != 3 or tokens[0] != "map" or not (is_id_token(tokens[1]) and is_id_token(tokens[2])):
-            raise StructureFormatError(f"bad certificate line: {raw.strip()!r}", line_no)
-        x, y = int(tokens[1]), int(tokens[2])
-        if x >= size or y >= size:
-            raise StructureFormatError(f"id {max(x, y)} outside domain of size {size}", line_no)
-        if x in mapping:
-            raise StructureFormatError(f"duplicate map line for {x}", line_no)
-        mapping[x] = y
-    if size is None:
-        raise StructureFormatError("certificate must start with an 'iso <N>' header")
-    if len(mapping) != size:
-        raise StructureFormatError("certificate does not cover the domain")
-    return IsoCertificate(tuple(mapping[x] for x in range(size)))
 
 
 def render_diagnostic(s: DualStructure, diag: FailureDiagnostic) -> str:

@@ -282,10 +282,6 @@ class DualStructure(Record):
             return self.e2
         raise DualMemError(f"relation tag must be 1 or 2, got {tag}")
 
-    def contains(self, tag: int, a: int, b: int) -> bool:
-        """Whether a is a member of b in relation tag, read from b's member tuple."""
-        return a in self.relation(tag).member_tuples()[b]
-
 
 class Permutation(Record):
     """A bijection on {0, .., n-1} given by its image sequence."""
@@ -302,16 +298,6 @@ class Permutation(Record):
 
     def __len__(self) -> int:
         return len(self.images)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(tuple(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
 
     @classmethod
     def random(cls, n: int, seed: int) -> "Permutation":

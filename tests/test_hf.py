@@ -201,7 +201,7 @@ class TestVLevels:
     def test_sizes_match_universe(self):
         for n, size in zip(range(5), (0, 1, 2, 4, 16)):
             dc = collapse_domain(build_v_universe(n).e1)
-            assert dc.extensional
+            assert dc.duplicate_groups == ()
             assert len(dc.image()) == size
 
     def test_level_five_size(self):
@@ -242,7 +242,6 @@ class TestRendering:
         r = rel(3, [(0, 2), (1, 2)])
         dc = collapse_domain(r)
         assert dc.duplicate_groups == ((0, 1),)
-        assert not dc.extensional
 
 
 # The recursive definitions the iterative forms replace, kept as references.
@@ -363,8 +362,8 @@ class TestInterning:
     def test_collapse_reuses_interned_codes(self, scrambled_v4):
         dc = collapse_domain(scrambled_v4.e1)
         assert [hf._intern_uids(hf._KEYS[u]) for u in dc.uids] == list(dc.uids)
-        inverse = Permutation.random(16, 7).inverse()
-        assert collapse_domain(scrambled_v4.e2).uids == tuple(dc.uids[x] for x in inverse.images)
+        images = Permutation.random(16, 7).images
+        assert collapse_domain(scrambled_v4.e2).uids == tuple(dc.uids[images.index(y)] for y in range(16))
 
     def test_walks_make_no_member_code(self, monkeypatch):
         # Rendering, ranks and numerals read the member uids in _KEYS and intern nothing.

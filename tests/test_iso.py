@@ -12,7 +12,6 @@ from dualmem import (
     MembershipRelation,
     NonExtensionalError,
     Permutation,
-    StructureFormatError,
     build_witness,
     build_v_universe,
     collapse,
@@ -33,7 +32,6 @@ from dualmem.iso import (
     IsoCertificate,
     _witness_conditions,
     certificate_blocks,
-    parse_certificate,
     partners,
     reachable_postorder,
     render_certificate,
@@ -182,18 +180,13 @@ class TestOrdinals:
 
 class TestInternalLevel:
     def test_zero_level(self, v4):
-        level = internal_level(v4, 1, 0)
-        assert level.element == 0 and level.extension == frozenset()
+        assert internal_level(v4, 1, 0) == 0
 
     def test_level_two(self, v4):
-        level = internal_level(v4, 1, 3)  # ordinal at position 2
-        assert level.element == 3
-        assert level.extension == {0, 1}
+        assert internal_level(v4, 1, 3) == 3  # ordinal at position 2: the level {0, 1}
 
     def test_level_three(self, v4):
-        level = internal_level(v4, 1, 11)  # ordinal at position 3
-        assert level.element == 15
-        assert level.extension == {0, 1, 2, 3}
+        assert internal_level(v4, 1, 11) == 15  # ordinal at position 3: the level {0, 1, 2, 3}
 
     def test_requires_ordinal(self, v4):
         with pytest.raises(Exception):
@@ -375,46 +368,20 @@ def reference_certificate_text(cert):
 
 
 class TestCertificateText:
-    def test_render_and_parse(self, scrambled_v3):
+    def test_render(self, scrambled_v3):
         cert = global_isomorphism(scrambled_v3)
         text = render_certificate(cert)
         assert text.splitlines()[0] == "iso 4"
-        assert parse_certificate(text).mapping == cert.mapping
+        assert text == reference_certificate_text(cert)
 
     @pytest.mark.parametrize("n", [0, 1, _CERT_BLOCK - 1, _CERT_BLOCK, _CERT_BLOCK + 1, 10_000])
     def test_blocks_join_to_the_reference_text(self, n):
         cert = IsoCertificate(Permutation.random(n, n).images)
         text = render_certificate(cert)
         assert text == reference_certificate_text(cert)
-        assert parse_certificate(text) == cert
         # The CLI writes the blocks one by one: the header, then up to _CERT_BLOCK map lines each.
         full, rest = divmod(n, _CERT_BLOCK)
         assert [b.count("\n") for b in certificate_blocks(cert)] == [1] + [_CERT_BLOCK] * full + [rest] * (rest > 0)
-
-    @pytest.mark.parametrize(
-        "text, line_no",
-        [
-            ("iso 2\nmap -1 1\nmap 0 0\n", 2),
-            ("iso 2\nmap 0 1\nmap 2 0\n", 3),
-            ("iso 2\nmap 0 1\nmap 1 2\n", 3),
-            ("iso 2\nmap 0 1\nmap 0 0\nmap 1 0\n", 3),
-            ("iso 2\n\nmap 0 x\nmap 1 0\n", 3),
-            ("iso 2\nmap 0 1\nmap ١ 0\n", 3),
-            ("iso two\nmap 0 1\nmap 1 0\n", 1),
-            ("iso 2 2\nmap 0 1\nmap 1 0\n", 1),
-            ("\nmap 0 0\n", 2),
-            ("iso 2\nmap 0 1\niso 2\n", 3),
-            ("iso 2\nmap 0 1\n", None),
-            ("", None),
-            ("iso 2\x0bmap 0 0\nmap 1 0\n", 1),
-            ("iso 2\nmap 0 0\x0c\nmap 1 5\n", 3),
-            ("iso 2\r\nmap 0 0\r\nmap 1 5\r\n", 3),
-        ],
-    )
-    def test_parse_rejects_malformed(self, text, line_no):
-        with pytest.raises(StructureFormatError) as exc:
-            parse_certificate(text)
-        assert exc.value.line_no == line_no
 
     def test_diagnostic_format(self):
         s = _chain_vs_v3()

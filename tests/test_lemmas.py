@@ -21,7 +21,7 @@ from dualmem import (
 from dualmem import hf
 from dualmem import iso as iso_mod
 from dualmem import lemmas as lemmas_mod
-from dualmem.axioms import SCHEMA_MODES, Verdict, full_report, render_report
+from dualmem.axioms import SCHEMA_MODES, FullReport, Verdict, full_report, render_report
 from dualmem.lemmas import (
     GALLERY_BUDGET,
     LEMMA_NAMES,
@@ -566,13 +566,14 @@ class TestCollapseGate:
         # On an acyclic relation, two elements share a collapse exactly when
         # some two share a member tuple (Mostowski): run_suite's gate rests on it.
         for rel in (s.e1, s.e2):
-            assert rel.is_extensional() == hf.collapse_domain(rel).extensional
+            assert rel.is_extensional() == (hf.collapse_domain(rel).duplicate_groups == ())
 
 
 def reference_membership_preservation(s, matched):
     """The definition, pair of pairs by pair of pairs in list order."""
+    mt1, mt2 = s.e1.member_tuples(), s.e2.member_tuples()
     for (x, y), (x2, y2) in itertools.product(matched, repeat=2):
-        if s.contains(1, x, x2) != s.contains(2, y, y2):
+        if (x in mt1[x2]) != (y in mt2[y2]):
             return Verdict("fail", (("x", str(x)), ("x2", str(x2)), ("y", str(y)), ("y2", str(y2))))
     return Verdict("pass")
 
@@ -713,6 +714,46 @@ class TestRunCorpus:
             "fail", (("reason", "oracle-disagrees"), ("kind", "random-pair"), ("size", "4"), ("seed", "0"))
         )
         assert report.corpus.endswith(" items=1 iso-pass=0 iso-fail=1")
+
+    @pytest.mark.parametrize(
+        "size, seed, kind", [(12, 1152, "level-mismatch"), (16, 786, "unrealized-image"), (24, 1108, "level-mismatch")]
+    )
+    def test_random_pair_failing_the_axioms_leaves_its_level_unjudged(self, size, seed, kind):
+        # Each pair fails the semantic gate, and the level lemma, which
+        # presupposes the axioms, fails on it with kind: the corpus goes on.
+        suite = run_suite(random_dual_structure(size, seed)).lemmas
+        assert suite["totality"].witness[0] == ("reason", "axioms")
+        assert dict(suite["level-extension"].witness)["kind"] == kind
+        report = run_corpus(CorpusConfig(sizes=(size,), count=1, seed=seed, kinds=("random-pair",)))
+        assert report.all_ok
+        assert report.lemmas["level-extension"] == Verdict("n/a", (("reason", "never-applicable"),))
+        assert report.lemmas["membership-preservation"] == Verdict("pass")
+        assert report.corpus.endswith(" items=1 iso-pass=0 iso-fail=1")
+
+    def test_random_pair_failing_the_axioms_still_judges_restriction(self, monkeypatch):
+        monkeypatch.setattr(iso_mod, "restriction_agrees", lambda x, w, wider: False)
+        report = run_corpus(CorpusConfig(sizes=(12,), count=1, seed=1152, kinds=("random-pair",)))
+        verdict = report.lemmas["level-extension"]
+        assert verdict.status == "fail"
+        assert verdict.witness[1:] == (
+            ("kind", "restriction-disagrees"), ("kind", "random-pair"), ("size", "12"), ("seed", "1152")
+        )
+
+    def test_scrambled_unrealized_image_stops_the_corpus(self, monkeypatch):
+        # Even with the semantic gate failing, a scrambled item judges every kind.
+        def unrealized(s, x, y):
+            raise LevelExtensionError("unrealized-image", 3, 2)
+
+        gate_fails = FullReport({1: {"extensionality": Verdict("fail")}})
+        monkeypatch.setattr(iso_mod, "extend_to_level", unrealized)
+        monkeypatch.setattr(lemmas_mod.axioms_mod, "full_report", lambda s, schema_mode: gate_fails)
+        report = run_corpus(CorpusConfig(sizes=(3,), count=2))
+        assert report.lemmas["totality"] == Verdict("n/a", (("reason", "never-applicable"),))
+        assert report.lemmas["level-extension"] == Verdict("fail", (
+            ("ordinal", "0"), ("kind", "unrealized-image"), ("witness", "3"),
+            ("kind", "scrambled"), ("size", "3"), ("seed", "0"),
+        ))
+        assert report.corpus.endswith(" items=1 iso-pass=1 iso-fail=0")
 
     def test_timing_not_rendered(self):
         report = run_corpus(CorpusConfig(sizes=(3,), count=2))

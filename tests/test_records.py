@@ -30,7 +30,7 @@ from dualmem.formulas import (
     TrueF,
 )
 from dualmem.hf import DomainCollapse
-from dualmem.iso import FailureDiagnostic, InternalLevel, IsoCertificate
+from dualmem.iso import FailureDiagnostic, IsoCertificate
 from dualmem.lemmas import CorpusConfig, GalleryItem, SuiteReport
 from dualmem.structure import DualStructure, MembershipRelation, Permutation, dual_structure
 
@@ -38,7 +38,7 @@ VALUE_CLASSES = (
     TrueF, FalseF, Membership, Equality, Not, And, Or, Implies, Iff, ForAll, Exists,
     MembershipRelation, DualStructure, Permutation,
     DomainCollapse,
-    InternalLevel, IsoCertificate, FailureDiagnostic,
+    IsoCertificate, FailureDiagnostic,
     SchemaBudget, Verdict, FullReport,
     BatteryItem, BoundedInstance,
     SuiteReport, CorpusConfig, GalleryItem,
@@ -62,7 +62,6 @@ EQUAL = {
     "structure": lambda: DualStructure(3, relation(), relation()),
     "certificate": lambda: IsoCertificate((0, 1)),
     "diagnostic": lambda: FailureDiagnostic("both-directions-fail", (3,), (2,)),
-    "level": lambda: InternalLevel(None, frozenset({0, 1})),
     "collapse": lambda: DomainCollapse((0, 1, 1), ((1, 2),)),
     "corpus": lambda: CorpusConfig(sizes=(3,), count=5),
     "budget": lambda: SchemaBudget(4, 60),
@@ -130,7 +129,6 @@ REPRS = {
     "Verdict(status='pass', witness=(), mode=None)": Verdict("pass"),
     "SchemaBudget(bounded_depth=4, bounded_cap=60)": SchemaBudget(bounded_depth=4, bounded_cap=60),
     "CorpusConfig(sizes=(3, 4), count=100, seed=0, kinds=('scrambled',))": CorpusConfig(),
-    "InternalLevel(element=None, extension=frozenset())": InternalLevel(None, frozenset()),
     # The caches are not fields, so they stay out of the repr.
     "MembershipRelation(domain_size=3, child=array([0, 1]), parent=array([1, 2]))": relation(),
 }
@@ -272,7 +270,7 @@ def test_value_classes_are_records_not_dataclasses():
         if isinstance(obj, type) and obj.__module__ == module.__name__
     ]
     assert not [cls for cls in defined if "__dataclass_fields__" in vars(cls)]
-    assert len(VALUE_CLASSES) == 26
+    assert len(VALUE_CLASSES) == 25
     assert all(issubclass(cls, Record) for cls in VALUE_CLASSES)
     assert {cls for cls in defined if issubclass(cls, Record) and cls._fields} <= set(VALUE_CLASSES)
 
