@@ -195,7 +195,10 @@ def is_collapse(rel: MembershipRelation, uids) -> bool:
     converse holds too; elsewhere two members with one collapse fail it.
     """
     uid_of = uids.__getitem__
-    return all(_KEYS[u] == tuple(sorted(map(uid_of, ms))) for u, ms in zip(uids, rel.member_tuples()))
+    for u, ms in zip(uids, rel.member_tuples()):
+        if _KEYS[u] != ((uid_of(ms[0]),) if len(ms) == 1 else tuple(sorted(map(uid_of, ms)))):
+            return False
+    return True
 
 
 def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid, distinct: bool = False):
@@ -204,8 +207,11 @@ def _collapse_uids(members: tuple[tuple[int, ...], ...], order, uid, distinct: b
     two members of one element share a collapse), no key is deduplicated."""
     uid_of = uid.__getitem__
     for x in order:
-        ms = members[x]  # a key of at most one member needs no set
-        uid[x] = _intern_uids(tuple(sorted(map(uid_of, ms) if distinct or len(ms) < 2 else set(map(uid_of, ms)))))
+        ms = members[x]
+        if len(ms) == 1:  # a one-member key needs neither a set nor a sort
+            uid[x] = _intern_uids((uid_of(ms[0]),))
+        else:  # with distinct, no key needs a set
+            uid[x] = _intern_uids(tuple(sorted(map(uid_of, ms) if distinct else set(map(uid_of, ms)))))
     return uid
 
 

@@ -38,8 +38,12 @@ def _match(s: DualStructure, order, index: dict[tuple[int, ...], int | None]) ->
     partner: dict[int, int | None] = {}
     image = partner.__getitem__
     for t in order:
-        try:  # a None image does not sort with ids, or else makes a key that no e2 element has
-            partner[t] = lookup(tuple(sorted(map(image, mt1[t]))))
+        ms = mt1[t]
+        if len(ms) == 1:  # a one-member key needs no sort, and (None,) is no e2 element's key
+            partner[t] = lookup((image(ms[0]),))
+            continue
+        try:  # among several, a None image does not sort with ids, or else makes a key that no e2 element has
+            partner[t] = lookup(tuple(sorted(map(image, ms))))
         except TypeError:
             partner[t] = None
     return partner
@@ -246,13 +250,13 @@ def read_off(s: DualStructure, partner: list[int | None]) -> IsoCertificate | Fa
 def verify_certificate(s: DualStructure, cert: IsoCertificate) -> bool:
     """Re-check a certificate from the definitions only.
 
-    h must be a bijection on the domain, and the h-image of e1's edges, the
-    pairs (h[child], h[parent]), must be exactly e2's edges: a e1 b iff
-    h(a) e2 h(b).
+    h must be a bijection on the domain (n distinct images, each in range),
+    and the h-image of e1's edges, the pairs (h[child], h[parent]), must be
+    exactly e2's edges: a e1 b iff h(a) e2 h(b).
     """
     h = cert.mapping
     n = s.domain_size
-    if len(h) != n or sorted(h) != list(range(n)):
+    if len(h) != n or len(set(h)) != n or (n and (min(h) < 0 or max(h) >= n)):  # n == 0: min(()) raises
         return False
     images = np.array(h, dtype=np.int64)
     return MembershipRelation(n, images[s.e1.child], images[s.e1.parent]) == s.e2

@@ -1,11 +1,24 @@
 import pytest
 
 from dualmem import Permutation, build_v_universe, dual_structure, scramble
+from dualmem.structure import random_dual_structure
 
 
 def members(rel, x):
     """The members of x in rel as a set, built from its member tuples."""
     return frozenset(rel.member_tuples()[x])
+
+
+def mixed_member_structures():
+    """Dual structures whose elements have zero, one or several members: a
+    scrambled 2,000-chain, scrambled V4, and random pairs of 5-24 elements,
+    whose e1 and e2 are independent."""
+    chain = dual_structure(2000, [(k, k + 1) for k in range(1999)], [])
+    yield scramble(chain, Permutation.random(2000, 3))
+    yield scramble(build_v_universe(4), Permutation.random(16, 7))
+    for size in range(5, 25):
+        for seed in range(3):
+            yield random_dual_structure(size, seed)
 
 
 @pytest.fixture(scope="session")

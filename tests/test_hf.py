@@ -17,9 +17,10 @@ from dualmem import (
 )
 from dualmem import hf
 from dualmem.hf import ackermann_code_if_below
+from dualmem.iso import partners
 from dualmem.structure import apply_permutation, relation_from_edges, transitive_closure, v_universe_size
 
-from conftest import members
+from conftest import members, mixed_member_structures
 
 
 def rel(size, edges):
@@ -466,3 +467,49 @@ class TestRecursionCheck:
         assert dc.uids == tuple(hf._collapse_uids(r.member_tuples(), r.toposort(), [0] * size))
         assert dc.duplicate_groups == ()
 
+
+def reference_collapse_uids(members, order):
+    """_collapse_uids with every key a sorted set of member uids."""
+    uid = [0] * len(members)
+    for x in order:
+        uid[x] = hf._intern_uids(tuple(sorted({uid[m] for m in members[x]})))
+    return uid
+
+
+def reference_is_collapse(r, uids):
+    """is_collapse with every key sorted."""
+    return all(hf._KEYS[u] == tuple(sorted(uids[m] for m in ms)) for u, ms in zip(uids, r.member_tuples()))
+
+
+class TestOneMemberKeys:
+    def test_sweeps_agree_with_sorted_keys(self):
+        verdicts = set()
+        for s in mixed_member_structures():
+            n = s.domain_size
+            for r in (s.e1, s.e2):
+                mt, order = r.member_tuples(), r.toposort()
+                expected = reference_collapse_uids(mt, order)
+                assert hf._collapse_uids(mt, order, [0] * n) == expected
+                assert hf._collapse_uids(mt, order, [0] * n, True) == expected
+                assert list(collapse_domain(r).uids) == expected
+            c1 = collapse_domain(s.e1).uids
+            maps = [list(range(n)), list(Permutation.random(n, 1).images)]
+            partner = partners(s)
+            if None not in partner and len(set(partner)) == n:  # an isomorphism, then two of its images swapped
+                swapped = partner[:]
+                swapped[1], swapped[-1] = partner[-1], partner[1]
+                maps += [partner, swapped]
+            for h in maps:
+                uids = carried(h, c1)
+                verdict = hf.is_collapse(s.e2, uids)
+                assert verdict == reference_is_collapse(s.e2, uids)
+                verdicts.add(verdict)
+        assert verdicts == {False, True}
+
+    def test_swapped_one_member_uids_fail(self):
+        e1, e2, h = scrambled_chain(50, 5)
+        uids = carried(h, collapse_domain(e1).uids)
+        assert hf.is_collapse(e2, uids)
+        a, b = h[10], h[30]  # the e2 images of chain elements 10 and 30, one member each
+        uids[a], uids[b] = uids[b], uids[a]
+        assert not hf.is_collapse(e2, uids)

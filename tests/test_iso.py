@@ -41,6 +41,8 @@ from dualmem.iso import (
 from dualmem.lemmas import _chain_vs_v3
 from dualmem.structure import random_dual_structure, random_extensional_relation, serialize_structure
 
+from conftest import mixed_member_structures
+
 
 class TestTransitiveClosure:
     def test_empty_element(self, v3):
@@ -165,6 +167,38 @@ class TestPhi:
         s = _chain_vs_v3()
         matched = {x for x in range(4) if any(build_witness(s, x, y) is not None for y in range(4))}
         assert matched == {0, 1, 2}
+
+
+def reference_match(s, order, index):
+    """_match with every key sorted: an element with a member that has no
+    partner gets none itself."""
+    mt1 = s.e1.member_tuples()
+    partner = {}
+    for t in order:
+        images = [partner[m] for m in mt1[t]]
+        partner[t] = None if None in images else index.get(tuple(sorted(images)))
+    return partner
+
+
+class TestOneMemberKeys:
+    def test_sweep_agrees_with_sorted_keys(self):
+        sizes = set()  # the member counts met, 2 standing for several
+        orphaned = 0  # one-member elements whose member has no partner
+        for s in mixed_member_structures():
+            order, index = s.e1.toposort(), s.e2.fresh_extension_index()
+            partner = iso._match(s, order, index)
+            assert list(partner.items()) == list(reference_match(s, order, index).items())
+            mt1 = s.e1.member_tuples()
+            sizes.update(min(len(ms), 2) for ms in mt1)
+            orphaned += sum(len(ms) == 1 and partner[ms[0]] is None for ms in mt1)
+        assert sizes == {0, 1, 2} and orphaned > 0
+
+    def test_one_member_whose_member_has_no_partner(self):
+        # e1: 0 = {}, 1 = {0}, 2 = {0, 1}, 3 = {2}; e2: 0 = {}, 1 = {0}, 2 = {1}, 3 = {0, 2}.
+        # e1's 2 has no partner, so neither has 3, whose one member it is.
+        s = dual_structure(4, [(0, 1), (0, 2), (1, 2), (2, 3)], [(0, 1), (1, 2), (0, 3), (2, 3)])
+        assert partners(s) == [0, 1, None, None]
+        assert [build_witness(s, x, y) for x in (2, 3) for y in range(4)] == [None] * 8
 
 
 class TestOrdinals:
@@ -342,6 +376,18 @@ class TestVerifyCertificate:
 
     def test_rejects_non_bijection(self, v3):
         assert not verify_certificate(v3, IsoCertificate((0, 0, 1, 2)))
+
+    @pytest.mark.parametrize(
+        "images", [(0, 1, 2, -1), (0, 1, 2, 4), (0, 1, 2)], ids=["negative", "equal-to-n", "too-short"]
+    )
+    def test_rejects_images_that_are_not_a_permutation(self, v3, images):
+        assert not verify_certificate(v3, IsoCertificate(images))
+
+    def test_accepts_the_empty_certificate_on_an_empty_domain(self):
+        assert verify_certificate(dual_structure(0, [], []), IsoCertificate(()))
+
+    def test_accepts_the_identity_on_a_chain(self, chain3):
+        assert verify_certificate(chain3, IsoCertificate((0, 1, 2)))
 
     def test_matches_brute_force_on_small(self):
         # certificate acceptance coincides with brute-force isomorphism search
