@@ -24,18 +24,23 @@ import numpy as np
 
 from . import hf
 from .errors import CycleError, DualMemError, LevelExtensionError, NonExtensionalError, Record
-from .structure import DualStructure, MembershipRelation, reachable_postorder
+from .structure import DualStructure, MembershipRelation, edge_keys, reachable_postorder, sort_edges
 
 
-def _match(s: DualStructure, order, index: dict[tuple[int, ...], int | None]) -> dict[int, int | None]:
+def _match(
+    s: DualStructure, order, index: dict[tuple[int, ...], int | None], partner: dict | list | None = None
+) -> dict[int, int | None] | list[int | None]:
     """The partner of each element of a members-first e1 order, in that order:
     the unique e2 element whose members are exactly its members' partners (by
     index, e2's extension index), or None when there is none, several, or a
     member without one. The sweep goes on past a failure; a None propagates upward.
+    It fills partner, indexed by element: a new dict by default, or a list of
+    domain size for a whole-domain order. Returns partner.
     """
     mt1 = s.e1.member_tuples()
     lookup = index.get
-    partner: dict[int, int | None] = {}
+    if partner is None:
+        partner = {}
     image = partner.__getitem__
     for t in order:
         ms = mt1[t]
@@ -187,8 +192,7 @@ def partners(s: DualStructure) -> list[int | None]:
     that it drops. On an extensional e1 these are exactly the pairs
     build_witness certifies. Requires e1 acyclic.
     """
-    partner = _match(s, s.e1.toposort(), s.e2.fresh_extension_index())
-    return list(map(partner.__getitem__, range(s.domain_size)))
+    return _match(s, s.e1.toposort(), s.e2.fresh_extension_index(), [None] * s.domain_size)
 
 
 def global_isomorphism(s: DualStructure) -> IsoCertificate | FailureDiagnostic:
@@ -252,14 +256,23 @@ def verify_certificate(s: DualStructure, cert: IsoCertificate) -> bool:
 
     h must be a bijection on the domain (n distinct images, each in range),
     and the h-image of e1's edges, the pairs (h[child], h[parent]), must be
-    exactly e2's edges: a e1 b iff h(a) e2 h(b).
+    exactly e2's edges: a e1 b iff h(a) e2 h(b). A bijection maps e1's
+    distinct edges to distinct pairs in range, so no relation is built: the
+    image's sorted edge keys must equal e2's, which ascend as e2 is stored.
     """
     h = cert.mapping
     n = s.domain_size
     if len(h) != n or len(set(h)) != n or (n and (min(h) < 0 or max(h) >= n)):  # n == 0: min(()) raises
         return False
+    if s.e1.child.size != s.e2.child.size:
+        return False
     images = np.array(h, dtype=np.int64)
-    return MembershipRelation(n, images[s.e1.child], images[s.e1.parent]) == s.e2
+    child, parent = images[s.e1.child], images[s.e1.parent]
+    keys = edge_keys(n, child, parent)
+    if keys is None:
+        child, parent = sort_edges(n, child, parent)
+        return np.array_equal(child, s.e2.child) and np.array_equal(parent, s.e2.parent)
+    return np.array_equal(np.sort(keys), edge_keys(n, s.e2.child, s.e2.parent))
 
 
 # -- text formats ------------------------------------------------------------------

@@ -24,7 +24,9 @@ from dualmem import (
     transitive_closure,
     verify_certificate,
 )
-from dualmem import hf, iso
+import numpy as np
+
+from dualmem import hf, iso, structure
 from dualmem.cli import main
 from dualmem.iso import (
     _CERT_BLOCK,
@@ -406,6 +408,85 @@ class TestVerifyCertificate:
                     assert not accepted
 
 
+def reference_verdict(s, images):
+    """verify_certificate's verdict from its definition: a permutation whose
+    image of e1, built as a relation, is e2."""
+    n = s.domain_size
+    if sorted(images) != list(range(n)):
+        return False
+    h = np.array(images, dtype=np.int64)
+    return MembershipRelation(n, h[s.e1.child], h[s.e1.parent]) == s.e2
+
+
+def swapped(images, a, b):
+    images = list(images)
+    images[a], images[b] = images[b], images[a]
+    return tuple(images)
+
+
+def certificate_cases():
+    """(structure, mappings): scrambled V3/V4, random pairs of 5-24 elements
+    and the rejection cases above, each with its certificate when it has
+    one, that certificate with two images swapped, the identity and a
+    seeded permutation."""
+    cases = [
+        (build_v_universe(3), [(0, 0, 1, 2), (0, 1, 2, -1), (0, 1, 2, 4), (0, 1, 2)]),
+        (_chain_vs_v3(), [(0, 1, 2, 3)]),
+        (dual_structure(0, [], []), [()]),
+        (dual_structure(3, [(0, 1), (1, 2)], [(0, 1), (1, 2)]), [(0, 1, 2)]),
+        (dual_structure(3, [(0, 1)], [(0, 1), (1, 2)]), [(0, 1, 2)]),  # e1's image is a part of e2
+        (dual_structure(3, [(0, 1), (1, 2)], [(0, 1)]), [(0, 1, 2)]),  # and the other way round
+        (dual_structure(2, [(0, 1)], [(0, 0)]), [(0, 1), (1, 0)]),  # an image edge with e2's child, not its parent
+    ]
+    levels = build_v_universe(3), build_v_universe(4)
+    structures = [scramble(v, Permutation.random(v.domain_size, seed)) for v in levels for seed in (1, 7)]
+    structures += [random_dual_structure(size, seed) for size in range(5, 25) for seed in range(2)]
+    rng = random.Random(5)
+    for s in structures:
+        n = s.domain_size
+        mappings = [tuple(range(n)), tuple(rng.sample(range(n), n))]
+        result = global_isomorphism(s) if s.e1.is_acyclic() and s.e1.is_extensional() else None
+        if isinstance(result, IsoCertificate):
+            mappings += [result.mapping, swapped(result.mapping, *rng.sample(range(n), 2))]
+        cases.append((s, mappings))
+    return cases
+
+
+class TestCertificateKeys:
+    """verify_certificate compares sorted edge keys, or the lexsort order
+    above _KEYED_SORT_MAX, and agrees with building the image relation."""
+
+    def test_both_orders_agree_with_the_reference(self, monkeypatch):
+        verdicts = set()
+        for s, mappings in certificate_cases():
+            for images in mappings:
+                expected = reference_verdict(s, images)
+                keyed = verify_certificate(s, IsoCertificate(images))
+                with monkeypatch.context() as m:
+                    m.setattr(structure, "_KEYED_SORT_MAX", -1)  # every n takes the lexsort order
+                    assert structure.edge_keys(s.domain_size, s.e1.child, s.e1.parent) is None
+                    lexsorted = verify_certificate(s, IsoCertificate(images))
+                assert keyed == lexsorted == expected, (s, images)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_one_moved_edge_is_rejected(self, monkeypatch):
+        # In V4, 4 = {2} and 5 = {0, 2} are of rank 3 and members of nothing:
+        # swapping their images keeps a bijection and the edge count, and
+        # moves the one edge 0 -> 5 onto 0 -> 4.
+        s = scramble(build_v_universe(4), Permutation.random(16, 7))
+        h = global_isomorphism(s).mapping
+        assert s.e1.ranks()[4] == s.e1.ranks()[5] == 3
+        images = swapped(h, 4, 5)
+        moved = {(images[a], images[b]) for a, b in s.e1.edges} ^ s.e2.edges
+        assert moved == {(h[0], h[4]), (h[0], h[5])}
+        assert verify_certificate(s, IsoCertificate(h))
+        assert not verify_certificate(s, IsoCertificate(images))
+        monkeypatch.setattr(structure, "_KEYED_SORT_MAX", -1)
+        assert verify_certificate(s, IsoCertificate(h))
+        assert not verify_certificate(s, IsoCertificate(images))
+
+
 def reference_certificate_text(cert):
     """render_certificate's text as one join over a list of every line."""
     lines = [f"iso {len(cert.mapping)}"]
@@ -507,8 +588,8 @@ class TestSweepFaults:
         path.write_text(serialize_structure(s))
         sweep = iso._match
 
-        def faulty(s, order, index):
-            partner = sweep(s, order, index)
+        def faulty(s, order, index, *into):
+            partner = sweep(s, order, index, *into)
             if len(partner) == s.domain_size:  # the whole-domain sweep
                 fault(partner)
             return partner

@@ -25,6 +25,7 @@ from dualmem.structure import (
     _KEYED_SORT_MAX,
     V_UNIVERSE_MAX,
     DualStructure,
+    _id_objects,
     _ids,
     _parse_canonical,
     _scan_structure,
@@ -274,6 +275,57 @@ class TestCanonicalFastPath:
         assert peak < 10 * len(text)
 
 
+def shuffled_lines(s: DualStructure, seed: int) -> str:
+    """s serialized, its header first and its edge lines in a seeded random order."""
+    header, *lines = serialize_structure(s).split("\n")[:-1]
+    random.Random(seed).shuffle(lines)
+    return "\n".join([header, *lines]) + "\n"
+
+
+class TestCanonicalTagSplit:
+    """The canonical reader splits the edge lines by tag, in any order of the lines."""
+
+    @given(size=st.integers(1, 12), seed=st.integers(0, 10_000), order=st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_shuffled_lines_read_as_the_scanner_reads_them(self, size, seed, order):
+        s = random_dual_structure(size, seed)
+        text = shuffled_lines(s, order)
+        parsed = _parse_canonical(text)
+        assert parsed is not None
+        assert parsed == _scan_structure(text) == s
+
+    def test_e2_block_before_e1(self, scrambled_v4):
+        header, *lines = serialize_structure(scrambled_v4).split("\n")[:-1]
+        text = "\n".join([header, *[x for x in lines if x.startswith("e2")], *[x for x in lines if x.startswith("e1")]])
+        assert _parse_canonical(text + "\n") == scrambled_v4
+
+    @pytest.mark.parametrize(
+        "text, e1, e2",
+        [
+            ("n 3\ne2 1 2\ne2 0 1\n", [], [(0, 1), (1, 2)]),  # only e2 edges
+            ("n 4\n", [], []),  # no edges
+            ("n 2\ne2 0 1\ne1 0 1\n", [(0, 1)], [(0, 1)]),  # one pair in both relations is no repeat
+            ("n 3\ne1 0 2\ne2 0 1\ne1 0 1\ne2 1 2\ne1 1 2\n", [(0, 1), (0, 2), (1, 2)], [(0, 1), (1, 2)]),
+        ],
+        ids=["only-e2", "no-edges", "one-pair-in-both", "interleaved"],
+    )
+    def test_reads(self, text, e1, e2):
+        expected = dual_structure(int(text.split()[1]), e1, e2)
+        assert _parse_canonical(text) == _scan_structure(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, message, line_no",
+        [
+            ("n 2\ne1 0 1\ne2 0 1\ne2 0 1\n", "duplicate edge e2 0 1", 4),  # repeated in e2, held by e1 too
+            ("n 3\ne1 0 1\ne2 1 2\ne1 0 1\n", "duplicate edge e1 0 1", 4),  # repeated in e1
+        ],
+        ids=["repeated-in-e2", "repeated-in-e1"],
+    )
+    def test_a_repeat_within_a_relation_is_left_to_the_scanner(self, text, message, line_no):
+        assert _parse_canonical(text) is None
+        assert outcome(parse_structure, text) == (f"line {line_no}: {message}", line_no)
+
+
 def noncanonical(text: str, kind: str) -> str:
     """A file the canonical reader leaves to the line scanner, with the same lines."""
     if kind == "comments":
@@ -403,6 +455,51 @@ class TestRelationArrays:
             extensional = rel.is_extensional()
             assert "ext_index" not in rel._derived  # decided without building the index
             assert extensional == (not rel.duplicate_extensions())
+
+
+def reference_member_tuples(rel):
+    """Each element's members as a sorted tuple, from the edge pairs."""
+    members = [[] for _ in range(rel.domain_size)]
+    for a, b in zip(rel.child.tolist(), rel.parent.tolist()):
+        members[b].append(a)
+    return tuple(tuple(sorted(ms)) for ms in members)
+
+
+class TestSharedIds:
+    """member_tuples() holds the very id objects of _ids(n): no int object per edge."""
+
+    @pytest.mark.parametrize("shape", ["v4", "chain"])
+    def test_entries_are_the_shared_ids(self, shape):
+        if shape == "v4":
+            s = scramble(build_v_universe(4), Permutation.random(16, 7))
+        else:  # ids above 256, each a distinct int object unless shared
+            n = 1_000
+            s = scramble(dual_structure(n, [(x, x + 1) for x in range(n - 1)], []), Permutation.random(n, 2))
+        for rel in (s.e1, s.e2):
+            tuples, ids = rel.member_tuples(), _ids(s.domain_size)
+            assert tuples == reference_member_tuples(rel)
+            assert all(x is ids[x] for ms in tuples for x in ms)
+            assert sum(map(len, tuples)) == rel.child.size
+
+    @pytest.mark.parametrize(
+        "n, e1, e2",
+        [(0, [], []), (2, [(0, 1)], []), (300, [(x, x + 1) for x in range(299)], [])],
+        ids=["n-0", "one-edge", "empty-beside-full"],
+    )
+    def test_small_and_empty_relations(self, n, e1, e2):
+        s = dual_structure(n, e1, e2)
+        for rel in (s.e1, s.e2):
+            tuples, ids = rel.member_tuples(), _ids(n)
+            assert tuples == reference_member_tuples(rel)
+            assert all(x is ids[x] for ms in tuples for x in ms)
+        assert s.e2.member_tuples() == ((),) * n
+
+    def test_object_array_holds_the_tuple_ids_after_another_size(self):
+        n = 1_000
+        _ids(n), _ids(5)  # the cache holds one size: n is built anew
+        ids, objects = _ids(n), _id_objects(n)
+        assert objects.dtype == object and not objects.flags.writeable
+        assert all(a is b for a, b in zip(objects.tolist(), ids, strict=True))
 
 
 def reference_sorted_edges(child, parent):
