@@ -118,12 +118,13 @@ def cmd_find_iso(args) -> int:
         print("fail certificate-rejected")
         return NEGATIVE
     if args.oracle_check:
-        c1 = hf.collapse_domain(s.e1, 1).uids
+        universe: hf.Universe = {}
+        c1 = hf.collapse_domain(universe, s.e1, 1).uids
         carried = [0] * s.domain_size  # carried[h(x)] = c1[x]: passes exactly when every c1[x] == c2[h(x)]
         for x, y in enumerate(result.mapping):
             carried[y] = c1[x]
-        if not hf.is_collapse(s.e2, carried):
-            c2 = hf.collapse_domain(s.e2, 2).uids
+        if not hf.is_collapse(list(universe), s.e2, carried):
+            c2 = hf.collapse_domain(universe, s.e2, 2).uids
             for x, y in enumerate(result.mapping):
                 if c1[x] != c2[y]:
                     print(f"fail oracle-mismatch x={x} y={y}")
@@ -208,13 +209,15 @@ def _corpus_int(key: str, value: str) -> int:
 
 def cmd_collapse(args) -> int:
     s = _read_structure(args.infile)
+    universe: hf.Universe = {}
     try:
-        uid = hf.collapse(s.relation(args.relation), args.element, args.relation)
+        uid = hf.collapse(universe, s.relation(args.relation), args.element, args.relation)
     except CycleError as exc:
         print(f"fail ill-founded e{args.relation} cycle={'>'.join(map(str, exc.cycle))}")
         return NEGATIVE
-    print(hf.render_hf(uid))
-    numeral = hf.ackermann_code_if_below(uid, 1 << 64)
+    keys = list(universe)
+    print(hf.render_hf(keys, uid))
+    numeral = hf.ackermann_code_if_below(keys, uid, 1 << 64)
     print(f"code={numeral}" if numeral is not None else "code=large")
     return PASS
 

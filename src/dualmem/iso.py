@@ -296,11 +296,13 @@ def render_certificate(cert: IsoCertificate) -> str:
 def render_diagnostic(s: DualStructure, diag: FailureDiagnostic) -> str:
     """The report text of a diagnostic: each unmatched element with the
     rendering of its collapse. Each relation with an unmatched element is
-    collapsed once, as a whole (a diagnostic exists only for acyclic relations).
+    collapsed once, as a whole (a diagnostic exists only for acyclic
+    relations), into one universe whose keys are listed once per relation.
     """
-    lines = [f"fail {diag.case}"]
+    lines, universe = [f"fail {diag.case}"], {}
     for tag, unmatched in ((1, diag.unmatched_e1), (2, diag.unmatched_e2)):
         if unmatched:
-            uids = hf.collapse_domain(s.relation(tag), tag).uids
-            lines.extend(f"unmatched e{tag} {x} collapse {hf.render_hf(uids[x])}" for x in unmatched)
+            uids = hf.collapse_domain(universe, s.relation(tag), tag).uids
+            keys = list(universe)
+            lines.extend(f"unmatched e{tag} {x} collapse {hf.render_hf(keys, uids[x])}" for x in unmatched)
     return "\n".join(lines) + "\n"

@@ -82,7 +82,7 @@ def run_suite(s: DualStructure) -> SuiteReport:
             return SuiteReport(_all_na("ill-founded", *witness))
     for tag in (1, 2):
         if not s.relation(tag).is_extensional():  # acyclic: shared member tuples iff shared collapses
-            group = ",".join(map(str, hf.collapse_domain(s.relation(tag), tag).duplicate_groups[0]))
+            group = ",".join(map(str, hf.collapse_domain({}, s.relation(tag), tag).duplicate_groups[0]))
             witness = (("tag", str(tag)), ("collapse-duplicates", group))
             return SuiteReport(_all_na("non-extensional", *witness))
 
@@ -405,8 +405,9 @@ def run_corpus(config: CorpusConfig) -> SuiteReport:
             ((name, Verdict("fail", v.witness + repro)) for name, v in judged if v.status == "fail"), None
         )
         if failed is None and kind == "random-pair" and iso_status != "n/a":
-            same_images = hf.collapse_domain(s.e1, 1).image() == hf.collapse_domain(s.e2, 2).image()
-            if same_images != (iso_status == "pass"):
+            universe: hf.Universe = {}  # both collapses in one universe: equal sets, equal uids
+            same = hf.collapse_domain(universe, s.e1, 1).image() == hf.collapse_domain(universe, s.e2, 2).image()
+            if same != (iso_status == "pass"):
                 failed = ("isomorphism", Verdict("fail", (("reason", "oracle-disagrees"),) + repro))
         if failed is not None:
             break

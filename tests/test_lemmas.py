@@ -1,5 +1,7 @@
+import gc
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -143,12 +145,13 @@ class TestRunSuite:
             if rel.is_acyclic() and rel.is_extensional():
                 relations.append(rel)
         assert len(relations) > 1
+        universe = {}
         for e1 in relations:
-            image1 = collapse_domain(e1).image()
+            image1 = collapse_domain(universe, e1).image()
             for e2 in relations:
                 s = dual_structure(3, e1.edges, e2.edges)
                 report = run_suite(s)
-                same = image1 == collapse_domain(e2).image()
+                same = image1 == collapse_domain(universe, e2).image()
                 assert (report.lemmas["isomorphism"].status == "pass") == same
                 if full_report(s, schema_mode="semantic").semantic_pass:
                     assert same
@@ -185,7 +188,7 @@ class TestRunSuite:
         )
 
     def test_suite_renders_no_collapse(self, monkeypatch):
-        def refuse(code):
+        def refuse(*args):
             raise AssertionError("the suite rendered a collapse")
 
         monkeypatch.setattr(hf, "render_hf", refuse)
@@ -216,9 +219,9 @@ class TestRunSuite:
         calls = []
         collapse_domain = hf.collapse_domain
 
-        def counted(rel, tag=None):
+        def counted(universe, rel, tag=None):
             calls.append(tag)
-            return collapse_domain(rel, tag)
+            return collapse_domain(universe, rel, tag)
 
         monkeypatch.setattr(hf, "collapse_domain", counted)
         report = run_suite(build())
@@ -566,7 +569,7 @@ class TestCollapseGate:
         # On an acyclic relation, two elements share a collapse exactly when
         # some two share a member tuple (Mostowski): run_suite's gate rests on it.
         for rel in (s.e1, s.e2):
-            assert rel.is_extensional() == (hf.collapse_domain(rel).duplicate_groups == ())
+            assert rel.is_extensional() == (hf.collapse_domain({}, rel).duplicate_groups == ())
 
 
 def reference_membership_preservation(s, matched):
@@ -758,6 +761,20 @@ class TestRunCorpus:
     def test_timing_not_rendered(self):
         report = run_corpus(CorpusConfig(sizes=(3,), count=2))
         assert "elapsed" not in render_suite(report)
+
+    def test_keeps_no_collapse_state(self):
+        # Each random pair's oracle cross-check collapses into its own
+        # universe, so a corpus retains nothing per item once it returns.
+        run_corpus(CorpusConfig(sizes=(16,), count=20, seed=20, kinds=("random-pair",)))  # warm-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_corpus(CorpusConfig(sizes=(16,), count=200, seed=20, kinds=("random-pair",)))
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 128 * 1024
 
 
 class TestGallery:
